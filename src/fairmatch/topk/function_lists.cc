@@ -11,6 +11,7 @@ FunctionLists::FunctionLists(const FunctionSet* fns) : fns_(fns) {
   dims_ = (*fns)[0].dims;
   max_gamma_ = 0.0;
   lists_.resize(dims_);
+  eff_.reserve(fns->size() * dims_);
   for (int d = 0; d < dims_; ++d) {
     lists_[d].reserve(fns->size());
   }
@@ -19,6 +20,7 @@ FunctionLists::FunctionLists(const FunctionSet* fns) : fns_(fns) {
     max_gamma_ = std::max(max_gamma_, f.gamma);
     for (int d = 0; d < dims_; ++d) {
       lists_[d].emplace_back(f.eff(d), f.id);
+      eff_.push_back(f.eff(d));
     }
   }
   for (int d = 0; d < dims_; ++d) {
@@ -31,7 +33,7 @@ FunctionLists::FunctionLists(const FunctionSet* fns) : fns_(fns) {
 }
 
 size_t FunctionLists::memory_bytes() const {
-  size_t bytes = 0;
+  size_t bytes = eff_.size() * sizeof(double);
   for (const auto& list : lists_) {
     bytes += list.size() * sizeof(std::pair<double, FunctionId>);
   }

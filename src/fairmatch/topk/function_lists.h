@@ -46,6 +46,12 @@ class FunctionIndexBase {
     return nullptr;
   }
 
+  /// Fast path: the function-major effective-coefficient table
+  /// (`table[fid * dims() + d]` = alpha_d * gamma) of a memory-resident
+  /// index, or nullptr for disk-backed indexes. A score summed from a
+  /// row in dimension order is bit-identical to PrefFunction::Score.
+  virtual const double* EffTable() const { return nullptr; }
+
   /// Downcast hook: the packed block store returns itself, every other
   /// backend nullptr. Lets ReverseTop1 opt into the impact-ordered
   /// block traversal without RTTI.
@@ -74,9 +80,11 @@ class FunctionLists : public FunctionIndexBase {
     return lists_[dim].data();
   }
 
+  const double* EffTable() const override { return eff_.data(); }
+
   const FunctionSet& functions() const { return *fns_; }
 
-  /// Bytes held by the index.
+  /// Bytes held by the index: the lists plus the coefficient table.
   size_t memory_bytes() const;
 
  private:
@@ -84,6 +92,7 @@ class FunctionLists : public FunctionIndexBase {
   int dims_;
   double max_gamma_;
   std::vector<std::vector<std::pair<double, FunctionId>>> lists_;
+  std::vector<double> eff_;  // function-major effective coefficients
 };
 
 }  // namespace fairmatch

@@ -205,6 +205,7 @@ class PackedFunctionStore : public FunctionIndexBase {
     for (int i = 0; i < dims_; ++i) s += eff[i] * o[i];
     return s;
   }
+  const double* EffTable() const override { return eff_table_; }
   PackedFunctionStore* packed() override { return this; }
 
   // --- block API (impact-ordered traversals) -------------------------

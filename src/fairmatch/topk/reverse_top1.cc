@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "fairmatch/common/check.h"
-
 namespace fairmatch {
 
 namespace {
@@ -16,21 +14,74 @@ namespace {
 // the smallest-id tie winner reachable.
 constexpr double kBoundSlack = 1e-9;
 
-// Argmax over the cached gains of non-exhausted lists; the exact scan
-// PickList used to run per call (strict >, so ties pick the smallest
-// dimension). -1 when every list is exhausted.
-int BestGainDim(const std::vector<int>& positions,
-                const std::vector<double>& gains, int n) {
+// Where the probe kernel reads list entries. Each layout supplies
+// Frontier(d, pos), the upper bound on the coefficient of any unseen
+// function in list d once its cursor is at pos, and Visit(d, pos, fn),
+// which probes position pos of list d, calls fn on every function id it
+// yields and returns the number of entries probed.
+
+// FunctionLists: one entry per probe, read from the raw arrays.
+struct RawLists {
+  const std::pair<double, FunctionId>* const* lists;
+  double Frontier(int d, int pos) const { return lists[d][pos].first; }
+  template <typename Fn>
+  int Visit(int d, int pos, Fn&& fn) const {
+    fn(lists[d][pos].second);
+    return 1;
+  }
+};
+
+// PackedFunctionStore, default traversal: one entry per probe through
+// the store's sequential decode cursor (probe pos, then read pos + 1).
+struct PackedEntries {
+  PackedFunctionStore* store;
+  double Frontier(int d, int pos) const { return store->Entry(d, pos).first; }
+  template <typename Fn>
+  int Visit(int d, int pos, Fn&& fn) const {
+    fn(store->Entry(d, pos).second);
+    return 1;
+  }
+};
+
+// PackedFunctionStore, impact-ordered traversal: one whole block per
+// probe; positions count blocks and the frontier is the next block's
+// max impact (every entry of a consumed block is marked seen).
+struct PackedBlocks {
+  const PackedFunctionStore* store;
+  int32_t* scratch;
+  double Frontier(int d, int pos) const {
+    return store->BlockMaxImpact(d, pos);
+  }
+  template <typename Fn>
+  int Visit(int d, int pos, Fn&& fn) const {
+    const int count = store->DecodeBlock(d, pos, scratch);
+    for (int i = 0; i < count; ++i) fn(scratch[i]);
+    return count;
+  }
+};
+
+// Argmax of gain (strict >, so ties pick the smallest dimension).
+// Exhausted lists carry gain -1, which never wins; -1 when every list is
+// exhausted. Branch-free: the winner changes too often to predict.
+int BestGainDim(const double* gain, int dims) {
   int best = -1;
   double best_gain = -1.0;
-  for (int d = 0; d < static_cast<int>(gains.size()); ++d) {
-    if (positions[d] >= n) continue;
-    if (gains[d] > best_gain) {
-      best_gain = gains[d];
-      best = d;
-    }
+  for (int d = 0; d < dims; ++d) {
+    const int better = gain[d] > best_gain;
+    best += (d - best) & -better;
+    best_gain = std::max(best_gain, gain[d]);
   }
   return best;
+}
+
+// Whether any function is still unassigned. SB passes its unassigned
+// count; without it (cold callers on the rare queue-starved path) this
+// falls back to an O(|F|) scan.
+bool AnyUnassigned(const std::vector<uint8_t>& assigned,
+                   int64_t num_unassigned) {
+  if (num_unassigned >= 0) return num_unassigned > 0;
+  return std::any_of(assigned.begin(), assigned.end(),
+                     [](uint8_t a) { return a == 0; });
 }
 }  // namespace
 
@@ -50,13 +101,19 @@ ReverseTop1::ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options)
   // in entries otherwise.
   scan_limit_ = use_impact_ ? packed_->num_blocks() : index_->size();
   if (use_impact_) scratch_fids_.resize(packed_->block_entries());
-  // The incremental frontier/gains/threshold caches pay for themselves
-  // only when biased probing consults the gains every iteration;
-  // round-robin invalidates the threshold on almost every probe and
-  // never reads the gains, so it keeps the seed's direct scans. The
-  // packed store is memory-resident too (zero counted I/O), so it takes
-  // the same cached path as FunctionLists.
-  use_caches_ = (all_raw || packed_ != nullptr) && options_.biased_probing;
+  // The probe kernel serves biased probing over memory-resident lists.
+  // Round-robin (the ablation) and the counted disk store, whose I/O
+  // access sequence is part of what it measures, take the generic loop.
+  eff_table_ = index_->EffTable();
+  if (options_.biased_probing && eff_table_ != nullptr) {
+    if (use_impact_) {
+      path_ = Path::kPackedBlocks;
+    } else if (all_raw) {
+      path_ = Path::kRawLists;
+    } else if (packed_ != nullptr) {
+      path_ = Path::kPackedEntries;
+    }
+  }
   use_seen_epoch_ = !options_.resume;
 }
 
@@ -88,76 +145,29 @@ void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
               if (o[a] != o[b]) return o[a] > o[b];
               return a < b;
             });
-  if (use_caches_) {
-    state->frontier_.assign(dims, 0.0);
-    state->gains_.assign(dims, -1.0);
-    for (int d = 0; d < dims; ++d) {
-      if (scan_limit_ == 0) continue;
-      state->frontier_[d] = FrontierValue(d, 0);
-      state->gains_[d] = state->frontier_[d] * o[d];
-    }
-    state->best_gain_dim_ =
-        BestGainDim(state->positions_, state->gains_, scan_limit_);
-    state->threshold_valid_ = false;
-  }
   state->initialized = true;
 }
 
-void ReverseTop1::RefreshFrontier(ReverseTop1State* state, const Point& o,
-                                  int d) const {
-  const int pos = state->positions_[d];
-  if (pos >= scan_limit_) {
-    // List exhausted: drop it from the gains and force a threshold
-    // recomputation (the knapsack result flips to "no unseen function").
-    state->gains_[d] = -1.0;
-    state->threshold_valid_ = false;
-    if (state->best_gain_dim_ == d) {
-      state->best_gain_dim_ =
-          BestGainDim(state->positions_, state->gains_, scan_limit_);
-    }
-    return;
-  }
-  const double l = FrontierValue(d, pos);
-  if (l == state->frontier_[d]) return;  // duplicate coefficient: no-op
-  state->frontier_[d] = l;
-  state->gains_[d] = l * o[d];
-  state->threshold_valid_ = false;
-  // Gains only decrease as the scan descends, so the argmax can change
-  // only when the probed dimension was the argmax (ties resolve to the
-  // smallest dimension, which a decrease elsewhere cannot disturb).
-  if (state->best_gain_dim_ == d) {
-    state->best_gain_dim_ =
-        BestGainDim(state->positions_, state->gains_, scan_limit_);
-  }
-}
-
-double ReverseTop1::TightThreshold(ReverseTop1State* state, const Point& o) {
+double ReverseTop1::TightThreshold(const ReverseTop1State& state,
+                                   const Point& o) {
   // An unseen function must appear at or below the current position in
   // every list, so its coefficient in dim d is bounded by the next
   // unread value l_d. Maximize sum beta_d * o_d subject to beta_d <= l_d
   // and sum beta_d = B (fractional knapsack, Section 5.1).
-  if (use_caches_ && state->threshold_valid_) return state->cached_threshold_;
   double budget = index_->max_gamma();
   double threshold = 0.0;
-  for (int d : state->dim_order_) {
+  for (int d : state.dim_order_) {
     if (budget <= 0.0) break;
-    int pos = state->positions_[d];
+    int pos = state.positions_[d];
     // Exhausted list: every function was seen there; no unseen function
     // exists, so the threshold over unseen functions is -infinity.
     if (pos >= scan_limit_) {
       threshold = -1.0;
       break;
     }
-    // Cached frontier on the memory-resident path; a counted list read
-    // on the disk path (whose access sequence must stay as-is).
-    double l = use_caches_ ? state->frontier_[d] : FrontierValue(d, pos);
-    double beta = std::min(budget, l);
+    double beta = std::min(budget, FrontierValue(d, pos));
     threshold += beta * o[d];
     budget -= beta;
-  }
-  if (use_caches_) {
-    state->cached_threshold_ = threshold;
-    state->threshold_valid_ = true;
   }
   return threshold;
 }
@@ -172,8 +182,6 @@ int ReverseTop1::PickList(const ReverseTop1State& state, const Point& o) {
     }
     return -1;
   }
-  // Memory-resident: the argmax is maintained incrementally on probe.
-  if (use_caches_) return state.best_gain_dim_;
   int best = -1;
   double best_gain = -1.0;
   for (int d = 0; d < dims; ++d) {
@@ -188,11 +196,185 @@ int ReverseTop1::PickList(const ReverseTop1State& state, const Point& o) {
   return best;
 }
 
+template <typename Lists>
+std::optional<std::pair<FunctionId, double>> ReverseTop1::Probe(
+    const Lists& lists, ReverseTop1State* state, const Point& o,
+    const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
+  const int dims = index_->dims();
+  const int limit = scan_limit_;
+  const double max_gamma = index_->max_gamma();
+  const double* const eff = eff_table_;
+  const uint8_t* const taken = assigned.data();
+  const bool epoch = use_seen_epoch_;
+  CandidateQueue& queue = state->queue_;
+  double coord[kMaxDims];
+  for (int d = 0; d < dims; ++d) coord[d] = o[d];
+  int pos[kMaxDims];
+  int order[kMaxDims];
+  double frontier[kMaxDims];
+  double gain[kMaxDims];
+  int64_t probes = 0;
+  // Hands the scan positions and the probe count back to the state.
+  const auto leave = [&] {
+    std::copy(pos, pos + dims, state->positions_.begin());
+    probes_ += probes;
+  };
+
+  while (true) {
+    // Drop candidates assigned to other objects since the last call;
+    // each pop spends one unit of the queue's guarantee (Omega), and a
+    // spent queue can no longer vouch for the maximum: restart. Nothing
+    // below can change either condition — every pushed candidate is
+    // unassigned — so they are checked only here.
+    while (!queue.empty() && taken[queue.best().fid]) {
+      queue.PopBest();
+      state->omega_left_--;
+    }
+    if (state->omega_left_ <= 0) {
+      restarts_++;
+      Reset(state, o);
+      continue;
+    }
+    const int omega_left = state->omega_left_;
+    uint64_t* const seen_bits = state->seen_bits_.data();
+    uint8_t* const seen_gen = state->seen_gen_.data();
+    const uint8_t gen = state->gen_;
+
+    // Derive the working set from the positions: frontier values, their
+    // gains and the probing argmax.
+    for (int d = 0; d < dims; ++d) {
+      pos[d] = state->positions_[d];
+      order[d] = state->dim_order_[d];
+      gain[d] = -1.0;
+      if (pos[d] < limit) {
+        frontier[d] = lists.Frontier(d, pos[d]);
+        gain[d] = frontier[d] * coord[d];
+      }
+    }
+    int best_dim = BestGainDim(gain, dims);
+    bool have_top = !queue.empty();
+    ScoredCandidate top = have_top ? queue.best() : ScoredCandidate{};
+    bool threshold_valid = false;
+    double threshold = 0.0;
+
+    while (best_dim >= 0) {
+      // Terminate once the best candidate beats the tight threshold for
+      // every unseen function. The knapsack is re-solved only after a
+      // frontier value changed.
+      if (have_top) {
+        if (!threshold_valid) {
+          double budget = max_gamma;
+          threshold = 0.0;
+          for (int k = 0; k < dims && budget > 0.0; ++k) {
+            const int d = order[k];
+            if (pos[d] >= limit) {
+              threshold = -1.0;
+              break;
+            }
+            const double beta = std::min(budget, frontier[d]);
+            threshold += beta * coord[d];
+            budget -= beta;
+          }
+          threshold_valid = true;
+        }
+        if (top.score > threshold + kBoundSlack) {
+          leave();
+          return std::make_pair(top.fid, top.score);
+        }
+      }
+
+      const int d = best_dim;
+      probes += lists.Visit(d, pos[d]++, [&](FunctionId fid) {
+        // Most probes hit a seen or assigned function: one branch for
+        // both.
+        bool seen;
+        if (epoch) {
+          seen = seen_gen[fid] == gen;
+          seen_gen[fid] = gen;
+        } else {
+          uint64_t& word = seen_bits[static_cast<size_t>(fid) >> 6];
+          const uint64_t bit = uint64_t{1} << (fid & 63);
+          seen = (word & bit) != 0;
+          word |= bit;
+        }
+        if (seen | (taken[fid] != 0)) return;
+        // The TA "random accesses": the function's coefficient row,
+        // summed in PrefFunction::Score's order.
+        const double* row = eff + static_cast<size_t>(fid) * dims;
+        double score = 0.0;
+        for (int i = 0; i < dims; ++i) score += row[i] * coord[i];
+        // Keep only the top-Omega candidates (Section 5.1 memory bound):
+        // push, then evict the queue's worst end on overflow. The queue
+        // never holds more than omega_left entries, so a full queue
+        // would evict a candidate ranked below its worst at once.
+        const ScoredCandidate candidate{score, fid};
+        if (static_cast<int>(queue.size()) == omega_left) {
+          if (!(candidate < queue.worst())) return;
+          queue.Push(candidate);
+          queue.PopWorst();
+        } else {
+          queue.Push(candidate);
+        }
+        if (!have_top || candidate < top) {
+          top = candidate;
+          have_top = true;
+        }
+      });
+
+      // Advance list d's frontier. A duplicate coefficient changes
+      // nothing; otherwise the gain drops, so the argmax (always d
+      // under biased probing) is recomputed.
+      if (pos[d] >= limit) {
+        gain[d] = -1.0;
+      } else {
+        const double l = lists.Frontier(d, pos[d]);
+        if (l == frontier[d]) continue;
+        frontier[d] = l;
+        gain[d] = l * coord[d];
+      }
+      threshold_valid = false;
+      best_dim = BestGainDim(gain, dims);
+    }
+
+    // All lists exhausted: every function has been seen. The queue holds
+    // the best unassigned candidates unless eviction lost them.
+    if (have_top) {
+      leave();
+      return std::make_pair(top.fid, top.score);
+    }
+    // Queue starved by eviction: restart unless F is fully assigned.
+    if (!AnyUnassigned(assigned, num_unassigned)) {
+      leave();
+      return std::nullopt;
+    }
+    restarts_++;
+    Reset(state, o);
+  }
+}
+
 std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
     ReverseTop1State* state, const Point& o,
     const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
   if (!state->initialized || !options_.resume) Reset(state, o);
+  switch (path_) {
+    case Path::kRawLists:
+      return Probe(RawLists{raw_lists_.data()}, state, o, assigned,
+                   num_unassigned);
+    case Path::kPackedEntries:
+      return Probe(PackedEntries{packed_}, state, o, assigned,
+                   num_unassigned);
+    case Path::kPackedBlocks:
+      return Probe(PackedBlocks{packed_, scratch_fids_.data()}, state, o,
+                   assigned, num_unassigned);
+    case Path::kGeneric:
+      break;
+  }
+  return GenericBest(state, o, assigned, num_unassigned);
+}
 
+std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
+    ReverseTop1State* state, const Point& o,
+    const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
   while (true) {
     // Drop candidates that were assigned to other objects since the last
     // call; each pop reduces the queue's remaining guarantee (Omega).
@@ -211,7 +393,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
     // Terminate if the best candidate already beats the tight threshold
     // for every unseen function.
     if (!state->queue_.empty()) {
-      double threshold = TightThreshold(state, o);
+      double threshold = TightThreshold(*state, o);
       const auto& top = state->queue_.best();
       if (top.score > threshold + kBoundSlack) {
         return std::make_pair(top.fid, top.score);
@@ -227,14 +409,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
         return std::make_pair(top.fid, top.score);
       }
       // Queue starved by eviction: restart unless F is fully assigned.
-      // SB passes its unassigned-function count; without it, fall back
-      // to the scan (cold callers on this rare path).
-      bool any_unassigned =
-          num_unassigned >= 0
-              ? num_unassigned > 0
-              : std::any_of(assigned.begin(), assigned.end(),
-                            [](uint8_t a) { return a == 0; });
-      if (!any_unassigned) return std::nullopt;
+      if (!AnyUnassigned(assigned, num_unassigned)) return std::nullopt;
       restarts_++;
       Reset(state, o);
       continue;
@@ -247,7 +422,6 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
     if (use_impact_) {
       const int count = packed_->DecodeBlock(d, pos, scratch_fids_.data());
       probes_ += count;
-      if (use_caches_) RefreshFrontier(state, o, d);
       for (int i = 0; i < count; ++i) {
         const FunctionId fid = scratch_fids_[i];
         if (Seen(*state, fid)) continue;
@@ -263,7 +437,6 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
     }
     probes_++;
     FunctionId fid = EntryAt(d, pos).second;
-    if (use_caches_) RefreshFrontier(state, o, d);
     if (Seen(*state, fid)) continue;
     MarkSeen(state, fid);
     if (assigned[fid]) continue;

@@ -20,11 +20,15 @@
 // small-Omega regime, a flat min-max heap above ~512 entries — the
 // seed paid an O(Omega) erase(begin()) shift per drop), the seen set
 // is a generation-stamped byte map that restarts reuse without
-// clearing, and for memory-resident indexes the frontier values,
-// biased-probing gains and the knapsack threshold are cached in the
-// state and updated incrementally on probe instead of being rescanned
-// from the lists every iteration. Disk-backed indexes keep the
-// per-call list reads so their counted I/O access sequence is
+// clearing, and memory-resident indexes with biased probing run one
+// probe kernel per call: scan positions, frontier values, gains, the
+// probing argmax and the knapsack threshold live in kMaxDims-sized
+// locals derived from the state's positions on entry, and candidates
+// are scored from the index's contiguous effective-coefficient table
+// (FunctionIndexBase::EffTable). Across calls the state keeps only the
+// positions, the candidate queue and the seen set. Disk-backed indexes
+// and round-robin probing take the generic loop, which re-reads the
+// lists every iteration so the counted I/O access sequence is
 // unchanged.
 #ifndef FAIRMATCH_TOPK_REVERSE_TOP1_H_
 #define FAIRMATCH_TOPK_REVERSE_TOP1_H_
@@ -54,9 +58,9 @@ struct ReverseTop1Options {
   /// PackedFunctionStore, probes consume whole packed blocks in
   /// descending max-impact order and a list stops contributing as soon
   /// as its next block's max impact falls under the knapsack threshold.
-  /// The threshold/frontier caches are reused verbatim with block max
-  /// impacts standing in for frontier coefficients. Ignored (plain
-  /// entry-at-a-time TA) for non-packed indexes.
+  /// The probe kernel runs unchanged with block max impacts standing in
+  /// for frontier coefficients. Ignored (plain entry-at-a-time TA) for
+  /// non-packed indexes.
   bool impact_ordered = false;
 };
 
@@ -109,6 +113,9 @@ class CandidateQueue {
   const ScoredCandidate& best() const {
     return use_heap_ ? heap_.min() : ring_[head_];
   }
+  const ScoredCandidate& worst() const {
+    return use_heap_ ? heap_.max() : ring_.back();
+  }
 
   void PopBest() {
     if (use_heap_) {
@@ -159,8 +166,6 @@ class ReverseTop1State {
   size_t memory_bytes() const {
     return sizeof(*this) + positions_.capacity() * sizeof(int) +
            dim_order_.capacity() * sizeof(int) + queue_.memory_bytes() +
-           frontier_.capacity() * sizeof(double) +
-           gains_.capacity() * sizeof(double) +
            seen_bits_.capacity() * sizeof(uint64_t) +
            seen_gen_.capacity() * sizeof(uint8_t);
   }
@@ -194,24 +199,12 @@ class ReverseTop1State {
   uint8_t gen_ = 0;
   int omega_left_ = 0;
   int round_robin_next_ = 0;
-
-  // Memory-resident biased-probing fast path (ReverseTop1::
-  // use_caches_): cached frontier coefficients, probing gains, and
-  // knapsack threshold, incrementally maintained as probes advance the
-  // positions. Unused (left empty) for disk-backed indexes and
-  // round-robin probing.
-  std::vector<double> frontier_;  // next unread coefficient per dim
-  std::vector<double> gains_;    // frontier_[d] * o[d]
-  int best_gain_dim_ = -1;       // argmax of gains_ over live dims
-  double cached_threshold_ = 0.0;
-  bool threshold_valid_ = false;
-
 };
 
 /// Arena of recycled ReverseTop1State buffers. SB churns one state per
 /// skyline object: objects leave when fully assigned and new skyline
 /// members appear every loop, so without recycling each arrival
-/// re-grows a queue, a seen map and the per-dim caches through the
+/// re-grows a queue, a seen map and the per-dim vectors through the
 /// allocator. Releasing a retired object's state parks its buffers
 /// here; acquiring moves them to the next arrival. A recycled state is
 /// observably identical to a default-constructed one (see
@@ -270,17 +263,31 @@ class ReverseTop1 {
  private:
   void Reset(ReverseTop1State* state, const Point& o) const;
 
+  /// Which loop Best() runs: the probe kernel over one of three
+  /// memory-resident list layouts, or the generic loop.
+  enum class Path { kGeneric, kRawLists, kPackedEntries, kPackedBlocks };
+
+  /// The probe kernel (biased probing over a memory-resident index).
+  /// `Lists` supplies frontier values and probes; see reverse_top1.cc.
+  template <typename Lists>
+  std::optional<std::pair<FunctionId, double>> Probe(
+      const Lists& lists, ReverseTop1State* state, const Point& o,
+      const std::vector<uint8_t>& assigned, int64_t num_unassigned);
+
+  /// The generic loop: counted-disk indexes and round-robin probing.
+  std::optional<std::pair<FunctionId, double>> GenericBest(
+      ReverseTop1State* state, const Point& o,
+      const std::vector<uint8_t>& assigned, int64_t num_unassigned);
+
   /// Fractional-knapsack threshold over the next-unread list values
   /// (upper bound of f(o) for any function not yet seen in any list).
-  /// Returns a negative value when all lists are exhausted.
-  double TightThreshold(ReverseTop1State* state, const Point& o);
+  /// Walks the lists in descending o[d] order until the budget is
+  /// spent; returns -1 as soon as it reaches an exhausted list (every
+  /// function was seen there, so no unseen function exists).
+  double TightThreshold(const ReverseTop1State& state, const Point& o);
 
   /// Picks the list to probe next; -1 when all lists are exhausted.
   int PickList(const ReverseTop1State& state, const Point& o);
-
-  /// Refreshes the cached frontier/gains/threshold of dim `d` after its
-  /// position advanced (memory-resident fast path only).
-  void RefreshFrontier(ReverseTop1State* state, const Point& o, int d) const;
 
   /// Entry accessor: raw array when available, virtual call otherwise.
   std::pair<double, FunctionId> EntryAt(int dim, int pos) {
@@ -325,9 +332,8 @@ class ReverseTop1 {
   bool use_impact_ = false;
   int scan_limit_ = 0;
   std::vector<int32_t> scratch_fids_;  // one-block decode buffer
-  // True when every list is memory-resident AND probing is biased: the
-  // state caches frontier/gains/threshold and updates them per probe.
-  bool use_caches_ = false;
+  const double* eff_table_ = nullptr;  // index_->EffTable()
+  Path path_ = Path::kGeneric;
   // Seen-set representation (see ReverseTop1State): epoch byte map for
   // no-resume (reset-per-call) searches, compact bitmap otherwise.
   bool use_seen_epoch_ = false;

@@ -169,7 +169,20 @@ TEST_P(PackedDifferentialTest, DefaultTraversalReproducesProbeSequence) {
   }
 }
 
+// Probe and restart counts of the impact-ordered traversal per shape
+// (index = shape seed), identical in both placements. They pin how many
+// blocks SB-Packed consumes, not only which winners it returns.
+struct ImpactGolden {
+  int64_t probes;
+  int64_t restarts;
+};
+constexpr ImpactGolden kImpactGoldens[] = {
+    {34952, 68},  {169587, 145}, {37072, 48},  {99112, 69},  {86914, 106},
+    {13392, 84},  {44296, 98},   {159329, 147}, {102488, 185}, {41766, 89},
+    {75086, 119}, {118096, 119}, {26382, 40},  {46452, 182}};
+
 TEST_P(PackedDifferentialTest, ImpactOrderedTraversalReturnsOracleWinners) {
+  const ImpactGolden golden = kImpactGoldens[GetParam()];
   const PackedShape shape = ShapeForSeed(GetParam());
   const AssignmentProblem problem = RandomProblem(shape.spec);
   FunctionLists lists(&problem.functions);
@@ -187,7 +200,11 @@ TEST_P(PackedDifferentialTest, ImpactOrderedTraversalReturnsOracleWinners) {
     ReverseTop1 rt1(&packed, impact);
     // Block consumption changes the probe count but must not change a
     // single returned winner.
-    EXPECT_EQ(DrainFingerprint(&rt1, problem), want) << "mmap " << use_mmap;
+    int64_t probes = 0, restarts = 0;
+    EXPECT_EQ(DrainFingerprint(&rt1, problem, &probes, &restarts), want)
+        << "mmap " << use_mmap;
+    EXPECT_EQ(probes, golden.probes) << "mmap " << use_mmap;
+    EXPECT_EQ(restarts, golden.restarts) << "mmap " << use_mmap;
   }
 }
 

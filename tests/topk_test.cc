@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 
 #include "fairmatch/common/rng.h"
@@ -328,25 +329,75 @@ TEST(DiskFunctionStoreTest, CountsIo) {
   EXPECT_EQ(static_cast<int>(page.size()), store.records_per_page());
 }
 
-TEST(DiskFunctionStoreTest, ReverseTop1OverDiskMatchesMemory) {
-  Rng rng(64);
-  FunctionSet fns = GenerateFunctions(400, 3, &rng);
+// The memory-resident probe kernel (FunctionLists) against the generic
+// counted loop (DiskFunctionStore) under assignment churn: every
+// returned id, every score bit pattern and both work counters agree.
+struct BackendParam {
+  int dims;
+  double omega;
+  bool resume;
+};
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+void ExpectBackendsAgree(const FunctionSet& fns,
+                         const std::vector<Point>& points,
+                         ReverseTop1Options options) {
   FunctionLists mem_lists(&fns);
   DiskFunctionStore disk_lists(fns, 0.3);
-  ReverseTop1 mem_rt1(&mem_lists, ReverseTop1Options{});
-  ReverseTop1 disk_rt1(&disk_lists, ReverseTop1Options{});
-  auto points = GeneratePoints(Distribution::kAntiCorrelated, 60, 3, &rng);
+  ReverseTop1 mem_rt1(&mem_lists, options);
+  ReverseTop1 disk_rt1(&disk_lists, options);
   std::vector<uint8_t> assigned(fns.size(), 0);
-  for (const Point& p : points) {
-    ReverseTop1State s1, s2;
-    auto a = mem_rt1.Best(&s1, p, assigned);
-    auto b = disk_rt1.Best(&s2, p, assigned);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(a->first, b->first);
-    EXPECT_DOUBLE_EQ(a->second, b->second);
+  std::vector<ReverseTop1State> mem_states(points.size());
+  std::vector<ReverseTop1State> disk_states(points.size());
+  for (int round = 0; round < 10; ++round) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      auto a = mem_rt1.Best(&mem_states[i], points[i], assigned);
+      auto b = disk_rt1.Best(&disk_states[i], points[i], assigned);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "round " << round;
+      if (!a.has_value()) continue;
+      EXPECT_EQ(a->first, b->first) << "round " << round << " point " << i;
+      EXPECT_EQ(Bits(a->second), Bits(b->second)) << "round " << round;
+    }
+    ASSERT_EQ(mem_rt1.probes(), disk_rt1.probes()) << "round " << round;
+    ASSERT_EQ(mem_rt1.restarts(), disk_rt1.restarts()) << "round " << round;
+    for (size_t f = round; f < fns.size(); f += 11) assigned[f] = 1;
   }
   EXPECT_GT(disk_lists.counters().io_accesses(), 0);
+}
+
+class KernelVsGenericTest : public ::testing::TestWithParam<BackendParam> {};
+
+TEST_P(KernelVsGenericTest, ChurnAgreesBitForBit) {
+  const BackendParam param = GetParam();
+  Rng rng(64 + param.dims);
+  FunctionSet fns = GenerateFunctions(400, param.dims, &rng);
+  auto points =
+      GeneratePoints(Distribution::kAntiCorrelated, 60, param.dims, &rng);
+  ReverseTop1Options options;
+  options.omega = param.omega;
+  options.resume = param.resume;
+  ExpectBackendsAgree(fns, points, options);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsOmegaResume, KernelVsGenericTest,
+    ::testing::Values(BackendParam{2, 0.025, true}, BackendParam{2, 0.025, false},
+                      BackendParam{2, 0.006, true}, BackendParam{2, 0.006, false},
+                      BackendParam{4, 0.025, true}, BackendParam{4, 0.025, false},
+                      BackendParam{4, 0.006, true}, BackendParam{4, 0.006, false},
+                      BackendParam{8, 0.025, true}, BackendParam{8, 0.025, false},
+                      BackendParam{8, 0.006, true},
+                      BackendParam{8, 0.006, false}));
+
+TEST(KernelVsGenericGridTest, TieHeavyGridAgreesBitForBit) {
+  FunctionSet fns = GridFunctions(150, 3, 4, 21);
+  auto points = GridPoints(60, 3, 4, 22);
+  ExpectBackendsAgree(fns, points, ReverseTop1Options{});
 }
 
 }  // namespace
