@@ -143,6 +143,9 @@ RunStats Run(const std::string& name, const AssignmentProblem& problem,
   // One shared instrumentation context per measured run: every storage
   // entity below counts its simulated-disk traffic here.
   ExecContext ctx;
+  // The paper's figures time every algorithm on one core, so SB is not
+  // measured against sequential baselines with helper threads.
+  ctx.set_parallel(false);
   MatcherEnv env;
   env.problem = &problem;
   env.buffer_fraction = config.buffer_fraction;

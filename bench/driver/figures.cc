@@ -274,6 +274,7 @@ std::vector<FigureSection> Fig17() {
 RunStats RunSBWith(const AssignmentProblem& problem,
                    const BenchConfig& config, const SBOptions& options) {
   ExecContext ctx;
+  ctx.set_parallel(false);  // one core, as bench::Run
   PagedNodeStore store(problem.dims, 4096, &ctx.counters());
   RTree tree(&store);
   BuildObjectTree(problem, &tree);

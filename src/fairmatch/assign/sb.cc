@@ -5,10 +5,19 @@
 
 #include "fairmatch/common/check.h"
 #include "fairmatch/common/stats.h"
+#include "fairmatch/common/thread_pool.h"
 #include "fairmatch/common/timer.h"
 #include "fairmatch/engine/exec_context.h"
 
 namespace fairmatch {
+
+namespace {
+// Reverse top-1 searches per ParallelFor chunk. One search costs a few
+// microseconds, so a chunk amortizes the claim on the shared cursor
+// while keeping the tail short; a loop with fewer searches than one
+// chunk per thread runs inline (ThreadPool::ParallelFor).
+constexpr size_t kSearchChunk = 8;
+}  // namespace
 
 SBAssignment::SBAssignment(const AssignmentProblem* problem,
                            const RTree* tree, SBOptions options,
@@ -19,7 +28,14 @@ SBAssignment::SBAssignment(const AssignmentProblem* problem,
       fn_index_(fn_index),
       ctx_(ctx) {}
 
-bool SBAssignment::RefreshCandidate(ObjectState* state, const Point& point) {
+bool SBAssignment::NeedsSearch(const ObjectState& state) const {
+  // The exhaustive ablation re-scans every loop; a resumable candidate
+  // stays valid until its function is assigned (Section 5.1).
+  return options_.best_pair_mode == BestPairMode::kExhaustive ||
+         state.cand_fid == kInvalidFunction || assigned_[state.cand_fid];
+}
+
+bool SBAssignment::Search(ObjectState* state, const Point& point) {
   if (options_.best_pair_mode == BestPairMode::kExhaustive) {
     // Ablation mode (Algorithm 1 without Section 5.1): no resuming of
     // any kind — every loop re-scans the remaining functions for every
@@ -40,14 +56,19 @@ bool SBAssignment::RefreshCandidate(ObjectState* state, const Point& point) {
     state->cand_score = best_s;
     return true;
   }
-  if (state->cand_fid != kInvalidFunction && !assigned_[state->cand_fid]) {
-    return true;  // resumable candidate still valid (Section 5.1)
-  }
   auto result = rt1_->Best(&state->ta, point, assigned_, remaining_fns_);
   if (!result.has_value()) return false;
   state->cand_fid = result->first;
   state->cand_score = result->second;
   return true;
+}
+
+int64_t SBAssignment::probes() const {
+  return rt1_ != nullptr ? rt1_->probes() : 0;
+}
+
+int64_t SBAssignment::restarts() const {
+  return rt1_ != nullptr ? rt1_->restarts() : 0;
 }
 
 size_t SBAssignment::StateBytes() const {
@@ -78,6 +99,13 @@ AssignResult SBAssignment::Run() {
     }
     rt1_ = std::make_unique<ReverseTop1>(fn_index_, options_.ta);
   }
+  // Searches fan out only over kernel layouts that allow concurrent
+  // Best() calls, and only when the caller does not own the cores.
+  ThreadPool* const pool =
+      rt1_ != nullptr && rt1_->concurrent() &&
+              (ctx_ == nullptr || ctx_->parallel())
+          ? ThreadPool::Shared()
+          : nullptr;
 
   SkylineManager update_sky(tree_);
   DeltaSkyManager delta_sky(tree_);
@@ -89,6 +117,8 @@ AssignResult SBAssignment::Run() {
   MemoryTracker& memory = ctx_ != nullptr ? ctx_->memory() : local_memory;
   std::vector<ObjectId> odel;
   std::unordered_set<ObjectId> known_members;
+  std::vector<MemberSlot> slots;
+  std::vector<size_t> stale;  // indexes into slots needing a search
   bool first = true;
   bool functions_exhausted = false;
 
@@ -117,11 +147,11 @@ AssignResult SBAssignment::Run() {
     if (sky.size() == 0) break;  // objects exhausted
 
     // --- per-member candidates (o.fbest) --------------------------------
-    std::vector<MemberCandidate> members;
-    std::vector<ObjectId> added;
-    members.reserve(sky.size());
+    // Gather, in skyline order: each member's state, and which members
+    // need a search because their candidate is missing or taken.
+    slots.clear();
+    stale.clear();
     sky.ForEach([&](int, const SkylineObject& m) {
-      if (functions_exhausted) return;
       auto it = states_.find(m.id);
       if (it == states_.end()) {
         // New skyline member: its TA state reuses a retired object's
@@ -129,17 +159,36 @@ AssignResult SBAssignment::Run() {
         it = states_.emplace(m.id, ObjectState{state_pool_.Acquire()})
                  .first;
       }
-      ObjectState& state = it->second;
-      if (!RefreshCandidate(&state, m.point)) {
+      if (NeedsSearch(it->second)) stale.push_back(slots.size());
+      slots.push_back(MemberSlot{&m, &it->second, true});
+    });
+    // Fan out: a search reads only assigned_, the immutable index and
+    // its own state, so one loop's searches are independent.
+    const auto search = [&](size_t i) {
+      MemberSlot& slot = slots[stale[i]];
+      slot.found = Search(slot.state, slot.member->point);
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(stale.size(), kSearchChunk, search);
+    } else {
+      for (size_t i = 0; i < stale.size(); ++i) search(i);
+    }
+    // Emit, in skyline order.
+    std::vector<MemberCandidate> members;
+    std::vector<ObjectId> added;
+    members.reserve(slots.size());
+    for (const MemberSlot& slot : slots) {
+      if (!slot.found) {
         functions_exhausted = true;
-        return;
+        break;
       }
-      members.push_back(
-          MemberCandidate{m.id, &m.point, state.cand_fid, state.cand_score});
+      const SkylineObject& m = *slot.member;
+      members.push_back(MemberCandidate{m.id, &m.point, slot.state->cand_fid,
+                                        slot.state->cand_score});
       if (known_members.insert(m.id).second) {
         added.push_back(m.id);
       }
-    });
+    }
     if (functions_exhausted || members.empty()) break;
 
     // --- stable pair extraction ------------------------------------------

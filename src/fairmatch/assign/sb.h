@@ -7,6 +7,18 @@
 // per loop (Section 5.3). Supports capacities (Section 6.1) and
 // priorities (Section 6.2); see two_skyline.h for the prioritized
 // two-skyline variant and sb_alt.h for disk-resident function batches.
+//
+// Threading: Run() is single-threaded except for one step. Each loop
+// first gathers, in skyline order, the members whose candidate is
+// missing or assigned; then runs their reverse top-1 searches, which
+// read only the loop's fixed assigned set, the immutable function index
+// and each member's own state; then emits candidates in skyline order.
+// The middle step fans out over ThreadPool::Shared() when the run's
+// ExecContext allows it (ExecContext::parallel, default on; no context
+// counts as on), the index supports concurrent searches
+// (ReverseTop1::concurrent), and the loop has at least one chunk of
+// searches per thread. Helpers touch no ExecContext member. Matchings,
+// loop counts and probe/restart totals are identical either way.
 #ifndef FAIRMATCH_ASSIGN_SB_H_
 #define FAIRMATCH_ASSIGN_SB_H_
 
@@ -64,6 +76,11 @@ class SBAssignment {
   /// Runs the assignment to completion.
   AssignResult Run();
 
+  /// Reverse top-1 list probes and Omega restarts over the run (zero
+  /// for the exhaustive best-pair ablation).
+  int64_t probes() const;
+  int64_t restarts() const;
+
  private:
   struct ObjectState {
     ReverseTop1State ta;
@@ -71,9 +88,20 @@ class SBAssignment {
     double cand_score = 0.0;
   };
 
-  /// Ensures `state` holds a valid (unassigned) candidate for `point`.
-  /// Returns false when every function is exhausted.
-  bool RefreshCandidate(ObjectState* state, const Point& point);
+  /// One member of the current loop's skyline.
+  struct MemberSlot {
+    const SkylineObject* member;
+    ObjectState* state;
+    bool found;  // false: Search() found every function exhausted
+  };
+
+  /// Whether `state`'s candidate must be (re)computed this loop.
+  bool NeedsSearch(const ObjectState& state) const;
+
+  /// Finds `point`'s best unassigned function into `state`. Returns
+  /// false when every function is exhausted. Safe to run concurrently
+  /// on distinct states when rt1_->concurrent().
+  bool Search(ObjectState* state, const Point& point);
 
   size_t StateBytes() const;
 

@@ -131,6 +131,7 @@ AssignResult RunGeneratedInstance(const std::string& matcher_name,
       MakeProblem(std::move(points), std::move(fns), spec.object_capacity);
 
   ExecContext ctx;
+  ctx.set_parallel(false);  // lanes already spread items over the cores
   MatcherEnv env;
   env.problem = &problem;
   env.buffer_fraction = spec.buffer_fraction;

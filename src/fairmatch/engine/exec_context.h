@@ -33,10 +33,14 @@ namespace fairmatch {
 /// participating in the run.
 ///
 /// "Shared" means shared among the storage objects of ONE run, not
-/// among threads: counter increments are plain loads/stores. Parallel
+/// among threads: counter increments are plain loads/stores, and every
+/// member is touched only by the thread that runs the matcher. Parallel
 /// batch execution keeps one ExecContext per item (never per batch),
 /// which is also what makes each item's counters deterministic — see
-/// engine/batch_runner.h.
+/// engine/batch_runner.h. A run may borrow helper threads for
+/// intra-run fan-out (parallel(), below); helpers touch no ExecContext
+/// member — no counters, no memory tracker, no error sink — so all of
+/// the above stays single-threaded.
 class ExecContext {
  public:
   ExecContext() = default;
@@ -97,6 +101,16 @@ class ExecContext {
   }
   const char* function_backend() const { return function_backend_; }
 
+  /// Whether the run may fan work out over the process-wide helper pool
+  /// (ThreadPool::Shared): SB runs each loop's reverse top-1 searches
+  /// there. On by default. Callers that already spread their own work
+  /// over the cores — Server lanes, BatchRunner items, and the paper
+  /// figures, which time SB against sequential baselines — switch it
+  /// off. Results and every deterministic counter are identical either
+  /// way.
+  void set_parallel(bool parallel) { parallel_ = parallel; }
+  bool parallel() const { return parallel_; }
+
   /// Restarts the wall clock and zeroes the memory tracker. Does NOT
   /// reset counters(): storage objects own their measured-phase resets
   /// (e.g. PagedNodeStore::ResetCounters after bulk load), and a fresh
@@ -129,6 +143,7 @@ class ExecContext {
   std::chrono::steady_clock::time_point deadline_;
   bool deadline_armed_ = false;
   const char* function_backend_ = "lists";
+  bool parallel_ = true;
 };
 
 }  // namespace fairmatch

@@ -346,6 +346,8 @@ ServeStatus Server::RunAttempt(Pending* pending, LaneWorkspace* workspace,
   workspace->Recycle();
   DiskManager& lane_disk = workspace->disk();
   ExecContext ctx;
+  // Lanes already spread requests over the cores.
+  ctx.set_parallel(false);
   // The lane disk reports storage faults into this attempt's sink; the
   // matcher unwinds at its next cancellation point.
   lane_disk.set_error_sink(&ctx.errors());

@@ -100,7 +100,6 @@ ReverseTop1::ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options)
   // Scan cursors advance in blocks under the impact-ordered traversal,
   // in entries otherwise.
   scan_limit_ = use_impact_ ? packed_->num_blocks() : index_->size();
-  if (use_impact_) scratch_fids_.resize(packed_->block_entries());
   // The probe kernel serves biased probing over memory-resident lists.
   // Round-robin (the ablation) and the counted disk store, whose I/O
   // access sequence is part of what it measures, take the generic loop.
@@ -115,6 +114,14 @@ ReverseTop1::ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options)
     }
   }
   use_seen_epoch_ = !options_.resume;
+}
+
+int32_t* ReverseTop1::BlockScratch() const {
+  // Per thread, so concurrent Best() calls never share a decode buffer.
+  thread_local std::vector<int32_t> scratch;
+  const size_t need = static_cast<size_t>(packed_->block_entries());
+  if (scratch.size() < need) scratch.resize(need);
+  return scratch.data();
 }
 
 void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
@@ -364,7 +371,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
       return Probe(PackedEntries{packed_}, state, o, assigned,
                    num_unassigned);
     case Path::kPackedBlocks:
-      return Probe(PackedBlocks{packed_, scratch_fids_.data()}, state, o,
+      return Probe(PackedBlocks{packed_, BlockScratch()}, state, o,
                    assigned, num_unassigned);
     case Path::kGeneric:
       break;
@@ -375,6 +382,12 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
 std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
     ReverseTop1State* state, const Point& o,
     const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
+  int64_t probes = 0;
+  // Adds this call's probes to the shared total once, on return.
+  const auto done = [&](std::optional<std::pair<FunctionId, double>> best) {
+    probes_ += probes;
+    return best;
+  };
   while (true) {
     // Drop candidates that were assigned to other objects since the last
     // call; each pop reduces the queue's remaining guarantee (Omega).
@@ -396,7 +409,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
       double threshold = TightThreshold(*state, o);
       const auto& top = state->queue_.best();
       if (top.score > threshold + kBoundSlack) {
-        return std::make_pair(top.fid, top.score);
+        return done(std::make_pair(top.fid, top.score));
       }
     }
 
@@ -406,10 +419,12 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
       // holds the best unassigned candidates unless eviction lost them.
       if (!state->queue_.empty()) {
         const auto& top = state->queue_.best();
-        return std::make_pair(top.fid, top.score);
+        return done(std::make_pair(top.fid, top.score));
       }
       // Queue starved by eviction: restart unless F is fully assigned.
-      if (!AnyUnassigned(assigned, num_unassigned)) return std::nullopt;
+      if (!AnyUnassigned(assigned, num_unassigned)) {
+        return done(std::nullopt);
+      }
       restarts_++;
       Reset(state, o);
       continue;
@@ -420,10 +435,11 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
     int pos = state->positions_[d]++;
     state->round_robin_next_ = (d + 1) % index_->dims();
     if (use_impact_) {
-      const int count = packed_->DecodeBlock(d, pos, scratch_fids_.data());
-      probes_ += count;
+      int32_t* const fids = BlockScratch();
+      const int count = packed_->DecodeBlock(d, pos, fids);
+      probes += count;
       for (int i = 0; i < count; ++i) {
-        const FunctionId fid = scratch_fids_[i];
+        const FunctionId fid = fids[i];
         if (Seen(*state, fid)) continue;
         MarkSeen(state, fid);
         if (assigned[fid]) continue;
@@ -435,7 +451,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
       }
       continue;
     }
-    probes_++;
+    probes++;
     FunctionId fid = EntryAt(d, pos).second;
     if (Seen(*state, fid)) continue;
     MarkSeen(state, fid);

@@ -30,10 +30,24 @@
 // and round-robin probing take the generic loop, which re-reads the
 // lists every iteration so the counted I/O access sequence is
 // unchanged.
+//
+// Threading contract: one ReverseTop1 serves one run. When concurrent()
+// is true, Best() may run on several threads at once provided each
+// call has its own ReverseTop1State and nobody writes `assigned`
+// meanwhile — SB fans a loop's searches out this way
+// (assign/sb.h). That holds for the two kernel layouts that read only
+// immutable data: FunctionLists raw arrays and packed impact-ordered
+// blocks (DecodeBlock/BlockMaxImpact are const and cache-free; each
+// thread decodes into its own scratch buffer). The probe and restart
+// totals are atomic and sum to the same values in any interleaving.
+// Packed entry-at-a-time scans (Entry() advances the store's decode
+// cache) and the generic loop (the counted disk's I/O order is part of
+// what Figure 17 measures) are single-threaded.
 #ifndef FAIRMATCH_TOPK_REVERSE_TOP1_H_
 #define FAIRMATCH_TOPK_REVERSE_TOP1_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -255,6 +269,12 @@ class ReverseTop1 {
       ReverseTop1State* state, const Point& o,
       const std::vector<uint8_t>& assigned, int64_t num_unassigned = -1);
 
+  /// Whether Best() may run concurrently on distinct states (see the
+  /// threading contract at the top of this file).
+  bool concurrent() const {
+    return path_ == Path::kRawLists || path_ == Path::kPackedBlocks;
+  }
+
   /// Number of list probes performed (diagnostics / ablation).
   int64_t probes() const { return probes_; }
   /// Number of from-scratch restarts triggered by Omega exhaustion.
@@ -288,6 +308,9 @@ class ReverseTop1 {
 
   /// Picks the list to probe next; -1 when all lists are exhausted.
   int PickList(const ReverseTop1State& state, const Point& o);
+
+  /// This thread's one-block decode buffer (block_entries() ids).
+  int32_t* BlockScratch() const;
 
   /// Entry accessor: raw array when available, virtual call otherwise.
   std::pair<double, FunctionId> EntryAt(int dim, int pos) {
@@ -331,15 +354,14 @@ class ReverseTop1 {
   PackedFunctionStore* packed_ = nullptr;
   bool use_impact_ = false;
   int scan_limit_ = 0;
-  std::vector<int32_t> scratch_fids_;  // one-block decode buffer
   const double* eff_table_ = nullptr;  // index_->EffTable()
   Path path_ = Path::kGeneric;
   // Seen-set representation (see ReverseTop1State): epoch byte map for
   // no-resume (reset-per-call) searches, compact bitmap otherwise.
   bool use_seen_epoch_ = false;
   int omega_cap_;
-  int64_t probes_ = 0;
-  int64_t restarts_ = 0;
+  std::atomic<int64_t> probes_{0};
+  std::atomic<int64_t> restarts_{0};
 };
 
 }  // namespace fairmatch

@@ -9,19 +9,34 @@
 // points directly) by exercising the exact surface production callers
 // and the batch layer use, and by checking stability rather than only
 // cross-implementation agreement.
+//
+// A second sweep pins SB's fan-out of each loop's reverse top-1
+// searches over the shared helper pool: with ExecContext::parallel on
+// and off, SB and SB-Packed must produce byte-identical matchings and
+// identical loop, probe and restart counts. This suite is part of the
+// TSan CI matrix.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "fairmatch/assign/naive_matcher.h"
+#include "fairmatch/assign/sb.h"
 #include "fairmatch/assign/verifier.h"
+#include "fairmatch/common/thread_pool.h"
+#include "fairmatch/engine/exec_context.h"
 #include "fairmatch/engine/registry.h"
 #include "test_util.h"
 
 namespace fairmatch {
 namespace {
 
+using fairmatch::testing::GridFunctions;
+using fairmatch::testing::MemTree;
 using fairmatch::testing::ProblemSpec;
 using fairmatch::testing::RandomProblem;
 using fairmatch::testing::RunRegisteredMatcher;
@@ -88,6 +103,107 @@ TEST_P(DifferentialTest, EngineResultsMatchOracleAndVerify) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 12));
+
+// --- parallel vs inline reverse top-1 searches -----------------------
+
+/// Instances whose skylines hold many members per loop, so searches
+/// fan out: three anti-correlated shapes (one with priorities and
+/// function capacities) and one tie-heavy shape — anti-correlated
+/// points snapped to a coarse grid (duplicates, equal coordinates)
+/// against grid-weight functions (equal scores across functions).
+AssignmentProblem ParallelCase(int index) {
+  if (index == 3) {
+    constexpr int kLevels = 10;
+    Rng rng(811);
+    std::vector<Point> points =
+        GeneratePoints(Distribution::kAntiCorrelated, 800, 4, &rng);
+    for (Point& p : points) {
+      for (int d = 0; d < p.dims(); ++d) {
+        p[d] = std::round(p[d] * kLevels) / kLevels;
+      }
+    }
+    return MakeProblem(std::move(points), GridFunctions(80, 4, 4, 812),
+                       /*object_capacity=*/1);
+  }
+  ProblemSpec spec;
+  spec.distribution = Distribution::kAntiCorrelated;
+  spec.num_objects = 800;
+  spec.num_functions = 80;
+  spec.dims = index == 0 ? 5 : 4;
+  spec.seed = 9100 + static_cast<uint64_t>(index);
+  if (index == 2) {
+    spec.function_capacity = 2;
+    spec.max_gamma = 3;
+  }
+  return RandomProblem(spec);
+}
+
+struct SBRun {
+  AssignResult result;
+  int64_t probes;
+  int64_t restarts;
+};
+
+/// SB (in-memory lists) or SB-Packed (impact-ordered packed blocks)
+/// with fan-out allowed or not.
+SBRun RunSB(const AssignmentProblem& problem, bool packed, bool parallel) {
+  MemTree mem(problem);
+  std::unique_ptr<PackedFunctionStore> store;
+  SBOptions options;
+  if (packed) {
+    store = std::make_unique<PackedFunctionStore>(problem.functions);
+    options.ta.impact_ordered = true;
+  }
+  ExecContext ctx;
+  ctx.set_parallel(parallel);
+  SBAssignment sb(&problem, &mem.tree, options, store.get(), &ctx);
+  AssignResult result = sb.Run();
+  return SBRun{std::move(result), sb.probes(), sb.restarts()};
+}
+
+uint64_t ScoreBits(double score) {
+  uint64_t bits;
+  std::memcpy(&bits, &score, sizeof(bits));
+  return bits;
+}
+
+class ParallelVsInlineTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelVsInlineTest, SearchesFanOutWithoutChangingAnything) {
+  const AssignmentProblem problem = ParallelCase(GetParam());
+  if (const ThreadPool* pool = ThreadPool::Shared(); pool != nullptr) {
+    // The first loop searches for every skyline member; it must fill
+    // one chunk (SB's kSearchChunk = 8) per thread to fan out.
+    MemTree mem(problem);
+    SkylineManager sky(&mem.tree);
+    sky.ComputeInitial();
+    ASSERT_GE(sky.skyline().size(), 8 * (pool->size() + 1));
+  }
+  for (const bool packed : {false, true}) {
+    const std::string label = std::string(packed ? "SB-Packed" : "SB") +
+                              ", case " + std::to_string(GetParam());
+    const SBRun inline_run = RunSB(problem, packed, /*parallel=*/false);
+    const SBRun parallel_run = RunSB(problem, packed, /*parallel=*/true);
+    ASSERT_TRUE(parallel_run.result.status.ok()) << label;
+    const Matching& want = inline_run.result.matching;
+    const Matching& got = parallel_run.result.matching;
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].fid, want[i].fid) << label << ", pair " << i;
+      ASSERT_EQ(got[i].oid, want[i].oid) << label << ", pair " << i;
+      ASSERT_EQ(ScoreBits(got[i].score), ScoreBits(want[i].score))
+          << label << ", pair " << i;
+    }
+    EXPECT_EQ(parallel_run.result.stats.loops, inline_run.result.stats.loops)
+        << label;
+    EXPECT_EQ(parallel_run.probes, inline_run.probes) << label;
+    EXPECT_EQ(parallel_run.restarts, inline_run.restarts) << label;
+    EXPECT_GT(inline_run.probes, 0) << label;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, ParallelVsInlineTest,
+                         ::testing::Range(0, 4));
 
 }  // namespace
 }  // namespace fairmatch
