@@ -50,7 +50,6 @@
 #include "fairmatch/recover/durable_builder.h"
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/update/delta_builder.h"
-#include "fairmatch/update/stream_matcher.h"
 
 namespace fairmatch::bench {
 

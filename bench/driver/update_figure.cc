@@ -37,7 +37,6 @@
 #include "fairmatch/data/synthetic.h"
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/update/delta_builder.h"
-#include "fairmatch/update/stream_matcher.h"
 
 namespace fairmatch::bench {
 

@@ -1,12 +1,12 @@
 // SB — the paper's skyline-based stable assignment (Algorithms 1 & 3).
 //
-// Maintains the skyline of the unassigned objects (I/O-optimally via
-// UpdateSkyline, or with DeltaSky for the Figure 8 ablation), finds each
-// skyline member's best unassigned function with the resumable TA-based
-// reverse top-1 search (Section 5.1), and emits every mutual-best pair
-// per loop (Section 5.3). Supports capacities (Section 6.1) and
-// priorities (Section 6.2); see two_skyline.h for the prioritized
-// two-skyline variant and sb_alt.h for disk-resident function batches.
+// SB runs the shared skyline-assignment loop (assign/skyline_loop.h,
+// which states the loop contract) with resumable TA-based reverse top-1
+// searches (Section 5.1) as its candidate source: a member keeps its
+// candidate until that function is assigned, then resumes its search.
+// Supports capacities (Section 6.1) and priorities (Section 6.2); see
+// two_skyline.h for the prioritized two-skyline variant and sb_alt.h
+// for disk-resident function batches.
 //
 // Threading: Run() is single-threaded except for one step. Each loop
 // first gathers, in skyline order, the members whose candidate is
@@ -23,23 +23,14 @@
 #define FAIRMATCH_ASSIGN_SB_H_
 
 #include <memory>
-#include <unordered_map>
 
-#include "fairmatch/assign/best_pair.h"
 #include "fairmatch/assign/problem.h"
-#include "fairmatch/skyline/bbs.h"
-#include "fairmatch/skyline/delta_sky.h"
+#include "fairmatch/assign/skyline_loop.h"
 #include "fairmatch/topk/reverse_top1.h"
 
 namespace fairmatch {
 
 class ExecContext;
-
-/// Which skyline maintenance module SB uses.
-enum class SkylineMode {
-  kUpdateSkyline,  // the paper's Algorithm 2 (I/O-optimal)
-  kDeltaSky,       // baseline for the Figure 8 ablation
-};
 
 /// Which best-pair search SB uses.
 enum class BestPairMode {
@@ -82,29 +73,6 @@ class SBAssignment {
   int64_t restarts() const;
 
  private:
-  struct ObjectState {
-    ReverseTop1State ta;
-    FunctionId cand_fid = kInvalidFunction;
-    double cand_score = 0.0;
-  };
-
-  /// One member of the current loop's skyline.
-  struct MemberSlot {
-    const SkylineObject* member;
-    ObjectState* state;
-    bool found;  // false: Search() found every function exhausted
-  };
-
-  /// Whether `state`'s candidate must be (re)computed this loop.
-  bool NeedsSearch(const ObjectState& state) const;
-
-  /// Finds `point`'s best unassigned function into `state`. Returns
-  /// false when every function is exhausted. Safe to run concurrently
-  /// on distinct states when rt1_->concurrent().
-  bool Search(ObjectState* state, const Point& point);
-
-  size_t StateBytes() const;
-
   const AssignmentProblem* problem_;
   const RTree* tree_;
   SBOptions options_;
@@ -113,15 +81,6 @@ class SBAssignment {
 
   std::unique_ptr<FunctionLists> owned_lists_;
   std::unique_ptr<ReverseTop1> rt1_;
-  std::vector<uint8_t> assigned_;  // function capacity exhausted
-  std::vector<int> fcap_;
-  // Count of functions with assigned_[fid] == 0, threaded into the TA
-  // search so its exhaustion check is O(1) instead of an |F| scan.
-  int64_t remaining_fns_ = 0;
-  std::unordered_map<ObjectId, ObjectState> states_;
-  // Recycles retired objects' TA buffers into newly arriving skyline
-  // members' states across loops (no re-growth through the allocator).
-  ReverseTop1StatePool state_pool_;
 };
 
 }  // namespace fairmatch

@@ -3,25 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "fairmatch/assign/best_pair.h"
-#include "fairmatch/common/check.h"
+#include "fairmatch/assign/skyline_loop.h"
+#include "fairmatch/common/float_util.h"
 #include "fairmatch/common/simd.h"
-#include "fairmatch/common/stats.h"
-#include "fairmatch/common/timer.h"
-#include "fairmatch/engine/exec_context.h"
-#include "fairmatch/skyline/bbs.h"
-#include "fairmatch/topk/packed_function_lists.h"
 
 namespace fairmatch {
 
 namespace {
-
-// See reverse_top1.cc: the threshold bound needs rounding slack, and at
-// exact ties scanning must continue so the smallest-id winner is found.
-constexpr double kBoundSlack = 1e-9;
 
 /// Knapsack-tight threshold (Section 5.1) given per-list frontier
 /// values. `o` and `dim_order` are one member's rows of the flat SoA
@@ -39,8 +30,8 @@ double TightThreshold(const float* o, const int* dim_order, int dims,
   return threshold;
 }
 
-/// Member state in flat SoA blocks, shared by the disk and packed batch
-/// scans and hoisted so loop iterations reuse capacity: coordinates and
+/// The batch scan's member state in flat SoA blocks, hoisted so loop
+/// iterations reuse capacity: coordinates and
 /// per-member dim orders are `dims`-strided rows, best scores/functions
 /// are parallel arrays. `active` compacts the not-yet-done members so
 /// the per-page loops cost O(active) instead of O(members); `by_dim[d]`
@@ -52,7 +43,7 @@ double TightThreshold(const float* o, const int* dim_order, int dims,
 /// (common/simd.h); `act_scores` receives one block of scores per
 /// fetched function.
 struct BatchMemberBlocks {
-  std::vector<ObjectId> oid;
+  std::vector<const SkylineObject*> member;
   std::vector<float> pts;    // members x dims
   std::vector<int> order;    // members x dims, o desc per member
   std::vector<FunctionId> best_f;
@@ -66,14 +57,14 @@ struct BatchMemberBlocks {
 
   /// (Re)fills every block from the current skyline members; best
   /// functions are recomputed from scratch each loop.
-  void Gather(SkylineSet& sky, int dims) {
+  void Gather(const SkylineSet& sky, int dims) {
     m_count = static_cast<int>(sky.size());
-    oid.clear();
+    member.clear();
     pts.clear();
     order.resize(static_cast<size_t>(m_count) * dims);
     sky.ForEach([&](int, const SkylineObject& m) {
-      const int idx = static_cast<int>(oid.size());
-      oid.push_back(m.id);
+      const int idx = static_cast<int>(member.size());
+      member.push_back(&m);
       for (int d = 0; d < dims; ++d) pts.push_back(m.point[d]);
       int* ord = &order[static_cast<size_t>(idx) * dims];
       std::iota(ord, ord + dims, 0);
@@ -165,8 +156,8 @@ struct BatchMemberBlocks {
   /// Search-structure bytes for the shared MemoryTracker.
   size_t memory_bytes(int dims) const {
     return static_cast<size_t>(m_count) *
-           (sizeof(ObjectId) + sizeof(FunctionId) + sizeof(double) + 1 +
-            (dims + 1) * (sizeof(float) + sizeof(int)));
+           (sizeof(const SkylineObject*) + sizeof(FunctionId) +
+            sizeof(double) + 1 + (dims + 1) * (sizeof(float) + sizeof(int)));
   }
 };
 
@@ -215,292 +206,226 @@ bool WorthFetching(const BatchMemberBlocks& mb, int dims, int d, double coef,
   return false;
 }
 
+// --- block cursors ----------------------------------------------------
+// A cursor walks the D sorted coefficient lists one block at a time for
+// BatchSearch. Rewind() restarts every list and sets the initial
+// per-list frontiers; Next() reads the next block and returns its list
+// (-1 once every list is exhausted); fid()/coef() read entry r of that
+// block; Eff() gives a function's full effective-coefficient row;
+// Advance() lowers the list's frontier — the upper bound on the
+// coefficient of any function not yet seen in it — past the block.
+
+/// SB-alt over a DiskFunctionStore: one page per list in round-robin
+/// order (lists 0..D-1, then again; exhausted lists are skipped).
+/// Coefficients of a fetched function cost D-1 counted random accesses.
+class RoundRobinPages {
+ public:
+  explicit RoundRobinPages(DiskFunctionStore* store)
+      : store_(store),
+        dims_(store->dims()),
+        pages_(store->pages_per_list()),
+        next_page_(dims_, 0) {}
+
+  double max_gamma() const { return store_->max_gamma(); }
+
+  void Rewind(std::vector<double>* frontier) {
+    std::fill(next_page_.begin(), next_page_.end(), 0);
+    next_dim_ = 0;
+    std::fill(frontier->begin(), frontier->end(), store_->max_gamma());
+  }
+
+  int Next() {
+    for (int i = 0; i < dims_; ++i) {
+      const int d = next_dim_;
+      if (++next_dim_ == dims_) next_dim_ = 0;
+      if (next_page_[d] >= pages_) continue;
+      count_ = store_->ReadListPage(d, next_page_[d]++, &page_);
+      return d;
+    }
+    return -1;
+  }
+
+  int count() const { return count_; }
+  FunctionId fid(int r) const { return page_[r].fid; }
+  double coef(int r, int /*d*/) const { return page_[r].coef; }
+
+  const double* Eff(FunctionId fid, int d, double coef) {
+    store_->FetchEff(fid, d, coef, eff_.data());
+    return eff_.data();
+  }
+
+  void Advance(int d, std::vector<double>* frontier) const {
+    if (count_ > 0) (*frontier)[d] = page_[count_ - 1].coef;
+  }
+
+  /// The page copy is storage-layer buffering, not a search structure.
+  size_t memory_bytes() const { return 0; }
+
+ private:
+  DiskFunctionStore* store_;
+  int dims_;
+  int64_t pages_;
+  std::vector<int64_t> next_page_;
+  int next_dim_ = 0;
+  std::vector<ListRecord> page_;
+  int count_ = 0;
+  std::array<double, kMaxDims> eff_{};
+};
+
+/// SB-alt over a PackedFunctionStore: the unconsumed block with the
+/// highest max impact across all lists goes next (ties: smallest dim),
+/// so the frontiers drop as fast as possible and members retire after
+/// the fewest blocks. Blocks are decoded from the packed image in place
+/// and coefficients read straight from it: zero counted I/O.
+class ImpactBlocks {
+ public:
+  explicit ImpactBlocks(const PackedFunctionStore* store)
+      : store_(store),
+        dims_(store->dims()),
+        num_blocks_(store->num_blocks()),
+        next_block_(dims_, 0),
+        fids_(store->block_entries()) {}
+
+  double max_gamma() const { return store_->max_gamma(); }
+
+  /// The first block's max impact (the list's largest coefficient) is a
+  /// tighter initial frontier than max gamma.
+  void Rewind(std::vector<double>* frontier) {
+    std::fill(next_block_.begin(), next_block_.end(), 0);
+    for (int d = 0; d < dims_; ++d) {
+      (*frontier)[d] = store_->BlockMaxImpact(d, 0);
+    }
+  }
+
+  int Next() {
+    int d = -1;
+    double best_impact = -1.0;
+    for (int k = 0; k < dims_; ++k) {
+      if (next_block_[k] >= num_blocks_) continue;
+      const double impact = store_->BlockMaxImpact(k, next_block_[k]);
+      if (impact > best_impact) {
+        best_impact = impact;
+        d = k;
+      }
+    }
+    if (d >= 0) count_ = store_->DecodeBlock(d, next_block_[d]++, fids_.data());
+    return d;
+  }
+
+  int count() const { return count_; }
+  FunctionId fid(int r) const { return fids_[r]; }
+  double coef(int r, int d) const { return store_->eff_of(fids_[r], d); }
+
+  const double* Eff(FunctionId fid, int /*d*/, double /*coef*/) const {
+    return store_->EffRow(fid);
+  }
+
+  /// Unseen functions now sit at or after the next block; a fully
+  /// consumed list has no unseen functions left at all.
+  void Advance(int d, std::vector<double>* frontier) const {
+    (*frontier)[d] = next_block_[d] < num_blocks_
+                         ? store_->BlockMaxImpact(d, next_block_[d])
+                         : 0.0;
+  }
+
+  size_t memory_bytes() const { return fids_.size() * sizeof(int32_t); }
+
+ private:
+  const PackedFunctionStore* store_;
+  int dims_;
+  int num_blocks_;
+  std::vector<int> next_block_;
+  std::vector<int32_t> fids_;
+  int count_ = 0;
+};
+
+/// SB-alt's candidate source: each loop scans the lists block by block
+/// through `Cursor` once, scoring every newly seen, unassigned, worth-
+/// fetching function against all still-active members, until every
+/// member is provably done or the lists run out. No per-member state
+/// survives the loop. A member leaves the active set only once it has a
+/// candidate, and each fetched function is scored against every active
+/// member, so after the scan either every member has a candidate or
+/// none has (no unassigned function was reached).
+template <typename Cursor>
+class BatchSearch final : public CandidateSource {
+ public:
+  BatchSearch(Cursor cursor, const AssignmentProblem& problem)
+      : cursor_(std::move(cursor)),
+        dims_(problem.dims),
+        max_gamma_(cursor_.max_gamma()),
+        seen_gen_(problem.functions.size(), 0),
+        frontier_(problem.dims, 0.0) {}
+
+  bool Candidates(const SkylineSet& sky, const std::vector<uint8_t>& assigned,
+                  int64_t /*remaining*/,
+                  std::vector<MemberCandidate>* out) override {
+    mb_.Gather(sky, dims_);
+    cursor_.Rewind(&frontier_);
+    ++gen_;
+    int undone = mb_.m_count;
+    int d;
+    while (undone > 0 && (d = cursor_.Next()) >= 0) {
+      for (int r = 0; r < cursor_.count(); ++r) {
+        const FunctionId fid = cursor_.fid(r);
+        if (seen_gen_[fid] == gen_) continue;
+        seen_gen_[fid] = gen_;
+        if (assigned[fid]) continue;
+        // Skipping an unworthy fetch is what keeps the batch search's
+        // I/O low once the early list prefixes are consumed.
+        const double coef = cursor_.coef(r, d);
+        if (!WorthFetching(mb_, dims_, d, coef, max_gamma_, frontier_)) {
+          continue;
+        }
+        mb_.ScoreAgainst(fid, cursor_.Eff(fid, d, coef), dims_);
+      }
+      cursor_.Advance(d, &frontier_);
+      undone -= mb_.RetireProvablyDone(dims_, frontier_, max_gamma_);
+    }
+    for (int m = 0; m < mb_.m_count; ++m) {
+      if (mb_.best_f[m] == kInvalidFunction) return false;
+      const SkylineObject& member = *mb_.member[m];
+      out->push_back(MemberCandidate{member.id, &member.point, mb_.best_f[m],
+                                     mb_.best_s[m]});
+    }
+    return true;
+  }
+
+  size_t memory_bytes() const override {
+    return seen_gen_.size() * sizeof(uint32_t) + mb_.memory_bytes(dims_) +
+           cursor_.memory_bytes();
+  }
+
+ private:
+  Cursor cursor_;
+  const int dims_;
+  const double max_gamma_;
+  BatchMemberBlocks mb_;
+  // Generation-stamped seen set: cleared by bumping `gen_`, not O(|F|).
+  std::vector<uint32_t> seen_gen_;
+  uint32_t gen_ = 0;
+  std::vector<double> frontier_;
+};
+
 }  // namespace
 
 AssignResult SBAltAssignment(const AssignmentProblem& problem,
                              const RTree& tree, DiskFunctionStore* store,
                              ExecContext* ctx) {
-  Timer timer;
-  AssignResult result;
-  result.stats.algorithm = "SB-alt";
-
-  const FunctionSet& fns = problem.functions;
-  const int dims = problem.dims;
-  const int num_fns = static_cast<int>(fns.size());
-
-  std::vector<uint8_t> assigned(num_fns, 0);
-  std::vector<int> fcap(num_fns);
-  for (const PrefFunction& f : fns) fcap[f.id] = f.capacity;
-  int64_t remaining_fns = num_fns;
-  std::vector<int> ocap(problem.objects.size());
-  for (const ObjectItem& o : problem.objects) ocap[o.id] = o.capacity;
-
-  SkylineManager sky_mgr(&tree);
-  BestPairEngine engine(&fns);
-  MemoryTracker local_memory;
-  MemoryTracker& memory = ctx != nullptr ? ctx->memory() : local_memory;
-  std::vector<ObjectId> odel;
-  std::unordered_set<ObjectId> known_members;
-  bool first = true;
-
-  BatchMemberBlocks mb;
-  // Generation-stamped seen set: cleared by bumping `gen`, not O(|F|).
-  std::vector<uint32_t> seen_gen(num_fns, 0);
-  uint32_t gen = 0;
-  std::vector<int64_t> next_page(dims, 0);
-  std::vector<double> frontier(dims, 0.0);
-  std::vector<ListRecord> page;
-  std::array<double, kMaxDims> eff{};
-  const double max_gamma = store->max_gamma();
-  const int64_t pages = store->pages_per_list();
-
-  while (remaining_fns > 0) {
-    // Cancellation point: a storage fault or an expired deadline aborts
-    // this run with whatever partial matching is already in `result`.
-    if (ctx != nullptr && ctx->ShouldAbort()) break;
-    result.stats.loops++;
-    if (first) {
-      sky_mgr.ComputeInitial();
-      first = false;
-    } else {
-      sky_mgr.RemoveAndUpdate(odel);
-    }
-    odel.clear();
-    SkylineSet& sky = sky_mgr.skyline();
-    if (sky.size() == 0) break;
-
-    mb.Gather(sky, dims);
-
-    // Batch TA over the disk lists: round-robin, one page at a time.
-    std::fill(next_page.begin(), next_page.end(), 0);
-    std::fill(frontier.begin(), frontier.end(), max_gamma);
-    ++gen;
-    int undone = mb.m_count;
-
-    while (undone > 0) {
-      bool progressed = false;
-      for (int d = 0; d < dims && undone > 0; ++d) {
-        if (next_page[d] >= pages) continue;
-        int count = store->ReadListPage(d, next_page[d]++, &page);
-        progressed = true;
-        for (int r = 0; r < count; ++r) {
-          FunctionId fid = page[r].fid;
-          if (seen_gen[fid] == gen) continue;
-          seen_gen[fid] = gen;
-          if (assigned[fid]) continue;
-          // Skipping an unworthy fetch is what keeps the batch search's
-          // I/O low once the early list prefixes are consumed.
-          if (!WorthFetching(mb, dims, d, page[r].coef, max_gamma,
-                             frontier)) {
-            continue;
-          }
-          // Random accesses for the remaining coefficients, then the
-          // vectorized scoring pass over the active member columns.
-          store->FetchEff(fid, d, page[r].coef, eff.data());
-          mb.ScoreAgainst(fid, eff.data(), dims);
-        }
-        if (count > 0) frontier[d] = page[count - 1].coef;
-        undone -= mb.RetireProvablyDone(dims, frontier, max_gamma);
-      }
-      if (!progressed) break;  // all lists exhausted
-    }
-    memory.Set(sky_mgr.memory_bytes() + seen_gen.size() * sizeof(uint32_t) +
-               mb.memory_bytes(dims) + engine.memory_bytes());
-
-    // Mutual-best pairing (Property 2), same engine as SB.
-    std::vector<MemberCandidate> candidates;
-    std::vector<ObjectId> added;
-    candidates.reserve(mb.m_count);
-    bool exhausted = false;
-    for (int m = 0; m < mb.m_count; ++m) {
-      if (mb.best_f[m] == kInvalidFunction) {
-        exhausted = true;  // no unassigned function reachable
-        continue;
-      }
-      const SkylineObject& member = sky.at(sky.SlotOf(mb.oid[m]));
-      candidates.push_back(MemberCandidate{mb.oid[m], &member.point,
-                                           mb.best_f[m], mb.best_s[m]});
-      if (known_members.insert(mb.oid[m]).second) {
-        added.push_back(mb.oid[m]);
-      }
-    }
-    if (candidates.empty()) {
-      FAIRMATCH_CHECK(exhausted);
-      break;
-    }
-
-    std::vector<MatchPair> pairs = engine.FindMutualPairs(candidates, added);
-    // Candidate scores come from (possibly faulted) store reads while the
-    // engine's function-side bests use in-memory scores; corruption can
-    // break the mutual-best guarantee. In a faulted run that is data
-    // loss, not a broken invariant — unwind instead of aborting.
-    if (pairs.empty() && ctx != nullptr && ctx->ShouldAbort()) break;
-    FAIRMATCH_CHECK(!pairs.empty());
-    for (const MatchPair& pair : pairs) {
-      result.matching.push_back(pair);
-      if (--fcap[pair.fid] == 0) {
-        assigned[pair.fid] = 1;
-        remaining_fns--;
-        engine.OnFunctionAssigned(pair.fid);
-      }
-      if (--ocap[pair.oid] == 0) {
-        odel.push_back(pair.oid);
-        known_members.erase(pair.oid);
-      }
-    }
-    engine.OnObjectsRemoved(odel);
-  }
-
-  result.stats.cpu_ms = timer.ElapsedMs();
-  result.stats.peak_memory_bytes = memory.peak();
-  return result;
+  BatchSearch<RoundRobinPages> source(RoundRobinPages(store), problem);
+  SkylineLoopOptions loop;
+  loop.algorithm = "SB-alt";
+  return RunSkylineLoop(problem, tree, loop, &source, ctx);
 }
 
 AssignResult SBAltPackedAssignment(const AssignmentProblem& problem,
                                    const RTree& tree,
                                    PackedFunctionStore* store,
                                    ExecContext* ctx) {
-  Timer timer;
-  AssignResult result;
-  result.stats.algorithm = "SB-alt-Packed";
-
-  const FunctionSet& fns = problem.functions;
-  const int dims = problem.dims;
-  const int num_fns = static_cast<int>(fns.size());
-
-  std::vector<uint8_t> assigned(num_fns, 0);
-  std::vector<int> fcap(num_fns);
-  for (const PrefFunction& f : fns) fcap[f.id] = f.capacity;
-  int64_t remaining_fns = num_fns;
-  std::vector<int> ocap(problem.objects.size());
-  for (const ObjectItem& o : problem.objects) ocap[o.id] = o.capacity;
-
-  SkylineManager sky_mgr(&tree);
-  BestPairEngine engine(&fns);
-  MemoryTracker local_memory;
-  MemoryTracker& memory = ctx != nullptr ? ctx->memory() : local_memory;
-  std::vector<ObjectId> odel;
-  std::unordered_set<ObjectId> known_members;
-  bool first = true;
-
-  BatchMemberBlocks mb;
-  std::vector<uint32_t> seen_gen(num_fns, 0);
-  uint32_t gen = 0;
-  std::vector<int> next_block(dims, 0);
-  std::vector<double> frontier(dims, 0.0);
-  std::vector<int32_t> blk_fids(store->block_entries());
-  const double max_gamma = store->max_gamma();
-  const int num_blocks = store->num_blocks();
-
-  while (remaining_fns > 0) {
-    // Cancellation point (see SBAltAssignment above).
-    if (ctx != nullptr && ctx->ShouldAbort()) break;
-    result.stats.loops++;
-    if (first) {
-      sky_mgr.ComputeInitial();
-      first = false;
-    } else {
-      sky_mgr.RemoveAndUpdate(odel);
-    }
-    odel.clear();
-    SkylineSet& sky = sky_mgr.skyline();
-    if (sky.size() == 0) break;
-
-    mb.Gather(sky, dims);
-
-    // Batch scan over the packed blocks, globally impact-ordered: every
-    // step consumes the unconsumed block with the highest max impact
-    // across all lists (ties: smallest dim), so the per-list frontiers
-    // drop as fast as possible and members retire after the fewest
-    // blocks. Zero counted I/O: blocks are decoded from the packed
-    // image in place. The first block's max impact (the list's largest
-    // coefficient) is a tighter initial frontier than max gamma.
-    std::fill(next_block.begin(), next_block.end(), 0);
-    for (int d = 0; d < dims; ++d) frontier[d] = store->BlockMaxImpact(d, 0);
-    ++gen;
-    int undone = mb.m_count;
-
-    while (undone > 0) {
-      int d = -1;
-      double best_impact = -1.0;
-      for (int k = 0; k < dims; ++k) {
-        if (next_block[k] >= num_blocks) continue;
-        const double impact = store->BlockMaxImpact(k, next_block[k]);
-        if (impact > best_impact) {
-          best_impact = impact;
-          d = k;
-        }
-      }
-      if (d < 0) break;  // all lists exhausted
-      const int count = store->DecodeBlock(d, next_block[d]++,
-                                           blk_fids.data());
-      for (int r = 0; r < count; ++r) {
-        const FunctionId fid = blk_fids[r];
-        if (seen_gen[fid] == gen) continue;
-        seen_gen[fid] = gen;
-        if (assigned[fid]) continue;
-        const double coef = store->eff_of(fid, d);
-        if (!WorthFetching(mb, dims, d, coef, max_gamma, frontier)) continue;
-        mb.ScoreAgainst(fid, store->EffRow(fid), dims);
-      }
-      // Unseen functions now sit at or after the next block; a fully
-      // consumed list has no unseen functions left at all.
-      frontier[d] = next_block[d] < num_blocks
-                        ? store->BlockMaxImpact(d, next_block[d])
-                        : 0.0;
-      undone -= mb.RetireProvablyDone(dims, frontier, max_gamma);
-    }
-    memory.Set(sky_mgr.memory_bytes() + seen_gen.size() * sizeof(uint32_t) +
-               mb.memory_bytes(dims) + blk_fids.size() * sizeof(int32_t) +
-               engine.memory_bytes());
-
-    // Mutual-best pairing (Property 2), same engine as SB.
-    std::vector<MemberCandidate> candidates;
-    std::vector<ObjectId> added;
-    candidates.reserve(mb.m_count);
-    bool exhausted = false;
-    for (int m = 0; m < mb.m_count; ++m) {
-      if (mb.best_f[m] == kInvalidFunction) {
-        exhausted = true;  // no unassigned function reachable
-        continue;
-      }
-      const SkylineObject& member = sky.at(sky.SlotOf(mb.oid[m]));
-      candidates.push_back(MemberCandidate{mb.oid[m], &member.point,
-                                           mb.best_f[m], mb.best_s[m]});
-      if (known_members.insert(mb.oid[m]).second) {
-        added.push_back(mb.oid[m]);
-      }
-    }
-    if (candidates.empty()) {
-      FAIRMATCH_CHECK(exhausted);
-      break;
-    }
-
-    std::vector<MatchPair> pairs = engine.FindMutualPairs(candidates, added);
-    // Candidate scores come from (possibly faulted) store reads while the
-    // engine's function-side bests use in-memory scores; corruption can
-    // break the mutual-best guarantee. In a faulted run that is data
-    // loss, not a broken invariant — unwind instead of aborting.
-    if (pairs.empty() && ctx != nullptr && ctx->ShouldAbort()) break;
-    FAIRMATCH_CHECK(!pairs.empty());
-    for (const MatchPair& pair : pairs) {
-      result.matching.push_back(pair);
-      if (--fcap[pair.fid] == 0) {
-        assigned[pair.fid] = 1;
-        remaining_fns--;
-        engine.OnFunctionAssigned(pair.fid);
-      }
-      if (--ocap[pair.oid] == 0) {
-        odel.push_back(pair.oid);
-        known_members.erase(pair.oid);
-      }
-    }
-    engine.OnObjectsRemoved(odel);
-  }
-
-  result.stats.cpu_ms = timer.ElapsedMs();
-  result.stats.peak_memory_bytes = memory.peak();
-  return result;
+  BatchSearch<ImpactBlocks> source(ImpactBlocks(store), problem);
+  SkylineLoopOptions loop;
+  loop.algorithm = "SB-alt-Packed";
+  return RunSkylineLoop(problem, tree, loop, &source, ctx);
 }
 
 }  // namespace fairmatch

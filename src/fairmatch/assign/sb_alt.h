@@ -1,14 +1,19 @@
 // SB-alt — batch best-pair search for disk-resident functions
 // (paper Section 7.6 / Figure 17).
 //
-// Instead of one resumable TA per skyline object, SB-alt scans the
-// on-disk sorted coefficient lists block-by-block in round-robin order
-// once per loop. Every newly encountered function's coefficients are
-// fetched with random accesses and scored against *all* current skyline
-// members; a member is "done" once its best score provably beats the
-// knapsack threshold of every unseen function. No per-object TA state is
-// kept, so each list page is read at most once per loop and memory stays
-// low — the trade the paper describes for F larger than memory.
+// SB-alt runs the shared skyline-assignment loop (assign/skyline_loop.h,
+// which states the loop contract). Instead of one resumable TA per
+// skyline object, its candidate source scans the sorted coefficient
+// lists block by block once per loop. Every newly encountered function
+// worth fetching is scored against *all* current skyline members; a
+// member is "done" once its best score provably beats the knapsack
+// threshold of every unseen function. No per-object search state is
+// kept, so each list block is read at most once per loop and memory
+// stays low — the trade the paper describes for F larger than memory.
+//
+// One batch scan serves two block cursors: round-robin pages over a
+// DiskFunctionStore (SB-alt) and globally impact-ordered blocks over a
+// PackedFunctionStore (SB-alt-Packed). Both run single-threaded.
 #ifndef FAIRMATCH_ASSIGN_SB_ALT_H_
 #define FAIRMATCH_ASSIGN_SB_ALT_H_
 

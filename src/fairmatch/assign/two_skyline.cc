@@ -1,19 +1,14 @@
 #include "fairmatch/assign/two_skyline.h"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "fairmatch/assign/best_pair.h"
+#include "fairmatch/assign/skyline_loop.h"
 #include "fairmatch/common/check.h"
-#include "fairmatch/common/stats.h"
-#include "fairmatch/common/timer.h"
-#include "fairmatch/engine/exec_context.h"
-#include "fairmatch/skyline/bbs.h"
 
 namespace fairmatch {
 
@@ -116,68 +111,28 @@ class FunctionSkyline {
   std::unordered_set<FunctionId> members_;
 };
 
-}  // namespace
+/// The two-skyline candidate source: a member's best function is found
+/// by an exhaustive scan of the function skyline (Section 6.2), then
+/// cached. A cached candidate stays the best function: F only shrinks,
+/// and a function promoted into F_sky was dominated by a (just removed)
+/// member, whose score on this object is itself bounded by the cached
+/// candidate's.
+class FunctionSkylineCandidates final : public CandidateSource {
+ public:
+  explicit FunctionSkylineCandidates(const FunctionSet& fns)
+      : fns_(&fns), fsky_(fns) {}
 
-AssignResult TwoSkylineAssignment(const AssignmentProblem& problem,
-                                  const RTree& tree, ExecContext* ctx) {
-  Timer timer;
-  AssignResult result;
-  result.stats.algorithm = "SB-TwoSkylines";
-
-  const FunctionSet& fns = problem.functions;
-  std::vector<uint8_t> assigned(fns.size(), 0);
-  std::vector<int> fcap(fns.size());
-  for (const PrefFunction& f : fns) fcap[f.id] = f.capacity;
-  int64_t remaining_fns = static_cast<int64_t>(fns.size());
-  std::vector<int> ocap(problem.objects.size());
-  for (const ObjectItem& o : problem.objects) ocap[o.id] = o.capacity;
-
-  SkylineManager sky_mgr(&tree);
-  FunctionSkyline fsky(fns);
-  BestPairEngine engine(&fns);
-  MemoryTracker local_memory;
-  MemoryTracker& memory = ctx != nullptr ? ctx->memory() : local_memory;
-
-  // Per-object candidate cache. A cached candidate stays the best
-  // function: F only shrinks, and a function promoted into F_sky was
-  // dominated by a (just removed) member, whose score on this object is
-  // itself bounded by the cached candidate's.
-  struct Cand {
-    FunctionId fid = kInvalidFunction;
-    double score = 0.0;
-  };
-  std::unordered_map<ObjectId, Cand> cands;
-  std::unordered_set<ObjectId> known_members;
-  std::vector<ObjectId> odel;
-  bool first = true;
-  bool exhausted = false;
-
-  while (remaining_fns > 0 && !exhausted) {
-    // Cancellation point: a storage fault or an expired deadline aborts
-    // this run with whatever partial matching is already in `result`.
-    if (ctx != nullptr && ctx->ShouldAbort()) break;
-    result.stats.loops++;
-    if (first) {
-      sky_mgr.ComputeInitial();
-      first = false;
-    } else {
-      sky_mgr.RemoveAndUpdate(odel);
-    }
-    odel.clear();
-    SkylineSet& sky = sky_mgr.skyline();
-    if (sky.size() == 0) break;
-
-    std::vector<MemberCandidate> members;
-    std::vector<ObjectId> added;
-    members.reserve(sky.size());
+  bool Candidates(const SkylineSet& sky, const std::vector<uint8_t>& assigned,
+                  int64_t /*remaining*/,
+                  std::vector<MemberCandidate>* out) override {
+    bool exhausted = false;
     sky.ForEach([&](int, const SkylineObject& m) {
       if (exhausted) return;
-      Cand& cand = cands[m.id];
+      Cand& cand = cands_[m.id];
       if (cand.fid == kInvalidFunction || assigned[cand.fid]) {
-        // Exhaustive scan over the function skyline (Section 6.2).
         cand.fid = kInvalidFunction;
-        fsky.ForEachMember([&](FunctionId fid) {
-          double s = fns[fid].Score(m.point);
+        fsky_.ForEachMember([&](FunctionId fid) {
+          double s = (*fns_)[fid].Score(m.point);
           if (cand.fid == kInvalidFunction || s > cand.score ||
               (s == cand.score && fid < cand.fid)) {
             cand.fid = fid;
@@ -189,37 +144,38 @@ AssignResult TwoSkylineAssignment(const AssignmentProblem& problem,
           return;
         }
       }
-      members.push_back(MemberCandidate{m.id, &m.point, cand.fid, cand.score});
-      if (known_members.insert(m.id).second) {
-        added.push_back(m.id);
-      }
+      out->push_back(MemberCandidate{m.id, &m.point, cand.fid, cand.score});
     });
-    if (exhausted || members.empty()) break;
-
-    std::vector<MatchPair> pairs = engine.FindMutualPairs(members, added);
-    FAIRMATCH_CHECK(!pairs.empty());
-    for (const MatchPair& pair : pairs) {
-      result.matching.push_back(pair);
-      if (--fcap[pair.fid] == 0) {
-        assigned[pair.fid] = 1;
-        remaining_fns--;
-        fsky.Remove(pair.fid);
-        engine.OnFunctionAssigned(pair.fid);
-      }
-      if (--ocap[pair.oid] == 0) {
-        odel.push_back(pair.oid);
-        cands.erase(pair.oid);
-        known_members.erase(pair.oid);
-      }
-    }
-    engine.OnObjectsRemoved(odel);
-    memory.Set(sky_mgr.memory_bytes() + fsky.memory_bytes() +
-               cands.size() * 32 + engine.memory_bytes());
+    return !exhausted;
   }
 
-  result.stats.cpu_ms = timer.ElapsedMs();
-  result.stats.peak_memory_bytes = memory.peak();
-  return result;
+  void OnFunctionAssigned(FunctionId fid) override { fsky_.Remove(fid); }
+
+  void OnObjectRemoved(ObjectId oid) override { cands_.erase(oid); }
+
+  size_t memory_bytes() const override {
+    return fsky_.memory_bytes() + cands_.size() * 32;
+  }
+
+ private:
+  struct Cand {
+    FunctionId fid = kInvalidFunction;
+    double score = 0.0;
+  };
+
+  const FunctionSet* fns_;
+  FunctionSkyline fsky_;
+  std::unordered_map<ObjectId, Cand> cands_;
+};
+
+}  // namespace
+
+AssignResult TwoSkylineAssignment(const AssignmentProblem& problem,
+                                  const RTree& tree, ExecContext* ctx) {
+  FunctionSkylineCandidates source(problem.functions);
+  SkylineLoopOptions loop;
+  loop.algorithm = "SB-TwoSkylines";
+  return RunSkylineLoop(problem, tree, loop, &source, ctx);
 }
 
 }  // namespace fairmatch

@@ -7,7 +7,10 @@
 // pruned-point parking) next to the object skyline O_sky and searches
 // best pairs exhaustively between the two skylines — faster than TA
 // under priorities because the knapsack threshold B = max gamma is loose
-// and F_sky is small and frequently updated (Figure 15).
+// and F_sky is small and frequently updated (Figure 15). F_sky and the
+// per-object candidate cache are the candidate source of the shared
+// skyline-assignment loop (assign/skyline_loop.h, which states the loop
+// contract); the run is single-threaded.
 #ifndef FAIRMATCH_ASSIGN_TWO_SKYLINE_H_
 #define FAIRMATCH_ASSIGN_TWO_SKYLINE_H_
 

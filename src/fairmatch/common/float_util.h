@@ -7,6 +7,16 @@
 
 namespace fairmatch {
 
+/// Slack on the knapsack threshold tests of the top-1 searches (the
+/// reverse top-1 probe loops and SB-alt's batch scan). The threshold
+/// accumulates products in a different order than PrefFunction::Score,
+/// so the two can disagree by a few ulps; the bound must stay an upper
+/// bound of every unseen score, so a search stops only once its best
+/// exceeds the bound by this slack (far above accumulated rounding, far
+/// below any genuine score gap). Ties keep scanning, which is also what
+/// makes the smallest-id winner reachable.
+inline constexpr double kBoundSlack = 1e-9;
+
 /// Smallest float >= x. Used when double-precision values (effective
 /// function coefficients) are stored in float R-tree coordinates that
 /// must remain valid *upper* bounds for branch-and-bound pruning.

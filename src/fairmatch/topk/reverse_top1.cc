@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fairmatch/common/float_util.h"
+
 namespace fairmatch {
 
 namespace {
-// The knapsack threshold accumulates products in a different order than
-// PrefFunction::Score, so the two can disagree by a few ulps. The bound
-// must stay an upper bound of every unseen score, so termination demands
-// strictly exceeding it by this slack (far above accumulated rounding,
-// far below any genuine score gap); ties keep scanning, which also makes
-// the smallest-id tie winner reachable.
-constexpr double kBoundSlack = 1e-9;
-
 // Where the probe kernel reads list entries. Each layout supplies
 // Frontier(d, pos), the upper bound on the coefficient of any unseen
 // function in list d once its cursor is at pos, and Visit(d, pos, fn),

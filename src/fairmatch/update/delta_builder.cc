@@ -5,14 +5,19 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "fairmatch/common/check.h"
 #include "fairmatch/common/timer.h"
+#include "fairmatch/engine/registry.h"
 #include "fairmatch/rtree/node.h"
+#include "fairmatch/rtree/node_store.h"
 #include "fairmatch/skyline/delta_sky.h"
+#include "fairmatch/topk/disk_function_lists.h"
+#include "fairmatch/topk/packed_function_lists.h"
 
 namespace fairmatch::update {
 
@@ -384,6 +389,42 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
     stats_out->inserted_function_ids = std::move(inserted_fids);
   }
   return serve::ServeStatus::Ok();
+}
+
+AssignResult RunOnDataset(const serve::ResidentDataset& dataset,
+                          const std::string& matcher,
+                          double buffer_fraction) {
+  const MatcherInfo* info = MatcherRegistry::Global().Find(matcher);
+  FAIRMATCH_CHECK(info != nullptr && "unknown matcher");
+  MatcherEnv env;
+  env.problem = &dataset.problem();
+  env.tree = dataset.tree();
+  env.buffer_fraction = buffer_fraction;
+
+  std::optional<MemNodeStore> private_store;
+  std::optional<RTree> private_tree;
+  if (info->mutates_tree) {
+    private_store.emplace(dataset.problem().dims);
+    private_tree.emplace(&*private_store);
+    BuildObjectTree(dataset.problem(), &*private_tree);
+    env.tree = &*private_tree;
+  }
+  std::unique_ptr<DiskFunctionStore> fstore;
+  if (info->needs_disk_functions) {
+    fstore = std::make_unique<DiskFunctionStore>(dataset.problem().functions,
+                                                 buffer_fraction);
+    env.fn_store = fstore.get();
+  }
+  std::unique_ptr<PackedFunctionStore> packed_view;
+  if (info->needs_packed_functions) {
+    FAIRMATCH_CHECK(dataset.packed() != nullptr &&
+                    "matcher needs a packed image");
+    packed_view = PackedFunctionStore::NewSharedView(*dataset.packed());
+    env.packed_fns = packed_view.get();
+  }
+  std::unique_ptr<Matcher> m = MatcherRegistry::Global().Create(matcher, env);
+  FAIRMATCH_CHECK(m != nullptr);
+  return m->Run();
 }
 
 }  // namespace fairmatch::update

@@ -32,8 +32,7 @@
 // indices across updates. Deletion therefore renames by swap-with-last
 // (processed in descending deleted id, so a mover is never itself a
 // pending delete target); UpdateStats reports the old-id -> new-id maps
-// so stream consumers (update/stream_matcher.h) can revise standing
-// assignments.
+// so consumers holding standing assignments can revise them.
 //
 // Atomicity: Apply() stages every change on throwaway clones and
 // constructs the next epoch only after the last fallible step
@@ -46,6 +45,7 @@
 #define FAIRMATCH_UPDATE_DELTA_BUILDER_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fairmatch/assign/problem.h"
@@ -168,6 +168,17 @@ class DeltaBuilder {
   const PackedFunctionStore* flat_ = nullptr;
   std::vector<int32_t> base_of_live_;
 };
+
+/// Runs registered matcher `matcher` directly against a resident
+/// dataset (no server queue): the environment is assembled exactly like
+/// the serve path — the shared tree (a private rebuilt tree for
+/// mutates_tree matchers), a disk-resident function store where the
+/// variant needs one, a private shared view of the packed image where
+/// it needs that. The *-Packed variants require dataset.packed() to be
+/// non-null.
+AssignResult RunOnDataset(const serve::ResidentDataset& dataset,
+                          const std::string& matcher,
+                          double buffer_fraction = 0.02);
 
 }  // namespace fairmatch::update
 

@@ -26,7 +26,6 @@
 #include "fairmatch/storage/disk_manager.h"
 #include "fairmatch/storage/fault_injector.h"
 #include "fairmatch/update/delta_builder.h"
-#include "fairmatch/update/stream_matcher.h"
 #include "test_util.h"
 
 namespace fairmatch::serve {
@@ -602,13 +601,20 @@ TEST(ChaosHealthTest, ConsecutiveDataLossShedsUntilResetOrSuccess) {
 
 TEST(ChaosDeadlineTest, ExpiredDeadlineAbortsDirectRunAtCancellationPoint) {
   const AssignmentProblem problem = SmallProblem(64000);
-  ExecContext ctx;
-  ctx.set_deadline(std::chrono::steady_clock::now() -
-                   std::chrono::milliseconds(1));
-  const AssignResult result = RunRegisteredMatcher("SB", problem, &ctx);
-  EXPECT_EQ(result.status.code, ErrorCode::kDeadlineExceeded);
-  EXPECT_TRUE(result.matching.empty())
-      << "the first cancellation point precedes any assignment";
+  // Every matcher that runs the shared skyline loop
+  // (assign/skyline_loop.h); RunRegisteredMatcher wires the disk and
+  // packed function stores the SB-alt and packed variants need.
+  for (const char* name :
+       {"SB", "SB-SinglePair", "SB-UpdateSkyline", "SB-DeltaSky",
+        "SB-TwoSkylines", "SB-alt", "SB-alt-Packed", "SB-Packed"}) {
+    ExecContext ctx;
+    ctx.set_deadline(std::chrono::steady_clock::now() -
+                     std::chrono::milliseconds(1));
+    const AssignResult result = RunRegisteredMatcher(name, problem, &ctx);
+    EXPECT_EQ(result.status.code, ErrorCode::kDeadlineExceeded) << name;
+    EXPECT_TRUE(result.matching.empty())
+        << name << ": the first cancellation point precedes any assignment";
+  }
 }
 
 /// Spins at a cancellation point until the run deadline trips (bounded

@@ -30,6 +30,7 @@
 #include "fairmatch/common/thread_pool.h"
 #include "fairmatch/engine/exec_context.h"
 #include "fairmatch/engine/registry.h"
+#include "fairmatch/skyline/bbs.h"
 #include "test_util.h"
 
 namespace fairmatch {

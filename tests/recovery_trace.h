@@ -34,7 +34,6 @@
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/storage/fault_injector.h"
 #include "fairmatch/update/delta_builder.h"
-#include "fairmatch/update/stream_matcher.h"
 #include "test_util.h"
 
 namespace fairmatch::testing {

@@ -24,7 +24,6 @@
 #include "fairmatch/serve/server.h"
 #include "fairmatch/serve/status.h"
 #include "fairmatch/update/delta_builder.h"
-#include "fairmatch/update/stream_matcher.h"
 #include "test_util.h"
 
 namespace fairmatch::serve {

@@ -1,5 +1,5 @@
 // Update-vs-rebuild differential suite for incremental index updates
-// (update/delta_builder.h, update/stream_matcher.h).
+// (update/delta_builder.h).
 //
 // The headline property: applying a batch of updates to a resident
 // dataset must be indistinguishable, for every query, from rebuilding
@@ -36,7 +36,6 @@
 #include "fairmatch/serve/server.h"
 #include "fairmatch/skyline/delta_sky.h"
 #include "fairmatch/update/delta_builder.h"
-#include "fairmatch/update/stream_matcher.h"
 #include "test_util.h"
 
 namespace fairmatch {
@@ -58,9 +57,6 @@ using testing::RunRegisteredMatcher;
 using update::DeltaBuilder;
 using update::DeltaOptions;
 using update::RunOnDataset;
-using update::StreamMatcher;
-using update::StreamOptions;
-using update::StreamStats;
 using update::UpdateBatch;
 using update::UpdateStats;
 
@@ -585,119 +581,6 @@ TEST(UpdateEpochSwap, ConcurrentTrafficAcrossPublishes) {
   for (size_t i = 0; i < epochs.size(); ++i) {
     EXPECT_TRUE(epochs[i].expired()) << "epoch handle " << i << " leaked";
   }
-}
-
-// ---- stream matcher --------------------------------------------------
-
-TEST(StreamMatcherTest, UnlimitedBudgetConvergesExactly) {
-  ProblemSpec spec;
-  spec.seed = 8;
-  AssignmentProblem problem = RandomProblem(spec);
-  DatasetRegistry registry;
-  DatasetHandle base = registry.Open("stream", problem, {});
-  DeltaBuilder builder(base, {});
-  StreamMatcher stream(base, {});
-
-  Rng rng(55);
-  for (int step = 0; step < 3; ++step) {
-    UpdateBatch batch = RandomBatch(&rng, builder.current()->problem(), step);
-    UpdateStats stats;
-    ASSERT_TRUE(builder.Apply(batch, &stats).ok());
-    StreamStats revision = stream.OnEpoch(builder.current(), stats);
-    EXPECT_EQ(revision.deferred, 0);
-
-    Matching target = RunOnDataset(*builder.current(), "SB").matching;
-    CanonicalizeMatching(&target);
-    ExpectSameSequence(stream.matching(), target,
-                       "unlimited budget, epoch " +
-                           std::to_string(stats.epoch));
-    EXPECT_EQ(revision.pairs, target.size());
-  }
-}
-
-TEST(StreamMatcherTest, BudgetZeroAppliesOnlyForcedDrops) {
-  ProblemSpec spec;
-  spec.seed = 9;
-  AssignmentProblem problem = RandomProblem(spec);
-  DatasetRegistry registry;
-  DatasetHandle base = registry.Open("stream0", problem, {});
-  DeltaBuilder builder(base, {});
-  StreamOptions sopts;
-  sopts.reassign_budget = 0;
-  StreamMatcher stream(base, sopts);
-  const size_t initial_pairs = stream.matching().size();
-
-  UpdateBatch batch;
-  batch.delete_objects = {0, 5, 9};
-  UpdateStats stats;
-  ASSERT_TRUE(builder.Apply(batch, &stats).ok());
-  StreamStats revision = stream.OnEpoch(builder.current(), stats);
-
-  EXPECT_EQ(revision.adds_applied, 0);
-  EXPECT_EQ(revision.drops_applied, 0);
-  EXPECT_LE(stream.matching().size(), initial_pairs);
-  EXPECT_EQ(stream.matching().size(),
-            initial_pairs - static_cast<size_t>(revision.forced_drops));
-  // Every standing pair names live ids.
-  const AssignmentProblem& now = builder.current()->problem();
-  for (const MatchPair& pair : stream.matching()) {
-    ASSERT_GE(pair.fid, 0);
-    ASSERT_LT(pair.fid, static_cast<FunctionId>(now.functions.size()));
-    ASSERT_GE(pair.oid, 0);
-    ASSERT_LT(pair.oid, static_cast<ObjectId>(now.objects.size()));
-  }
-}
-
-TEST(StreamMatcherTest, BudgetedRevisionConvergesOverEpochs) {
-  ProblemSpec spec;
-  spec.seed = 10;
-  AssignmentProblem problem = RandomProblem(spec);
-  DatasetRegistry registry;
-  DatasetHandle base = registry.Open("streamk", problem, {});
-  DeltaBuilder builder(base, {});
-  StreamOptions sopts;
-  sopts.reassign_budget = 4;
-  StreamMatcher stream(base, sopts);
-
-  UpdateBatch batch;
-  batch.delete_objects = {1, 2, 3, 4, 5, 6};
-  Rng rng(66);
-  for (int i = 0; i < 6; ++i) {
-    ObjectItem o;
-    o.point = Point(spec.dims);
-    for (int d = 0; d < spec.dims; ++d) {
-      o.point[d] = static_cast<float>(rng.Uniform());
-    }
-    batch.insert_objects.push_back(o);
-  }
-  UpdateStats stats;
-  ASSERT_TRUE(builder.Apply(batch, &stats).ok());
-
-  // First revision under budget; then replay identity epochs until the
-  // deferred work drains. Must converge to the full matching.
-  StreamStats revision = stream.OnEpoch(builder.current(), stats);
-  UpdateStats identity;
-  identity.epoch = stats.epoch;
-  identity.object_final.resize(builder.current()->problem().objects.size());
-  identity.function_final.resize(
-      builder.current()->problem().functions.size());
-  for (size_t i = 0; i < identity.object_final.size(); ++i) {
-    identity.object_final[i] = static_cast<ObjectId>(i);
-  }
-  for (size_t i = 0; i < identity.function_final.size(); ++i) {
-    identity.function_final[i] = static_cast<FunctionId>(i);
-  }
-  int rounds = 0;
-  while (revision.deferred > 0 && rounds < 64) {
-    revision = stream.OnEpoch(builder.current(), identity);
-    ++rounds;
-  }
-  EXPECT_EQ(revision.deferred, 0);
-  Matching target = RunOnDataset(*builder.current(), "SB").matching;
-  CanonicalizeMatching(&target);
-  ExpectSameSequence(stream.matching(), target, "budgeted convergence");
-  EXPECT_GT(revision.aggregate_score, 0.0);
-  EXPECT_GT(revision.min_score, 0.0);
 }
 
 }  // namespace
