@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI gate over the fairmatch_bench JSON report.
+"""CI gate over the fairmatch_bench JSON report: schema and completeness.
 
 Usage: check_bench_report.py BENCH_smoke.json path/to/fairmatch_bench
 
@@ -7,6 +7,11 @@ Fails (exit 1) when the report is malformed, any registered figure is
 missing or empty, or any row lacks the schema's fields / carries a
 negative or non-numeric measurement — i.e. whenever a figure or matcher
 silently dropped out of the sweep.
+
+What the rows promise beyond their shape (deterministic columns equal
+across lanes or rates, updated == rebuilt, recovered == uncrashed, exact
+overload partitions, ...) is declared on each figure's FigureSpec and
+checked by fairmatch_bench itself, which exits 3 when a promise breaks.
 """
 import json
 import subprocess
@@ -28,429 +33,6 @@ STRING_FIELDS = ("section", "x", "algorithm")
 def fail(message):
     print(f"check_bench_report: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
-
-
-def check_batch_figure(batch_rows):
-    """batch_throughput carries the batch layer's determinism guarantee
-    onto the report surface: the same batch runs at every lane count
-    (the x axis), so each algorithm's deterministic totals (io_accesses,
-    pairs, loops) must be identical across its rows, and the sweep must
-    actually cover more than one lane count."""
-    by_algo = {}
-    for row in batch_rows:
-        by_algo.setdefault(row["algorithm"], []).append(row)
-    for algo, rows in by_algo.items():
-        if len(rows) < 2:
-            fail(
-                f"batch_throughput: {algo!r} has {len(rows)} row(s); "
-                "expected a sweep over >= 2 lane counts"
-            )
-        baseline = rows[0]
-        for row in rows[1:]:
-            for field in ("io_accesses", "pairs", "loops"):
-                if row[field] != baseline[field]:
-                    fail(
-                        f"batch_throughput: {algo!r} {field} differs across "
-                        f"lane counts ({baseline[field]} at x={baseline['x']} "
-                        f"vs {row[field]} at x={row['x']}): the batch layer "
-                        "is not thread-count deterministic"
-                    )
-
-
-def check_micro_packed_probe(rows):
-    """The packed store is a drop-in FunctionLists: at every x the
-    'lists' and 'packed' rows must agree on every deterministic column
-    (identical probe sequence), and 'packed-impact' must drain the same
-    assignments (pairs) even though its block-granular probe count
-    differs."""
-    by_x = {}
-    for row in rows:
-        by_x.setdefault(row["x"], {})[row["algorithm"]] = row
-    for x, algos in by_x.items():
-        for name in ("lists", "packed", "packed-impact"):
-            if name not in algos:
-                fail(f"micro_packed_probe: missing {name!r} row at x={x}")
-        for field in ("io_accesses", "pairs", "loops"):
-            if algos["lists"][field] != algos["packed"][field]:
-                fail(
-                    f"micro_packed_probe: {field} differs between lists "
-                    f"({algos['lists'][field]}) and packed "
-                    f"({algos['packed'][field]}) at x={x}: the packed "
-                    "default traversal diverged from FunctionLists"
-                )
-        if algos["packed-impact"]["pairs"] != algos["lists"]["pairs"]:
-            fail(
-                f"micro_packed_probe: packed-impact drained "
-                f"{algos['packed-impact']['pairs']} pairs vs "
-                f"{algos['lists']['pairs']} at x={x}: the impact-ordered "
-                "traversal lost or invented assignments"
-            )
-
-
-def check_scale_sweep(rows):
-    """Every backend performs the same full drain at each x, so pairs
-    must be identical across the per-x rows, and the sweep must cover
-    more than one size."""
-    by_x = {}
-    for row in rows:
-        by_x.setdefault(row["x"], []).append(row)
-    if len(by_x) < 2:
-        fail(
-            f"scale_sweep: {len(by_x)} x value(s); expected a sweep over "
-            ">= 2 sizes"
-        )
-    for x, x_rows in by_x.items():
-        if len(x_rows) < 3:
-            fail(f"scale_sweep: {len(x_rows)} row(s) at x={x}; expected 3")
-        baseline = x_rows[0]
-        for row in x_rows[1:]:
-            if row["pairs"] != baseline["pairs"]:
-                fail(
-                    f"scale_sweep: pairs differs at x={x} "
-                    f"({baseline['algorithm']}={baseline['pairs']} vs "
-                    f"{row['algorithm']}={row['pairs']}): the backends did "
-                    "not perform the same drain"
-                )
-
-
-def check_serving_latency(rows):
-    """serving_latency carries the serving core's determinism guarantee
-    onto the report surface: every cell submits the same fixed request
-    sequence, so each algorithm's deterministic columns (io_accesses,
-    pairs, and the matching digest in loops) must be identical across
-    every lane count AND every arrival rate — only the latency columns
-    may move. The sweep must actually cover more than one lane count
-    and more than one rate, and the 'open' section must report both the
-    cold and warm open cost."""
-    rate_rows = [r for r in rows if r["section"].startswith("rate")]
-    open_rows = [r for r in rows if r["section"] == "open"]
-
-    sections = {r["section"] for r in rate_rows}
-    lanes = {r["x"] for r in rate_rows}
-    if len(sections) < 2:
-        fail(
-            f"serving_latency: {len(sections)} arrival-rate section(s); "
-            "expected a sweep over >= 2 rates"
-        )
-    if len(lanes) < 2:
-        fail(
-            f"serving_latency: {len(lanes)} lane count(s); expected a "
-            "sweep over >= 2 lane counts"
-        )
-
-    expected_algos = {
-        "SB", "SB:p99", "SB-Packed", "SB-Packed:p99",
-        "SB-alt", "SB-alt:p99", "mix:throughput",
-    }
-    by_cell = {}
-    for row in rate_rows:
-        by_cell.setdefault((row["section"], row["x"]), set()).add(
-            row["algorithm"]
-        )
-    for cell, algos in by_cell.items():
-        missing = expected_algos - algos
-        if missing:
-            fail(
-                f"serving_latency: cell {cell} is missing rows "
-                f"{sorted(missing)}"
-            )
-
-    by_algo = {}
-    for row in rate_rows:
-        by_algo.setdefault(row["algorithm"], []).append(row)
-    for algo, algo_rows in by_algo.items():
-        baseline = algo_rows[0]
-        for row in algo_rows[1:]:
-            for field in ("io_accesses", "pairs", "loops"):
-                if row[field] != baseline[field]:
-                    fail(
-                        f"serving_latency: {algo!r} {field} differs across "
-                        f"cells ({baseline[field]} at "
-                        f"{baseline['section']}/x={baseline['x']} vs "
-                        f"{row[field]} at {row['section']}/x={row['x']}): "
-                        "the serving core is not lane/arrival-rate "
-                        "deterministic"
-                    )
-        if algo != "mix:throughput" and baseline["loops"] == 0:
-            fail(
-                f"serving_latency: {algo!r} carries an empty matching "
-                "digest (loops=0): the responses were empty"
-            )
-
-    # The p50 and p99 rows of one matcher come from the same responses.
-    for algo in ("SB", "SB-Packed", "SB-alt"):
-        base, p99 = by_algo[algo][0], by_algo[f"{algo}:p99"][0]
-        for field in ("io_accesses", "pairs", "loops"):
-            if base[field] != p99[field]:
-                fail(
-                    f"serving_latency: {algo!r} and {algo}:p99 disagree on "
-                    f"{field} ({base[field]} vs {p99[field]}): the rows do "
-                    "not describe the same request set"
-                )
-
-    opens = {r["x"] for r in open_rows}
-    if opens != {"cold", "warm"}:
-        fail(
-            f"serving_latency: open section covers {sorted(opens)}; "
-            "expected exactly ['cold', 'warm']"
-        )
-    cold = next(r for r in open_rows if r["x"] == "cold")
-    if cold["mem_mb"] <= 0:
-        fail(
-            "serving_latency: cold open reports a zero resident "
-            "footprint; the dataset was not built"
-        )
-
-    # The overload section's counts are forced by the server's admission
-    # limits (1 lane held + queue bound 4 + 12-request burst), so they
-    # are exact: the outcomes must partition the submitted set, and both
-    # rejection paths must actually fire.
-    overload = {
-        r["algorithm"]: r for r in rows if r["section"] == "overload"
-    }
-    for name in ("submitted", "ok", "rejected", "deadline"):
-        if name not in overload:
-            fail(f"serving_latency: overload section is missing {name!r}")
-    submitted = overload["submitted"]["io_accesses"]
-    outcomes = sum(
-        overload[name]["io_accesses"] for name in ("ok", "rejected", "deadline")
-    )
-    if outcomes != submitted:
-        fail(
-            f"serving_latency: overload outcomes ({outcomes}) do not "
-            f"partition the {submitted} submitted requests: a request "
-            "finished with an unexpected status"
-        )
-    for name in ("rejected", "deadline"):
-        if overload[name]["io_accesses"] <= 0:
-            fail(
-                f"serving_latency: overload produced zero {name} "
-                "requests; admission control never engaged"
-            )
-    for name, row in overload.items():
-        if row["pairs"] != submitted:
-            fail(
-                f"serving_latency: overload row {name!r} reports "
-                f"pairs={row['pairs']}, expected submitted={submitted}"
-            )
-
-
-def check_fault_recovery(rows):
-    """fault_recovery carries the fault injector's determinism guarantee
-    onto the report surface: schedules depend only on (plan seed,
-    request id, attempt), so each section's deterministic columns
-    (io_accesses = injected faults, pairs = retries, loops = the
-    status+matching digest) must be identical at every lane count. The
-    rate0 baseline runs with the injector disabled and must report zero
-    faults, zero retries and 100% success; at least one faulted section
-    must actually inject."""
-    by_section = {}
-    for row in rows:
-        by_section.setdefault(row["section"], []).append(row)
-    if len(by_section) < 2 or "rate0" not in by_section:
-        fail(
-            f"fault_recovery: sections {sorted(by_section)}; expected "
-            "rate0 plus >= 1 faulted intensity"
-        )
-
-    expected_algos = {"mix", "mix:p99", "mix:success"}
-    for section, section_rows in by_section.items():
-        lanes = {r["x"] for r in section_rows}
-        if len(lanes) < 2:
-            fail(
-                f"fault_recovery: {section} covers {len(lanes)} lane "
-                "count(s); expected a sweep over >= 2"
-            )
-        by_cell = {}
-        for row in section_rows:
-            by_cell.setdefault(row["x"], set()).add(row["algorithm"])
-        for x, algos in by_cell.items():
-            missing = expected_algos - algos
-            if missing:
-                fail(
-                    f"fault_recovery: cell {section}/x={x} is missing "
-                    f"rows {sorted(missing)}"
-                )
-        baseline = section_rows[0]
-        for row in section_rows[1:]:
-            for field in ("io_accesses", "pairs", "loops"):
-                if row[field] != baseline[field]:
-                    fail(
-                        f"fault_recovery: {field} differs within "
-                        f"{section} ({baseline[field]} at "
-                        f"x={baseline['x']}/{baseline['algorithm']} vs "
-                        f"{row[field]} at x={row['x']}/{row['algorithm']}): "
-                        "the fault schedule is not lane-invariant"
-                    )
-
-    for row in by_section["rate0"]:
-        if row["io_accesses"] != 0 or row["pairs"] != 0:
-            fail(
-                f"fault_recovery: rate0 row {row['algorithm']!r} reports "
-                f"faults={row['io_accesses']} retries={row['pairs']}; the "
-                "disabled injector must inject nothing"
-            )
-        if row["algorithm"] == "mix:success" and row["cpu_ms"] != 100.0:
-            fail(
-                f"fault_recovery: rate0 success rate is {row['cpu_ms']}%; "
-                "a fault-free run must succeed completely"
-            )
-    if not any(
-        row["io_accesses"] > 0
-        for section, section_rows in by_section.items()
-        if section != "rate0"
-        for row in section_rows
-    ):
-        fail(
-            "fault_recovery: no faulted section injected a single "
-            "fault; the injector never engaged"
-        )
-
-
-def check_update_throughput(rows):
-    """update_throughput carries the update-vs-rebuild differential onto
-    the report surface: in every batch-size cell the query:updated row
-    (SB on the incrementally updated epoch) and the query:rebuilt row
-    (SB on a from-scratch rebuild of the identical final problem) must
-    carry the same matching digest (loops) and pair count — the update
-    path is required to be byte-exact. The apply rows' updates-applied
-    and R-tree node-edit counts are pure functions of the cell's seed
-    and must be non-zero and consistent between the two apply rows."""
-    by_cell = {}
-    for row in rows:
-        by_cell.setdefault(row["x"], {}).setdefault(
-            row["algorithm"], []
-        ).append(row)
-    if len(by_cell) < 2:
-        fail(
-            f"update_throughput: {len(by_cell)} batch-size cell(s); "
-            "expected a sweep over >= 2 batch sizes"
-        )
-    expected_algos = {
-        "apply:updates_per_s", "apply:epoch_ms",
-        "query:updated", "query:rebuilt",
-    }
-    for x, algos in by_cell.items():
-        missing = expected_algos - set(algos)
-        if missing:
-            fail(
-                f"update_throughput: cell x={x} is missing rows "
-                f"{sorted(missing)}"
-            )
-        updated = algos["query:updated"][0]
-        rebuilt = algos["query:rebuilt"][0]
-        if updated["loops"] == 0:
-            fail(
-                f"update_throughput: x={x} query:updated carries an "
-                "empty matching digest (loops=0): the updated epoch "
-                "served nothing"
-            )
-        if (
-            updated["loops"] != rebuilt["loops"]
-            or updated["pairs"] != rebuilt["pairs"]
-        ):
-            fail(
-                f"update_throughput: x={x} updated-vs-rebuilt diverged "
-                f"(digest {updated['loops']} vs {rebuilt['loops']}, "
-                f"pairs {updated['pairs']} vs {rebuilt['pairs']}): "
-                "incremental updates are not byte-exact"
-            )
-        throughput = algos["apply:updates_per_s"][0]
-        epoch_ms = algos["apply:epoch_ms"][0]
-        for name, row in (("apply:updates_per_s", throughput),
-                          ("apply:epoch_ms", epoch_ms)):
-            if row["pairs"] <= 0 or row["io_accesses"] <= 0:
-                fail(
-                    f"update_throughput: x={x} {name} reports "
-                    f"updates={row['pairs']} tree_ops={row['io_accesses']}; "
-                    "the apply phase did no work"
-                )
-        if (
-            throughput["pairs"] != epoch_ms["pairs"]
-            or throughput["io_accesses"] != epoch_ms["io_accesses"]
-        ):
-            fail(
-                f"update_throughput: x={x} apply rows disagree on the "
-                "work done; they must come from the same experiment"
-            )
-
-
-def check_recovery_time(rows):
-    """recovery_time carries the restart-equals-no-crash differential
-    onto the report surface: in every cell the state:recovered row
-    (digest of the epoch Recover() rebuilt from the manifest + snapshot
-    + WAL suffix) must equal the state:uncrashed row (digest of the
-    epoch the live builder was serving at clean shutdown) on both
-    deterministic columns. In the replay section the snapshot threshold
-    is disabled, so the replayed-record count must equal the cell's x;
-    the threshold section must show the knob actually shrinking the
-    replayed suffix."""
-    by_section = {}
-    for row in rows:
-        by_section.setdefault(row["section"], {}).setdefault(
-            row["x"], {}
-        )[row["algorithm"]] = row
-    for name in ("replay", "threshold"):
-        if name not in by_section:
-            fail(f"recovery_time: missing section {name!r}")
-        if len(by_section[name]) < 2:
-            fail(
-                f"recovery_time: section {name!r} has "
-                f"{len(by_section[name])} x value(s); expected >= 2"
-            )
-    expected_algos = {
-        "recover:time_to_serving_ms", "recover:replay_records_per_s",
-        "state:recovered", "state:uncrashed",
-    }
-    for section, cells in by_section.items():
-        for x, algos in cells.items():
-            missing = expected_algos - set(algos)
-            if missing:
-                fail(
-                    f"recovery_time: cell {section}/x={x} is missing "
-                    f"rows {sorted(missing)}"
-                )
-            recovered = algos["state:recovered"]
-            uncrashed = algos["state:uncrashed"]
-            if recovered["loops"] == 0:
-                fail(
-                    f"recovery_time: {section}/x={x} carries an empty "
-                    "epoch digest (loops=0): recovery served nothing"
-                )
-            if (
-                recovered["loops"] != uncrashed["loops"]
-                or recovered["pairs"] != uncrashed["pairs"]
-            ):
-                fail(
-                    f"recovery_time: {section}/x={x} recovered-vs-"
-                    f"uncrashed diverged (digest {recovered['loops']} vs "
-                    f"{uncrashed['loops']}, pairs {recovered['pairs']} vs "
-                    f"{uncrashed['pairs']}): restart did not converge to "
-                    "the pre-shutdown epoch"
-                )
-            replayed = {r["io_accesses"] for r in algos.values()}
-            if len(replayed) != 1:
-                fail(
-                    f"recovery_time: {section}/x={x} rows disagree on "
-                    f"the replayed-record count ({sorted(replayed)}); "
-                    "they must come from the same experiment"
-                )
-            if section == "replay" and replayed != {int(x)}:
-                fail(
-                    f"recovery_time: replay/x={x} replayed "
-                    f"{sorted(replayed)} WAL records; with snapshots "
-                    f"disabled every one of the {x} batches must replay"
-                )
-    suffixes = {
-        x: algos["state:recovered"]["io_accesses"]
-        for x, algos in by_section["threshold"].items()
-    }
-    if len(set(suffixes.values())) < 2:
-        fail(
-            f"recovery_time: threshold section replayed the same "
-            f"suffix everywhere ({suffixes}); the snapshot-threshold "
-            "knob had no effect"
-        )
 
 
 def main():
@@ -497,14 +79,6 @@ def main():
                 if not isinstance(value, (int, float)) or value < 0:
                     fail(f"{figure}: bad {field}={value!r} in row {row}")
             rows += 1
-
-    check_batch_figure(report["figures"].get("batch_throughput", []))
-    check_micro_packed_probe(report["figures"].get("micro_packed_probe", []))
-    check_scale_sweep(report["figures"].get("scale_sweep", []))
-    check_serving_latency(report["figures"].get("serving_latency", []))
-    check_fault_recovery(report["figures"].get("fault_recovery", []))
-    check_update_throughput(report["figures"].get("update_throughput", []))
-    check_recovery_time(report["figures"].get("recovery_time", []))
 
     print(
         f"check_bench_report: OK — {len(reported)} figures, {rows} rows, "

@@ -20,12 +20,6 @@ namespace {
 /// --scale override; empty means "use FAIRMATCH_SCALE".
 std::string g_scale_override;
 
-/// --threads / --batch state for the batch_throughput figure.
-BatchBenchParams g_batch_params;
-
-/// --serve-lanes / --arrival / --requests state for serving_latency.
-ServeBenchParams g_serve_params;
-
 bool KnownScale(const char* name) {
   return std::strcmp(name, "paper") == 0 || std::strcmp(name, "quick") == 0 ||
          std::strcmp(name, "smoke") == 0;
@@ -63,18 +57,6 @@ BenchConfig Scale(BenchConfig config) {
   config.num_objects = Scaled(config.num_objects, 100);
   return config;
 }
-
-void SetBatchBenchParams(BatchBenchParams params) {
-  g_batch_params = std::move(params);
-}
-
-const BatchBenchParams& GetBatchBenchParams() { return g_batch_params; }
-
-void SetServeBenchParams(ServeBenchParams params) {
-  g_serve_params = std::move(params);
-}
-
-const ServeBenchParams& GetServeBenchParams() { return g_serve_params; }
 
 bool SameProblemInputs(const BenchConfig& a, const BenchConfig& b) {
   return a.num_functions == b.num_functions &&

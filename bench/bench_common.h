@@ -38,6 +38,10 @@ bool SetScale(const std::string& name);
 /// value * ScaleFactor(), at least `floor`.
 int Scaled(int paper_value, int floor = 1);
 
+/// Server lane counts the serving_latency and fault_recovery figures
+/// sweep as their x axis.
+inline constexpr int kServeLanes[] = {1, 2, 4};
+
 /// One experiment configuration (Table 2 defaults).
 struct BenchConfig {
   int num_functions = 5000;
@@ -64,32 +68,6 @@ struct BenchConfig {
 
 /// Applies ScaleFactor() to the cardinalities.
 BenchConfig Scale(BenchConfig config);
-
-/// Parameters of the batch_throughput figure, set by the driver's
-/// --threads / --batch flags before figures expand (like SetScale).
-struct BatchBenchParams {
-  /// Worker-lane counts swept as the figure's x axis.
-  std::vector<int> threads = {1, 2, 4, 8};
-  /// Independent problem instances per batch; 0 picks the scale
-  /// default (Scaled(64), at least 8).
-  int batch_items = 0;
-};
-void SetBatchBenchParams(BatchBenchParams params);
-const BatchBenchParams& GetBatchBenchParams();
-
-/// Parameters of the serving_latency figure, set by the driver's
-/// --serve-lanes / --arrival / --requests flags before figures expand.
-struct ServeBenchParams {
-  /// Server lane counts swept as the figure's x axis.
-  std::vector<int> lanes = {1, 2, 4};
-  /// Open-loop arrival rates (requests/second), one section each.
-  std::vector<int> arrival_per_sec = {100, 400};
-  /// Requests per experiment; 0 picks the scale default (Scaled(192),
-  /// at least 24).
-  int requests = 0;
-};
-void SetServeBenchParams(ServeBenchParams params);
-const ServeBenchParams& GetServeBenchParams();
 
 /// True iff the two configurations generate the same problem instance
 /// (BuildProblem inputs match; run-time knobs like the buffer fraction

@@ -9,9 +9,9 @@
 // the figure measures exactly what batching buys: stall overlap.
 //
 // Row columns keep their registry meaning, summed over the batch:
-// io/pairs/loops are batch totals (deterministic, so the CI report
-// checker can assert they are identical across thread counts), cpu_ms
-// is the batch WALL time — the column whose x-to-x ratio is the
+// io/pairs/loops are batch totals (deterministic, so the figure's
+// declared invariants require them identical across lane counts),
+// cpu_ms is the batch WALL time — the column whose x-to-x ratio is the
 // throughput scaling — and mem_mb the largest single-item peak.
 #include <string>
 #include <utility>
@@ -27,11 +27,11 @@ namespace {
 /// Per-physical-I/O latency of the batch items' simulated disks.
 constexpr int kIoLatencyUs = 200;
 
-/// Batch size for the current scale (--batch overrides).
-int BatchItems() {
-  const int flag = GetBatchBenchParams().batch_items;
-  return flag > 0 ? flag : Scaled(64, 8);
-}
+/// Worker-lane counts swept as the x axis.
+const int kLanes[] = {1, 2, 4, 8};
+
+/// Batch size for the current scale.
+int BatchItems() { return Scaled(64, 8); }
 
 BatchProblemSpec SpecFromConfig(const BenchConfig& config) {
   BatchProblemSpec spec;
@@ -93,7 +93,7 @@ std::vector<FigureSection> BatchThroughput() {
   cell_config.dims = shape.dims;
   cell_config.seed = shape.seed;
 
-  for (const int threads : GetBatchBenchParams().threads) {
+  for (const int threads : kLanes) {
     std::vector<MeasuredRun> runs;
     // Standard setting (per-item paged object tree): the optimized
     // matcher and the paper's strongest baseline.
@@ -129,9 +129,14 @@ void RegisterBatchFigure(FigureRegistry* registry) {
   FigureSpec spec;
   spec.name = "batch_throughput";
   spec.description =
-      "Batch execution layer: items/s scaling over worker lanes "
-      "(--threads, --batch)";
+      "Batch execution layer: items/s scaling over worker lanes";
   spec.sections = BatchThroughput;
+  // Every lane count runs the same batch, so each algorithm's batch
+  // totals are thread-count invariant, over a real sweep of lanes.
+  spec.invariants = {
+      MinDistinct(nullptr, ByAlgorithm, ByX, "x", 2),
+      SameColumns(nullptr, ByAlgorithm, kDeterministicColumns),
+  };
   registry->Register(std::move(spec));
 }
 

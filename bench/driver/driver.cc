@@ -89,6 +89,7 @@ std::vector<FigurePlan> PlanFigures(const std::vector<std::string>& names,
     FigurePlan figure;
     figure.name = name;
     figure.sections = spec->sections();
+    figure.invariants = spec->invariants;
     // Validate every registry-matcher run before anything executes, so
     // a misconfigured figure is a clean exit, not an abort mid-sweep.
     for (const FigureSection& section : figure.sections) {
@@ -110,16 +111,19 @@ std::vector<FigurePlan> PlanFigures(const std::vector<std::string>& names,
   return plan;
 }
 
-void RunPlan(const std::vector<FigurePlan>& plan, int repeat,
-             const std::vector<ReportSink*>& sinks,
-             std::ostream* progress) {
+std::vector<InvariantFailure> RunPlan(const std::vector<FigurePlan>& plan,
+                                      int repeat,
+                                      const std::vector<ReportSink*>& sinks,
+                                      std::ostream* progress) {
   FAIRMATCH_CHECK(repeat >= 1);
+  std::vector<InvariantFailure> failures;
   // Consecutive cells often share a problem instance (the ablation
   // sweeps options over one instance; multi-algorithm cells always
   // do) — generate once and reuse.
   std::optional<AssignmentProblem> problem;
   BenchConfig generated_config;
   for (const FigurePlan& figure : plan) {
+    std::vector<ReportRow> rows;
     for (const FigureSection& section : figure.sections) {
       if (progress != nullptr) {
         *progress << "[" << figure.name
@@ -147,11 +151,17 @@ void RunPlan(const std::vector<FigurePlan>& plan, int repeat,
           const ReportRow row =
               Aggregate(figure.name, section, cell, run.algorithm, samples);
           for (ReportSink* sink : sinks) sink->AddRow(row);
+          rows.push_back(row);
         }
       }
     }
+    for (InvariantFailure& failure :
+         CheckInvariants(figure.name, figure.invariants, rows)) {
+      failures.push_back(std::move(failure));
+    }
   }
   for (ReportSink* sink : sinks) sink->Close();
+  return failures;
 }
 
 int RunDriver(const DriverOptions& options) {
@@ -163,50 +173,6 @@ int RunDriver(const DriverOptions& options) {
   if (options.repeat < 1) {
     std::cerr << "--repeat must be >= 1\n";
     return 2;
-  }
-  for (const int threads : options.batch_threads) {
-    if (threads < 1) {
-      std::cerr << "--threads entries must be >= 1\n";
-      return 2;
-    }
-  }
-  if (options.batch_items < 0) {
-    std::cerr << "batch_items must be >= 0 (0 = scale default)\n";
-    return 2;
-  }
-  {
-    // Fix the batch figure's sweep before figures expand (like the
-    // scale above): its sections() closure reads these.
-    BatchBenchParams params;
-    if (!options.batch_threads.empty()) params.threads = options.batch_threads;
-    params.batch_items = options.batch_items;
-    SetBatchBenchParams(std::move(params));
-  }
-  for (const int value : options.serve_lanes) {
-    if (value < 1) {
-      std::cerr << "--serve-lanes entries must be >= 1\n";
-      return 2;
-    }
-  }
-  for (const int value : options.arrival_per_sec) {
-    if (value < 1) {
-      std::cerr << "--arrival entries must be >= 1\n";
-      return 2;
-    }
-  }
-  if (options.serve_requests < 0) {
-    std::cerr << "serve_requests must be >= 0 (0 = scale default)\n";
-    return 2;
-  }
-  {
-    // Same pre-expansion fixing for the serving figure's sweeps.
-    ServeBenchParams params;
-    if (!options.serve_lanes.empty()) params.lanes = options.serve_lanes;
-    if (!options.arrival_per_sec.empty()) {
-      params.arrival_per_sec = options.arrival_per_sec;
-    }
-    params.requests = options.serve_requests;
-    SetServeBenchParams(std::move(params));
   }
   if (options.format != "text" && options.format != "csv" &&
       options.format != "json") {
@@ -273,7 +239,11 @@ int RunDriver(const DriverOptions& options) {
   std::ostream* progress =
       (primary == &std::cout && options.format == "text") ? nullptr
                                                           : &std::cerr;
-  RunPlan(plan, options.repeat, sinks, progress);
+  const std::vector<InvariantFailure> failures =
+      RunPlan(plan, options.repeat, sinks, progress);
+  for (const InvariantFailure& failure : failures) {
+    std::cerr << "invariant failed: " << Describe(failure) << "\n";
+  }
 
   for (const auto& file : files) {
     // Not every sink flushes as it writes (CsvSink buffers); force the
@@ -283,6 +253,10 @@ int RunDriver(const DriverOptions& options) {
       std::cerr << "write failure on an output file\n";
       return 1;
     }
+  }
+  if (!failures.empty()) {
+    std::cerr << failures.size() << " report invariant(s) failed\n";
+    return 3;
   }
   return 0;
 }

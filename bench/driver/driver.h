@@ -33,27 +33,13 @@ struct DriverOptions {
   std::string json_path;
   /// Runs per cell; the report keeps per-field medians.
   int repeat = 1;
-  /// Worker-lane counts for the batch_throughput figure (its x axis);
-  /// empty keeps the BatchBenchParams default {1, 2, 4, 8}.
-  std::vector<int> batch_threads;
-  /// Problem instances per batch for batch_throughput; 0 keeps the
-  /// scale default.
-  int batch_items = 0;
-  /// Server lane counts for the serving_latency figure (its x axis);
-  /// empty keeps the ServeBenchParams default {1, 2, 4}.
-  std::vector<int> serve_lanes;
-  /// Open-loop arrival rates (req/s) for serving_latency; empty keeps
-  /// the default {100, 400}.
-  std::vector<int> arrival_per_sec;
-  /// Requests per serving_latency experiment; 0 keeps the scale
-  /// default.
-  int serve_requests = 0;
 };
 
 /// One expanded figure, ready to execute.
 struct FigurePlan {
   std::string name;
   std::vector<FigureSection> sections;
+  std::vector<Invariant> invariants;
 };
 
 /// Expands the named figures at the current scale and validates every
@@ -66,12 +52,18 @@ std::vector<FigurePlan> PlanFigures(const std::vector<std::string>& names,
 /// Executes a plan: one generated problem shared across consecutive
 /// runs with identical inputs, `repeat` runs per cell aggregated into
 /// per-field medians, rows streamed to every sink (Close() included).
-/// `progress` (may be null) receives one line per section.
-void RunPlan(const std::vector<FigurePlan>& plan, int repeat,
-             const std::vector<ReportSink*>& sinks, std::ostream* progress);
+/// Each figure's invariants are checked once its rows are aggregated;
+/// the failures of every figure are returned. `progress` (may be null)
+/// receives one line per section.
+std::vector<InvariantFailure> RunPlan(const std::vector<FigurePlan>& plan,
+                                      int repeat,
+                                      const std::vector<ReportSink*>& sinks,
+                                      std::ostream* progress);
 
 /// Full binary behavior behind flag parsing; returns the process exit
-/// code (0 success, 1 I/O failure, 2 invalid options).
+/// code (0 success, 1 I/O failure, 2 invalid options, 3 a figure broke
+/// one of its invariants). Every report is written in full either way,
+/// and each failure is printed to stderr.
 int RunDriver(const DriverOptions& options);
 
 }  // namespace fairmatch::bench

@@ -19,7 +19,7 @@
 // faults per attempt. rate0 runs with the injector disabled — the
 // configuration every other figure measures.
 //
-// The deterministic columns are the CI hook (check_bench_report.py):
+// The figure's declared invariants check the deterministic columns:
 // io_accesses carries the total injected faults, pairs the total retry
 // attempts, and loops a 48-bit digest of every (status, matching) in
 // submission order. Because fault schedules depend only on (plan seed,
@@ -175,7 +175,6 @@ void FillDeterministicColumns(const FaultExperimentResult& sample,
 }
 
 std::vector<FigureSection> FaultRecovery() {
-  const ServeBenchParams& params = GetServeBenchParams();
   const int requests = FaultRequests();
 
   BenchConfig shape;
@@ -210,7 +209,7 @@ std::vector<FigureSection> FaultRecovery() {
         ":success = % OK; io = injected faults, pairs = retries, loops "
         "= status+matching digest — identical at every x, all zero at "
         "rate0)";
-    for (const int lanes : params.lanes) {
+    for (const int lanes : kServeLanes) {
       FigureCell cell;
       cell.x = std::to_string(lanes);
       cell.config = shape;
@@ -267,8 +266,42 @@ void RegisterFaultFigure(FigureRegistry* registry) {
   spec.name = "fault_recovery";
   spec.description =
       "serving resilience under seeded storage faults: success rate, "
-      "latency tail and retry counts vs fault intensity (--serve-lanes)";
+      "latency tail and retry counts vs fault intensity";
   spec.sections = FaultRecovery;
+
+  const RowFilter rate0 = InSection("rate0");
+  spec.invariants = {
+      // The rate0 baseline and at least one faulted intensity, each
+      // swept over lane counts with every row in every cell.
+      MinDistinct(nullptr, nullptr, BySection, "section", 2),
+      RequireRows(rate0, {"mix", "mix:p99", "mix:success"}),
+      MinDistinct(nullptr, BySection, ByX, "x", 2),
+      RequireRows(nullptr, {"mix", "mix:p99", "mix:success"}),
+      // Fault schedules depend only on (plan seed, request id,
+      // attempt), so faults, retries and digest are lane-invariant.
+      SameColumns(nullptr, BySection, kDeterministicColumns),
+      // The disabled injector injects nothing and every request
+      // succeeds; a faulted section does inject.
+      EachRow(rate0, "io_accesses",
+              [](const ReportRow& row) { return row.io_accesses == 0; },
+              "the disabled injector must inject no fault"),
+      EachRow(rate0, "pairs",
+              [](const ReportRow& row) { return row.pairs == 0; },
+              "the disabled injector must cause no retry"),
+      EachRow(Both(rate0, AlgorithmIn({"mix:success"})), "cpu_ms",
+              [](const ReportRow& row) { return row.cpu_ms == 100.0; },
+              "a fault-free run must succeed completely"),
+      [rate0](const std::vector<ReportRow>& rows,
+              std::vector<InvariantFailure>* failures) {
+        if (std::none_of(rows.begin(), rows.end(), [&](const ReportRow& row) {
+              return !rate0(row) && row.io_accesses > 0;
+            })) {
+          failures->push_back({"", "", "", "", "io_accesses",
+                               "no faulted section injected a single fault; "
+                               "the injector never engaged"});
+        }
+      },
+  };
   registry->Register(std::move(spec));
 }
 

@@ -7,7 +7,8 @@
 // sections of cells; the driver (driver.h) walks the cells, shares one
 // generated problem across runs with identical inputs, and streams
 // aggregated rows into report sinks (report.h). New figures plug in by
-// registering a spec — no binary to add, no CMake to touch.
+// registering a spec — no binary to add, no CMake to touch. A spec also
+// declares the invariants its rows must satisfy (invariants.h).
 #ifndef FAIRMATCH_BENCH_DRIVER_FIGURE_REGISTRY_H_
 #define FAIRMATCH_BENCH_DRIVER_FIGURE_REGISTRY_H_
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "driver/invariants.h"
 
 namespace fairmatch::bench {
 
@@ -55,11 +57,13 @@ struct FigureSection {
   std::vector<FigureCell> cells;
 };
 
-/// Registry entry: name, one-line description, lazy expansion.
+/// Registry entry: name, one-line description, lazy expansion, and the
+/// promises the figure's aggregated rows keep.
 struct FigureSpec {
   std::string name;
   std::string description;
   std::function<std::vector<FigureSection>()> sections;
+  std::vector<Invariant> invariants;
 };
 
 /// String-keyed figure registry.

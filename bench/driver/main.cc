@@ -33,19 +33,13 @@ constexpr char kUsage[] =
   --csv=PATH               additionally write a CSV report to PATH
   --json=PATH              additionally write a JSON report to PATH
   --repeat=N               runs per measurement; reports per-field medians
-  --threads=N[,N...]       worker-lane counts swept by batch_throughput
-                           (default: 1,2,4,8)
-  --batch=K                problem instances per batch for batch_throughput
-                           (default: scale-dependent)
-  --serve-lanes=N[,N...]   server lane counts swept by serving_latency
-                           (default: 1,2,4)
-  --arrival=R[,R...]       open-loop arrival rates in req/s for
-                           serving_latency (default: 100,400)
-  --requests=K             requests per serving_latency experiment
-                           (default: scale-dependent)
   --list                   print registered figures and matchers, then exit
   --list-names             print figure names only (machine-readable)
   --help                   this text
+
+exit status: 0 ok, 1 output write failure, 2 invalid flags or names,
+3 a figure's rows broke one of its declared invariants (the reports are
+still written in full)
 )";
 
 /// If `arg` is --<flag>=<value>, stores the value and returns true.
@@ -124,72 +118,6 @@ int Main(int argc, char** argv) {
         std::cerr << "--repeat expects an integer, got '" << value << "'\n";
         return 2;
       }
-    } else if (ParseFlag(arg, "threads", &value)) {
-      options.batch_threads.clear();
-      for (const std::string& part : SplitCommas(value)) {
-        char* end = nullptr;
-        const long threads = std::strtol(part.c_str(), &end, 10);
-        if (end == part.c_str() || *end != '\0' || threads < 1) {
-          std::cerr << "--threads expects positive integers, got '" << value
-                    << "'\n";
-          return 2;
-        }
-        options.batch_threads.push_back(static_cast<int>(threads));
-      }
-      if (options.batch_threads.empty()) {
-        std::cerr << "--threads expects at least one lane count\n";
-        return 2;
-      }
-    } else if (ParseFlag(arg, "batch", &value)) {
-      char* end = nullptr;
-      const long items = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || items < 1) {
-        std::cerr << "--batch expects a positive integer, got '" << value
-                  << "'\n";
-        return 2;
-      }
-      options.batch_items = static_cast<int>(items);
-    } else if (ParseFlag(arg, "serve-lanes", &value)) {
-      options.serve_lanes.clear();
-      for (const std::string& part : SplitCommas(value)) {
-        char* end = nullptr;
-        const long lanes = std::strtol(part.c_str(), &end, 10);
-        if (end == part.c_str() || *end != '\0' || lanes < 1) {
-          std::cerr << "--serve-lanes expects positive integers, got '"
-                    << value << "'\n";
-          return 2;
-        }
-        options.serve_lanes.push_back(static_cast<int>(lanes));
-      }
-      if (options.serve_lanes.empty()) {
-        std::cerr << "--serve-lanes expects at least one lane count\n";
-        return 2;
-      }
-    } else if (ParseFlag(arg, "arrival", &value)) {
-      options.arrival_per_sec.clear();
-      for (const std::string& part : SplitCommas(value)) {
-        char* end = nullptr;
-        const long rate = std::strtol(part.c_str(), &end, 10);
-        if (end == part.c_str() || *end != '\0' || rate < 1) {
-          std::cerr << "--arrival expects positive req/s rates, got '"
-                    << value << "'\n";
-          return 2;
-        }
-        options.arrival_per_sec.push_back(static_cast<int>(rate));
-      }
-      if (options.arrival_per_sec.empty()) {
-        std::cerr << "--arrival expects at least one rate\n";
-        return 2;
-      }
-    } else if (ParseFlag(arg, "requests", &value)) {
-      char* end = nullptr;
-      const long requests = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || requests < 1) {
-        std::cerr << "--requests expects a positive integer, got '" << value
-                  << "'\n";
-        return 2;
-      }
-      options.serve_requests = static_cast<int>(requests);
     } else {
       std::cerr << "unknown flag '" << arg << "'\n\n" << kUsage;
       return 2;

@@ -7,14 +7,14 @@
 //     traversal) and "packed-impact" (packed image consumed block-wise
 //     in descending max-impact order). The first two perform the
 //     byte-identical probe sequence (io = probes, loops = restarts are
-//     equal rows — the report gate cross-checks them); packed-impact
-//     changes the probe granularity but must drain the identical
-//     assignments (pairs).
+//     equal rows — a declared invariant); packed-impact changes the
+//     probe granularity but must drain the identical assignments
+//     (pairs).
 //   scale_sweep — the paper-size-and-beyond sweep: x multiplies the
 //     paper's |F| by 1/8/32 and compares the disk-resident
 //     DiskFunctionStore baseline against the packed store (in-memory
 //     image and mmap placement) on the same full drain. pairs is
-//     identical across rows per x (gate-checked); cpu_ms and the
+//     identical across rows per x (a declared invariant); cpu_ms and the
 //     honest per-backend footprint (mem_mb) are the figure: both must
 //     grow sublinearly for the packed rows relative to the disk store.
 #include <algorithm>
@@ -222,6 +222,14 @@ void RegisterPackedFigures(FigureRegistry* registry) {
       "Microbench: TA drain across function-index backends "
       "(lists / packed / packed impact-ordered)";
   probe.sections = MicroPackedProbe;
+  // The packed default traversal is FunctionLists probe for probe; the
+  // impact-ordered one drains the same assignments.
+  probe.invariants = {
+      RequireRows(nullptr, {"lists", "packed", "packed-impact"}),
+      SameColumns(AlgorithmIn({"lists", "packed"}), ByCell,
+                  kDeterministicColumns),
+      SameColumns(nullptr, ByCell, {Column::kPairs}),
+  };
   registry->Register(std::move(probe));
 
   FigureSpec sweep;
@@ -230,6 +238,12 @@ void RegisterPackedFigures(FigureRegistry* registry) {
       "Packed vs disk-resident function store at 1-32x paper |F| "
       "(cpu and footprint scaling)";
   sweep.sections = ScaleSweep;
+  // Every backend performs the same full drain at each size.
+  sweep.invariants = {
+      MinDistinct(nullptr, nullptr, ByX, "x", 2),
+      RequireRows(nullptr, {"disk-store", "packed", "packed-mmap"}),
+      SameColumns(nullptr, ByCell, {Column::kPairs}),
+  };
   registry->Register(std::move(sweep));
 }
 

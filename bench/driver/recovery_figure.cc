@@ -21,14 +21,14 @@
 //   state:recovered              cpu_ms = replay phase ms
 //   state:uncrashed              cpu_ms = total live Apply() ms
 //
-// The deterministic columns are the CI hook (checked by
-// .github/check_bench_report.py): every row carries the replayed
-// record count in `io_accesses` and the recovered (resp. uncrashed)
-// epoch's digest — skyline + SB matching, 48 bits — in `loops` with
-// the matching size in `pairs`. state:recovered must equal
-// state:uncrashed on both digest columns in every cell — the
-// restart-equals-no-crash differential on the report surface — and in
-// the replay section the replayed count must equal the cell's x.
+// The figure's declared invariants check the deterministic columns:
+// every row carries the replayed record count in `io_accesses` and the
+// recovered (resp. uncrashed) epoch's digest — skyline + SB matching,
+// 48 bits — in `loops` with the matching size in `pairs`.
+// state:recovered must equal state:uncrashed on both digest columns in
+// every cell — the restart-equals-no-crash differential on the report
+// surface — and in the replay section the replayed count must equal
+// the cell's x.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -319,6 +319,40 @@ void RegisterRecoveryFigure(FigureRegistry* registry) {
       "the snapshot-threshold knob, with recovered-vs-uncrashed epoch "
       "digests";
   spec.sections = RecoveryTime;
+
+  const RowFilter recovered = AlgorithmIn({"state:recovered"});
+  spec.invariants = {
+      // Both sections, each a sweep, with the four rows in every cell.
+      MinDistinct(InSection("replay"), nullptr, ByX, "x", 2),
+      MinDistinct(InSection("threshold"), nullptr, ByX, "x", 2),
+      RequireRows(nullptr,
+                  {"recover:time_to_serving_ms", "recover:replay_records_per_s",
+                   "state:recovered", "state:uncrashed"}),
+      // Restart converges to the pre-shutdown epoch.
+      EachRow(recovered, "pairs",
+              [](const ReportRow& row) { return row.pairs > 0; },
+              "empty matching: the recovered epoch served nothing"),
+      // The digest starts at the FNV basis; zero means it was not filled.
+      EachRow(recovered, "loops",
+              [](const ReportRow& row) { return row.loops != 0; },
+              "zero epoch digest: the digest column was not filled in"),
+      SameColumns(AlgorithmIn({"state:recovered", "state:uncrashed"}), ByCell,
+                  {Column::kLoops, Column::kPairs}),
+      // One experiment per cell; with snapshots disabled every batch
+      // replays, and the threshold knob shrinks the replayed suffix.
+      SameColumns(nullptr, ByCell, {Column::kIoAccesses}),
+      EachRow(InSection("replay"), "io_accesses",
+              [](const ReportRow& row) {
+                return std::to_string(row.io_accesses) == row.x;
+              },
+              "with snapshots disabled every one of the x batches must "
+              "replay"),
+      MinDistinct(Both(InSection("threshold"), recovered), nullptr,
+                  [](const ReportRow& row) {
+                    return std::to_string(row.io_accesses);
+                  },
+                  "io_accesses", 2),
+  };
   registry->Register(std::move(spec));
 }
 

@@ -17,9 +17,9 @@
 // loops carries a 48-bit digest of the matchings in submission order.
 // Because every request runs in its own ExecContext over shared
 // immutable structures, these three columns are byte-identical at
-// every lane count and every arrival rate — check_bench_report.py
-// asserts exactly that, turning the smoke bench into a concurrency
-// determinism gate. Only the latency columns may vary.
+// every lane count and every arrival rate — the figure's declared
+// invariants assert exactly that, turning the smoke bench into a
+// concurrency determinism gate. Only the latency columns may vary.
 //
 // A final "open" section measures the dataset lifecycle: cold open
 // (build the R-tree + packed image; cpu_ms = build wall time, mem_mb =
@@ -29,7 +29,7 @@
 // BenchHold matcher pins the single lane while a burst overruns the
 // bounded queue, so every rejected / timed-out / completed count is
 // decided by the server's limits, not by timing — the rows are exact
-// request-rate columns check_bench_report.py can assert.
+// request-rate columns the declared invariants assert.
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -57,11 +57,11 @@ namespace {
 const char* const kServeMix[] = {"SB", "SB-Packed", "SB-alt"};
 constexpr int kServeMixSize = 3;
 
-/// Requests per experiment for the current scale (--requests overrides).
-int ServeRequests() {
-  const int flag = GetServeBenchParams().requests;
-  return flag > 0 ? flag : Scaled(192, 24);
-}
+/// Open-loop arrival rates (requests/second), one section each.
+const int kArrivalPerSec[] = {100, 400};
+
+/// Requests per experiment for the current scale.
+int ServeRequests() { return Scaled(192, 24); }
 
 /// Everything one open-loop run produces for one matcher.
 struct MatcherSeries {
@@ -283,7 +283,6 @@ void FillDeterministicColumns(const MatcherSeries& series, RunStats* stats) {
 }
 
 std::vector<FigureSection> ServingLatency() {
-  const ServeBenchParams& params = GetServeBenchParams();
   const int requests = ServeRequests();
 
   // The resident dataset's shape (scaled like every figure). Modest:
@@ -295,7 +294,7 @@ std::vector<FigureSection> ServingLatency() {
   shape = Scale(shape);
 
   std::vector<FigureSection> sections;
-  for (const int rate : params.arrival_per_sec) {
+  for (const int rate : kArrivalPerSec) {
     FigureSection s;
     s.key = "rate" + std::to_string(rate);
     s.title = "Serving latency at " + std::to_string(rate) +
@@ -306,7 +305,7 @@ std::vector<FigureSection> ServingLatency() {
         "(cpu_ms = p50 end-to-end ms; :p99 rows = p99; mix:throughput = "
         "achieved req/s; io/pairs/loops are per-matcher totals + "
         "matching digest, identical at every x and every rate)";
-    for (const int lanes : params.lanes) {
+    for (const int lanes : kServeLanes) {
       FigureCell cell;
       cell.x = std::to_string(lanes);
       cell.config = shape;
@@ -404,8 +403,8 @@ std::vector<FigureSection> ServingLatency() {
 
   // Admission control under a deliberate overload (see file comment).
   // cpu_ms = share of submitted requests (%), io_accesses = the raw
-  // count, pairs = requests submitted: exact integers a checker can
-  // assert (ok + rejected + deadline == submitted, rejected > 0, ...).
+  // count, pairs = requests submitted: exact integers the declared
+  // invariants assert (ok + rejected + deadline == submitted, ...).
   {
     FigureSection s;
     s.key = "overload";
@@ -465,8 +464,88 @@ void RegisterServeFigure(FigureRegistry* registry) {
   spec.name = "serving_latency";
   spec.description =
       "fairmatchd serving core: open-loop p50/p99 latency over lanes "
-      "and arrival rates (--serve-lanes, --arrival, --requests)";
+      "and arrival rates";
   spec.sections = ServingLatency;
+
+  const RowFilter rate = [](const ReportRow& row) {
+    return row.section.rfind("rate", 0) == 0;
+  };
+  const RowFilter open = InSection("open");
+  const RowFilter overload = InSection("overload");
+  spec.invariants = {
+      // Every cell serves the same request sequence, so the
+      // deterministic columns are lane- and rate-invariant per matcher,
+      // over real sweeps of both axes.
+      MinDistinct(rate, nullptr, BySection, "section", 2),
+      MinDistinct(rate, nullptr, ByX, "x", 2),
+      RequireRows(rate, {"SB", "SB:p99", "SB-Packed", "SB-Packed:p99",
+                         "SB-alt", "SB-alt:p99", "mix:throughput"}),
+      SameColumns(rate, ByAlgorithm, kDeterministicColumns),
+      // Every response carries a matching. The digest starts at the FNV
+      // basis, so a zero one means the column was never filled in.
+      EachRow(rate, "pairs",
+              [](const ReportRow& row) { return row.pairs > 0; },
+              "no pair served: the responses were empty"),
+      EachRow(
+          [rate](const ReportRow& row) {
+            return rate(row) && row.algorithm != "mix:throughput";
+          },
+          "loops", [](const ReportRow& row) { return row.loops != 0; },
+          "zero matching digest: the digest column was not filled in"),
+      // A matcher's p50 and p99 rows come from the same responses.
+      SameColumns(
+          rate,
+          [](const ReportRow& row) {
+            return ByCell(row) + "/" +
+                   row.algorithm.substr(0, row.algorithm.rfind(":p99"));
+          },
+          kDeterministicColumns),
+      // Exactly a cold and a warm open; a cold open builds a dataset.
+      MinDistinct(open, nullptr, ByX, "x", 2),
+      EachRow(open, "x",
+              [](const ReportRow& row) {
+                return row.x == "cold" || row.x == "warm";
+              },
+              "the open section has exactly the cells cold and warm"),
+      EachRow(Both(open, [](const ReportRow& row) { return row.x == "cold"; }),
+              "mem_mb", [](const ReportRow& row) { return row.mem_mb > 0; },
+              "a cold open reports a zero resident footprint"),
+      // The admission limits force the overload counts exactly: the
+      // outcomes partition the submitted requests, both rejection paths
+      // fire, and every row reports the submitted count in pairs.
+      RequireRows(overload, {"submitted", "ok", "rejected", "deadline"}),
+      [](const std::vector<ReportRow>& rows,
+         std::vector<InvariantFailure>* failures) {
+        std::map<std::string, const ReportRow*> count;
+        for (const ReportRow& row : rows) {
+          if (row.section == "overload") count[row.algorithm] = &row;
+        }
+        for (const char* name : {"submitted", "ok", "rejected", "deadline"}) {
+          if (count[name] == nullptr) return;  // left to RequireRows
+        }
+        const ReportRow& submitted = *count["submitted"];
+        const int64_t sum = count["ok"]->io_accesses +
+                            count["rejected"]->io_accesses +
+                            count["deadline"]->io_accesses;
+        if (sum == submitted.io_accesses) return;
+        failures->push_back(
+            {"", submitted.section, submitted.x, submitted.algorithm,
+             "io_accesses",
+             "ok + rejected + deadline = " + std::to_string(sum) + ", not " +
+                 std::to_string(submitted.io_accesses) +
+                 "; the outcomes must partition the submitted requests"});
+      },
+      EachRow(Both(overload, AlgorithmIn({"rejected", "deadline"})),
+              "io_accesses",
+              [](const ReportRow& row) { return row.io_accesses > 0; },
+              "admission control never engaged"),
+      SameColumns(overload, ByCell, {Column::kPairs}),
+      EachRow(Both(overload, AlgorithmIn({"submitted"})), "pairs",
+              [](const ReportRow& row) {
+                return static_cast<int64_t>(row.pairs) == row.io_accesses;
+              },
+              "pairs must carry the submitted count"),
+  };
   registry->Register(std::move(spec));
 }
 

@@ -13,11 +13,11 @@
 //   query:rebuilt        cpu_ms = SB query ms on a from-scratch
 //                                 rebuild of the same final problem
 //
-// The deterministic columns are the CI hook (checked by
-// .github/check_bench_report.py): both query rows carry the size of
-// their matching in `pairs` and a 48-bit digest of it in `loops`, and
-// because the update path is exact, the updated row's digest and pair
-// count must equal the rebuilt row's in every cell — the
+// The figure's declared invariants check the deterministic columns:
+// both query rows carry the size of their matching in `pairs` and a
+// 48-bit digest of it in `loops`, and because the update path is
+// exact, the updated row's digest and pair count must equal the
+// rebuilt row's in every cell — the
 // update-vs-rebuild differential on the report surface. The apply rows
 // carry the total updates applied (`pairs`) and R-tree node edits
 // (`io_accesses`), both pure functions of the cell's seed. Only the
@@ -265,6 +265,34 @@ void RegisterUpdateFigure(FigureRegistry* registry) {
       "incremental updates: DeltaBuilder apply rate over batch sizes, "
       "with updated-vs-rebuilt query latency and matching digests";
   spec.sections = UpdateThroughput;
+
+  const RowFilter apply =
+      AlgorithmIn({"apply:updates_per_s", "apply:epoch_ms"});
+  spec.invariants = {
+      // A sweep over batch sizes, with the four rows in every cell.
+      MinDistinct(nullptr, nullptr, ByX, "x", 2),
+      RequireRows(nullptr, {"apply:updates_per_s", "apply:epoch_ms",
+                            "query:updated", "query:rebuilt"}),
+      // The update path is byte-exact: the updated epoch serves the
+      // rebuilt epoch's matching.
+      EachRow(AlgorithmIn({"query:updated"}), "pairs",
+              [](const ReportRow& row) { return row.pairs > 0; },
+              "empty matching: the updated epoch served nothing"),
+      // The digest starts at the FNV basis; zero means it was not filled.
+      EachRow(AlgorithmIn({"query:updated"}), "loops",
+              [](const ReportRow& row) { return row.loops != 0; },
+              "zero matching digest: the digest column was not filled in"),
+      SameColumns(AlgorithmIn({"query:updated", "query:rebuilt"}), ByCell,
+                  {Column::kLoops, Column::kPairs}),
+      // Both apply rows come from one experiment that did work.
+      EachRow(apply, "pairs",
+              [](const ReportRow& row) { return row.pairs > 0; },
+              "the apply phase applied no update"),
+      EachRow(apply, "io_accesses",
+              [](const ReportRow& row) { return row.io_accesses > 0; },
+              "the apply phase edited no R-tree node"),
+      SameColumns(apply, ByCell, {Column::kPairs, Column::kIoAccesses}),
+  };
   registry->Register(std::move(spec));
 }
 

@@ -1,6 +1,7 @@
 // The fairmatch_bench driver: figure registry completeness, up-front
 // validation (clean errors instead of abort()), and golden checks of
-// the CSV/JSON report shapes a smoke-scale figure produces.
+// the CSV/JSON report shapes a smoke-scale figure produces, and the
+// figures' declared report invariants.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 
 #include "driver/driver.h"
 #include "driver/figure_registry.h"
+#include "driver/invariants.h"
 #include "driver/report.h"
 
 namespace fairmatch::bench {
@@ -68,6 +70,16 @@ class BenchDriverTest : public ::testing::Test {
     sinks.push_back(&collector);
     RunPlan(plan, repeat, sinks, nullptr);
     return collector.rows;
+  }
+
+  /// One smoke run of `name`, shared by every test that reads it.
+  const std::vector<ReportRow>& SmokeRows(const std::string& name) {
+    static std::map<std::string, std::vector<ReportRow>> cache;
+    auto it = cache.find(name);
+    if (it == cache.end()) {
+      it = cache.emplace(name, RunFigure(name, 1, {})).first;
+    }
+    return it->second;
   }
 };
 
@@ -244,174 +256,201 @@ TEST_F(BenchDriverTest, RowsCarryDeterministicFieldsAcrossRepeats) {
   }
 }
 
-// The batch figure: one row per (lane count, algorithm), with the
-// deterministic columns (io/pairs/loops — batch totals) identical at
-// every lane count. This is the same cross-thread invariant
-// tests/batch_test.cc proves at the engine layer, asserted here on the
-// report surface CI gates on.
-/// Restores the default batch-figure params on scope exit, so a failed
-/// ASSERT inside a test cannot leak overrides into later tests.
-struct BatchParamsGuard {
-  ~BatchParamsGuard() { SetBatchBenchParams(BatchBenchParams{}); }
-};
+// Every failure of `figure`'s declared invariants on `rows`, one line
+// each; empty when they all hold.
+std::string Failures(const std::string& figure,
+                     const std::vector<ReportRow>& rows) {
+  const FigureSpec* spec = FigureRegistry::Global().Find(figure);
+  EXPECT_NE(spec, nullptr) << figure;
+  if (spec == nullptr) return "unknown figure";
+  std::string lines;
+  for (const InvariantFailure& failure :
+       CheckInvariants(figure, spec->invariants, rows)) {
+    lines += Describe(failure) + "\n";
+  }
+  return lines;
+}
 
+// The batch figure: one row per (lane count, algorithm), and its
+// declared invariants (batch totals identical at every lane count) hold
+// — the cross-thread invariant tests/batch_test.cc proves at the engine
+// layer, asserted on the report surface.
 TEST_F(BenchDriverTest, BatchThroughputRowsAreThreadCountInvariant) {
-  BatchParamsGuard guard;
-  BatchBenchParams params;
-  params.threads = {1, 2};
-  params.batch_items = 4;
-  SetBatchBenchParams(params);
-  const std::vector<ReportRow> rows = RunFigure("batch_throughput", 1, {});
-
+  const std::vector<ReportRow>& rows = SmokeRows("batch_throughput");
   const std::set<std::string> algos = {"SB", "BruteForce", "SB-alt"};
-  ASSERT_EQ(rows.size(), params.threads.size() * algos.size());
-  std::map<std::string, std::vector<ReportRow>> by_algo;
+  ASSERT_EQ(rows.size(), 4 * algos.size());
+  std::set<std::string> xs;
   for (const ReportRow& row : rows) {
     EXPECT_EQ(row.figure, "batch_throughput");
-    EXPECT_TRUE(row.x == "1" || row.x == "2") << row.x;
+    xs.insert(row.x);
     EXPECT_EQ(algos.count(row.algorithm), 1u) << row.algorithm;
     EXPECT_GT(row.pairs, 0u) << row.algorithm;
-    by_algo[row.algorithm].push_back(row);
   }
-  for (const auto& [algo, algo_rows] : by_algo) {
-    ASSERT_EQ(algo_rows.size(), 2u) << algo;
-    EXPECT_EQ(algo_rows[0].io_accesses, algo_rows[1].io_accesses) << algo;
-    EXPECT_EQ(algo_rows[0].pairs, algo_rows[1].pairs) << algo;
-    EXPECT_EQ(algo_rows[0].loops, algo_rows[1].loops) << algo;
-  }
+  EXPECT_EQ(xs, (std::set<std::string>{"1", "2", "4", "8"}));
+  EXPECT_EQ(Failures("batch_throughput", rows), "");
 }
 
-// End-to-end plumbing of the --threads/--batch flags: DriverOptions ->
-// SetBatchBenchParams -> figure expansion -> CSV rows.
-TEST_F(BenchDriverTest, BatchFlagsPlumbThroughRunDriver) {
-  BatchParamsGuard guard;
-  const std::string out_path =
-      ::testing::TempDir() + "/fairmatch_batch_flags.csv";
-  DriverOptions options;
-  options.figures = {"batch_throughput"};
-  options.scale = "smoke";
-  options.format = "csv";
-  options.out_path = out_path;
-  options.batch_threads = {1, 3};
-  options.batch_items = 4;
-  ASSERT_EQ(RunDriver(options), 0);
-
-  std::ifstream in(out_path);
-  ASSERT_TRUE(in.is_open());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::vector<std::string> lines = SplitLines(buffer.str());
-  ASSERT_EQ(lines.size(), 1u + 2 * 3);  // header + {1,3} x three algos
-  EXPECT_EQ(lines[0], CsvHeader());
-  std::set<std::string> xs;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const std::vector<std::string> f = SplitFields(lines[i]);
-    ASSERT_EQ(f.size(), 14u) << lines[i];
-    EXPECT_EQ(f[0], "batch_throughput");
-    xs.insert(f[2]);
-    for (int n = 4; n <= 11; ++n) {
-      EXPECT_TRUE(NonNegativeNumber(f[n])) << lines[i];
-    }
-  }
-  EXPECT_EQ(xs, (std::set<std::string>{"1", "3"}));
-  std::remove(out_path.c_str());
-}
-
-// The serving figure: deterministic columns (io/pairs and the matching
-// digest in loops) must be identical across every lane count and every
-// arrival rate — the same invariant tests/serve_test.cc proves at the
-// engine layer, asserted here on the report surface CI gates on.
-/// Restores the default serving-figure params on scope exit.
-struct ServeParamsGuard {
-  ~ServeParamsGuard() { SetServeBenchParams(ServeBenchParams{}); }
-};
-
+// The serving figure: its sections and cells, and its declared
+// invariants (deterministic columns identical across every lane count
+// and arrival rate, an exact overload partition) hold — the invariant
+// tests/serve_test.cc proves at the engine layer, asserted on the
+// report surface.
 TEST_F(BenchDriverTest, ServingLatencyRowsAreLaneAndRateInvariant) {
-  ServeParamsGuard guard;
-  ServeBenchParams params;
-  params.lanes = {1, 2};
-  params.arrival_per_sec = {500, 2000};
-  params.requests = 9;  // 3 per matcher in the mix
-  SetServeBenchParams(params);
-  const std::vector<ReportRow> rows = RunFigure("serving_latency", 1, {});
-
-  std::map<std::string, std::vector<ReportRow>> by_algo;
-  std::map<std::string, ReportRow> overload;
+  const std::vector<ReportRow>& rows = SmokeRows("serving_latency");
   std::set<std::string> sections;
+  std::map<std::string, int> rate_rows;
   for (const ReportRow& row : rows) {
     EXPECT_EQ(row.figure, "serving_latency");
     sections.insert(row.section);
-    if (row.section.rfind("rate", 0) == 0) by_algo[row.algorithm].push_back(row);
-    if (row.section == "overload") overload.emplace(row.algorithm, row);
+    if (row.section.rfind("rate", 0) == 0) {
+      ++rate_rows[row.algorithm];
+      EXPECT_GT(row.pairs, 0u) << row.section << "/" << row.algorithm;
+    }
   }
-  EXPECT_EQ(sections, (std::set<std::string>{"rate500", "rate2000", "open",
+  EXPECT_EQ(sections, (std::set<std::string>{"rate100", "rate400", "open",
                                              "overload"}));
   const std::set<std::string> expected_algos = {
       "SB",     "SB:p99",        "SB-Packed", "SB-Packed:p99",
       "SB-alt", "SB-alt:p99",    "mix:throughput"};
-  for (const auto& [algo, algo_rows] : by_algo) {
+  ASSERT_EQ(rate_rows.size(), expected_algos.size());
+  for (const auto& [algo, count] : rate_rows) {
     EXPECT_EQ(expected_algos.count(algo), 1u) << algo;
-    ASSERT_EQ(algo_rows.size(), 4u) << algo;  // 2 rates x 2 lane counts
-    for (const ReportRow& row : algo_rows) {
-      EXPECT_EQ(row.io_accesses, algo_rows[0].io_accesses) << algo;
-      EXPECT_EQ(row.pairs, algo_rows[0].pairs) << algo;
-      EXPECT_EQ(row.loops, algo_rows[0].loops) << algo;
-    }
-    if (algo != "mix:throughput") {
-      EXPECT_GT(algo_rows[0].pairs, 0u) << algo;
-      EXPECT_GT(algo_rows[0].loops, 0) << algo;  // the matching digest
-    }
+    EXPECT_EQ(count, 6) << algo;  // 2 rates x 3 lane counts
   }
+  // 2 rates x 3 lanes x 7 rows + 2 open rows + 4 overload rows.
+  EXPECT_EQ(rows.size(), 2u * 3 * 7 + 2 + 4);
+  EXPECT_EQ(Failures("serving_latency", rows), "");
 
-  // The overload section's counts are forced by the admission limits
-  // (1 lane held + queue bound 4 + 12-request burst): the outcomes
-  // partition the submitted set and both rejection paths fire.
-  for (const char* name : {"submitted", "ok", "rejected", "deadline"}) {
-    ASSERT_EQ(overload.count(name), 1u) << name;
+  // Empty responses at every lane count and rate are lane- and
+  // rate-invariant, yet still break the figure's promises.
+  std::vector<ReportRow> emptied = rows;
+  for (ReportRow& row : emptied) {
+    if (row.section.rfind("rate", 0) == 0) row.pairs = 0;
   }
-  EXPECT_EQ(overload.at("ok").io_accesses +
-                overload.at("rejected").io_accesses +
-                overload.at("deadline").io_accesses,
-            overload.at("submitted").io_accesses);
-  EXPECT_GT(overload.at("rejected").io_accesses, 0);
-  EXPECT_GT(overload.at("deadline").io_accesses, 0);
+  EXPECT_NE(Failures("serving_latency", emptied)
+                .find("serving_latency section=rate100 x=1 algorithm=SB "
+                      "field=pairs: "),
+            std::string::npos);
 }
 
-// End-to-end plumbing of the --serve-lanes/--arrival/--requests flags:
-// DriverOptions -> SetServeBenchParams -> figure expansion -> CSV rows.
-TEST_F(BenchDriverTest, ServeFlagsPlumbThroughRunDriver) {
-  ServeParamsGuard guard;
+// Each figure that declares invariants keeps them on its smoke rows,
+// and one perturbed deterministic cell breaks them with a failure that
+// names the figure, section, x and field of the perturbed row.
+class FigureInvariantTest : public BenchDriverTest,
+                            public ::testing::WithParamInterface<const char*> {
+};
+
+TEST_P(FigureInvariantTest, HoldOnSmokeRowsAndNameAPerturbedCell) {
+  const std::string figure = GetParam();
+  ASSERT_FALSE(FigureRegistry::Global().Find(figure)->invariants.empty());
+  std::vector<ReportRow> rows = SmokeRows(figure);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(Failures(figure, rows), "");
+
+  // The last row is never the first of its group, so the failure names
+  // it rather than the rows it is compared with.
+  ReportRow& perturbed = rows.back();
+  perturbed.pairs += 1;
+  const std::string failures = Failures(figure, rows);
+  const std::string section =
+      perturbed.section.empty() ? "-" : perturbed.section;
+  EXPECT_NE(failures.find(figure + " section=" + section + " x=" +
+                          perturbed.x + " algorithm=" +
+                          perturbed.algorithm + " field=pairs: "),
+            std::string::npos)
+      << failures;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeclaredInvariants, FigureInvariantTest,
+    ::testing::Values("batch_throughput", "micro_packed_probe", "scale_sweep",
+                      "serving_latency", "fault_recovery",
+                      "update_throughput", "recovery_time"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
+
+/// A figure whose custom runner breaks its own invariant: the "drift"
+/// row's pairs grow with x although the figure promises they do not.
+FigureSpec DriftingFigure(const std::string& name) {
+  FigureSpec spec;
+  spec.name = name;
+  spec.description = "a figure that breaks its own invariant";
+  spec.sections = [] {
+    FigureSection section;
+    section.key = "lanes";
+    BenchConfig config;
+    config.num_functions = 1;
+    config.num_objects = 1;
+    for (const int x : {1, 2}) {
+      MeasuredRun run;
+      run.algorithm = "drift";
+      run.runner = [x](const AssignmentProblem&, const BenchConfig&) {
+        RunStats stats;
+        stats.algorithm = "drift";
+        stats.pairs = static_cast<size_t>(x);
+        return stats;
+      };
+      section.cells.push_back({std::to_string(x), config, nullptr, {run}});
+    }
+    return std::vector<FigureSection>{section};
+  };
+  spec.invariants = {SameColumns(nullptr, ByAlgorithm, {Column::kPairs})};
+  return spec;
+}
+
+TEST_F(BenchDriverTest, RunPlanReportsABrokenInvariantAndKeepsTheRows) {
+  const FigureSpec spec = DriftingFigure("drifting");
+  const std::vector<FigurePlan> plan = {
+      {spec.name, spec.sections(), spec.invariants}};
+  std::ostringstream csv;
+  CsvSink sink(&csv, ReportMeta{ScaleName(), "testsha", 1});
+  const std::vector<InvariantFailure> failures =
+      RunPlan(plan, 1, {&sink}, nullptr);
+
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].figure, "drifting");
+  EXPECT_EQ(failures[0].section, "lanes");
+  EXPECT_EQ(failures[0].x, "2");
+  EXPECT_EQ(failures[0].algorithm, "drift");
+  EXPECT_EQ(failures[0].field, "pairs");
+  EXPECT_EQ(SplitLines(csv.str()).size(), 1u + 2);  // header + both rows
+}
+
+/// Restores a registry entry on scope exit.
+struct RegistryEntryGuard {
+  explicit RegistryEntryGuard(const std::string& name)
+      : saved(*FigureRegistry::Global().Find(name)) {}
+  ~RegistryEntryGuard() { FigureRegistry::Global().Register(saved); }
+  FigureSpec saved;
+};
+
+// The binary's exit code for a broken invariant is 3, distinct from I/O
+// failures (1) and invalid options (2), and the report is still written
+// in full. RunDriver only runs registered figures, so the drifting
+// figure stands in for a registered one for the length of the test.
+TEST_F(BenchDriverTest, RunDriverExitsThreeOnABrokenInvariant) {
+  RegistryEntryGuard guard("micro_bbs");
+  FigureRegistry::Global().Register(DriftingFigure("micro_bbs"));
   const std::string out_path =
-      ::testing::TempDir() + "/fairmatch_serve_flags.csv";
+      ::testing::TempDir() + "/fairmatch_broken_invariant.csv";
   DriverOptions options;
-  options.figures = {"serving_latency"};
+  options.figures = {"micro_bbs"};
   options.scale = "smoke";
   options.format = "csv";
   options.out_path = out_path;
-  options.serve_lanes = {1, 3};
-  options.arrival_per_sec = {1000};
-  options.serve_requests = 6;
-  ASSERT_EQ(RunDriver(options), 0);
+  EXPECT_EQ(RunDriver(options), 3);
 
   std::ifstream in(out_path);
   ASSERT_TRUE(in.is_open());
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::vector<std::string> lines = SplitLines(buffer.str());
-  // header + 2 lane cells x 7 rate rows + 2 open rows + 4 overload rows
-  ASSERT_EQ(lines.size(), 1u + 2 * 7 + 2 + 4);
+  ASSERT_EQ(lines.size(), 1u + 2);
   EXPECT_EQ(lines[0], CsvHeader());
-  std::set<std::string> rate_xs;
   for (size_t i = 1; i < lines.size(); ++i) {
-    const std::vector<std::string> f = SplitFields(lines[i]);
-    ASSERT_EQ(f.size(), 14u) << lines[i];
-    EXPECT_EQ(f[0], "serving_latency");
-    if (f[1] == "rate1000") rate_xs.insert(f[2]);
-    for (int n = 4; n <= 11; ++n) {
-      EXPECT_TRUE(NonNegativeNumber(f[n])) << lines[i];
-    }
+    EXPECT_EQ(SplitFields(lines[i])[3], "drift") << lines[i];
   }
-  EXPECT_EQ(rate_xs, (std::set<std::string>{"1", "3"}));
   std::remove(out_path.c_str());
 }
 

@@ -1,5 +1,5 @@
 // Tests for BBS, UpdateSkyline (incl. the Theorem 1 I/O-optimality
-// property), DeltaSky and the in-memory skyline.
+// property), DeltaSky and SkylineSet's dominator search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "fairmatch/rtree/rtree.h"
 #include "fairmatch/skyline/bbs.h"
 #include "fairmatch/skyline/delta_sky.h"
-#include "fairmatch/skyline/mem_skyline.h"
 #include "fairmatch/skyline/skyline_set.h"
 #include "test_util.h"
 
@@ -260,36 +259,6 @@ TEST(SkylineSetTest, FindDominatorHonorsSumPruning) {
   sky.Remove(1);
   EXPECT_EQ(sky.FindDominator(probe, probe.Sum()), -1);
   EXPECT_EQ(sky.size(), 0u);
-}
-
-TEST(MemSkylineTest, MatchesNaiveUnderDeletions) {
-  auto points = GridPoints(400, 3, 6, 33);
-  MemSkyline sky(points);
-  std::vector<bool> alive(points.size(), true);
-  {
-    auto naive = NaiveSkyline(points, &alive);
-    auto members = sky.Members();
-    EXPECT_EQ(std::set<int>(members.begin(), members.end()),
-              std::set<int>(naive.begin(), naive.end()));
-  }
-  Rng rng(34);
-  for (int round = 0; round < 100; ++round) {
-    // Remove an arbitrary live point (skyline member or not).
-    std::vector<int> live;
-    for (size_t i = 0; i < alive.size(); ++i) {
-      if (alive[i]) live.push_back(static_cast<int>(i));
-    }
-    if (live.empty()) break;
-    int victim =
-        live[rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1)];
-    alive[victim] = false;
-    sky.Remove(victim);
-    auto naive = NaiveSkyline(points, &alive);
-    auto members = sky.Members();
-    ASSERT_EQ(std::set<int>(members.begin(), members.end()),
-              std::set<int>(naive.begin(), naive.end()))
-        << "round " << round;
-  }
 }
 
 }  // namespace
