@@ -4,7 +4,7 @@
 // One section per injected-fault intensity; the x axis is the server's
 // lane count. Each cell replays the same request sequence — SB /
 // SB-alt round-robin, every request on per-request disk-resident
-// function lists (the lane workspace disk is the fault surface) — under
+// function lists (the lane disk is the fault surface) — under
 // a FaultInjector plan seeded per (request id, attempt), with retries
 // enabled, and reports:
 //

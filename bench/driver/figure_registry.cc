@@ -2,12 +2,12 @@
 
 namespace fairmatch::bench {
 
-// Defined in figures.cc / micro_figures.cc / batch_figure.cc /
-// packed_figures.cc; referenced here so the registration translation
-// units are always pulled out of the static library.
+// Defined in figures.cc / micro_figures.cc / packed_figures.cc and the
+// serve, fault, update and recovery figure files; referenced here so the
+// registration translation units are always pulled out of the static
+// library.
 void RegisterBuiltinFigures(FigureRegistry* registry);
 void RegisterMicroFigures(FigureRegistry* registry);
-void RegisterBatchFigure(FigureRegistry* registry);
 void RegisterPackedFigures(FigureRegistry* registry);
 void RegisterServeFigure(FigureRegistry* registry);
 void RegisterFaultFigure(FigureRegistry* registry);
@@ -19,7 +19,6 @@ FigureRegistry& FigureRegistry::Global() {
     auto* r = new FigureRegistry();
     RegisterBuiltinFigures(r);
     RegisterMicroFigures(r);
-    RegisterBatchFigure(r);
     RegisterPackedFigures(r);
     RegisterServeFigure(r);
     RegisterFaultFigure(r);

@@ -5,7 +5,7 @@
 // Each cell submits the same fixed request sequence — SB (shared
 // resident tree), SB-Packed (shared packed image through per-request
 // views), SB-alt (per-request disk-resident function lists on the
-// lane's recycled workspace) round-robin — paced at the section's
+// lane's recycled disk) round-robin — paced at the section's
 // arrival rate, and reports per-matcher latency percentiles:
 //
 //   <m>       cpu_ms = p50 end-to-end latency (queue + execution)
@@ -53,7 +53,7 @@ namespace {
 
 /// The fixed matcher rotation every experiment serves. Covers all
 /// three function backends (resident tree, packed image view, disk
-/// lists on the recycled lane workspace).
+/// lists on the recycled lane disk).
 const char* const kServeMix[] = {"SB", "SB-Packed", "SB-alt"};
 constexpr int kServeMixSize = 3;
 

@@ -1,24 +1,18 @@
-// A small fixed-size worker pool for batch execution and fork-join
-// loops.
+// A small fixed-size worker pool for fork-join loops.
 //
-// The engine's BatchRunner (engine/batch_runner.h) fans independent
-// assignment problems out over worker lanes; this pool is the reusable
-// mechanism underneath: N long-lived threads draining one FIFO task
-// queue. It is deliberately minimal — no futures, no priorities, no
-// work stealing. Two uses exist: a handful of coarse lane loops that a
-// caller submits and then Wait()s for, and ParallelFor, which splits
-// one index range into chunks that the calling thread and any idle
-// workers claim from a shared cursor (SB's per-loop reverse top-1
-// searches run this way over the process-wide Shared() pool).
+// N long-lived threads drain one FIFO task queue. It is deliberately
+// minimal — no futures, no priorities, no work stealing. Its one
+// consumer is ParallelFor, which splits one index range into chunks
+// that the calling thread and any idle workers claim from a shared
+// cursor (SB's per-loop reverse top-1 searches run this way over the
+// process-wide Shared() pool). Concurrent execution of whole requests
+// is the serving core's job (serve/server.h), on its own lane threads.
 //
-// Thread safety: Submit(), Wait() and ParallelFor() may be called from
-// any thread, including concurrently. Wait() waits for every
-// submitter's tasks; ParallelFor() waits only for its own chunks, so
-// concurrent callers do not block on each other. Tasks must not call
-// Wait() (a task waiting for the queue it runs on deadlocks a
-// single-worker pool); a ParallelFor() from inside any pool's worker
-// runs inline. The destructor drains the queue (equivalent to Wait())
-// before joining the workers.
+// Thread safety: Submit() and ParallelFor() may be called from any
+// thread, including concurrently. ParallelFor() waits only for its own
+// chunks, so concurrent callers do not block on each other; a
+// ParallelFor() from inside any pool's worker runs inline. The
+// destructor drains the queue before joining the workers.
 #ifndef FAIRMATCH_COMMON_THREAD_POOL_H_
 #define FAIRMATCH_COMMON_THREAD_POOL_H_
 
@@ -95,12 +89,6 @@ class ThreadPool {
     work_cv_.notify_one();
   }
 
-  /// Blocks until the queue is empty and every running task finished.
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  }
-
   /// Runs fn(i) exactly once for every i in [0, n) and returns when all
   /// calls have finished. The range is cut into chunks of `grain`
   /// consecutive indexes; the calling thread and up to size() workers
@@ -170,14 +158,8 @@ class ThreadPool {
         if (queue_.empty()) return;  // stopping_ with a drained queue
         task = std::move(queue_.front());
         queue_.pop_front();
-        ++active_;
       }
       task();
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        --active_;
-        if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-      }
     }
   }
 
@@ -186,10 +168,8 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  int active_ = 0;
   bool stopping_ = false;
 };
 

@@ -6,8 +6,8 @@
 //
 // Concurrency: every generator is a pure function of its arguments and
 // the explicit Rng — no global or static state — so concurrent threads
-// may generate in parallel as long as each passes its own Rng (batch
-// lanes derive one from their item seed; see engine/batch_runner.h).
+// may generate in parallel as long as each passes its own Rng (see the
+// per-request isolation contract in serve/server.h).
 #ifndef FAIRMATCH_DATA_SYNTHETIC_H_
 #define FAIRMATCH_DATA_SYNTHETIC_H_
 

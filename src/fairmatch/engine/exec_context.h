@@ -34,10 +34,10 @@ namespace fairmatch {
 ///
 /// "Shared" means shared among the storage objects of ONE run, not
 /// among threads: counter increments are plain loads/stores, and every
-/// member is touched only by the thread that runs the matcher. Parallel
-/// batch execution keeps one ExecContext per item (never per batch),
-/// which is also what makes each item's counters deterministic — see
-/// engine/batch_runner.h. A run may borrow helper threads for
+/// member is touched only by the thread that runs the matcher. Server
+/// lanes keep one ExecContext per request (never per lane), which is
+/// also what makes each request's counters deterministic — see
+/// serve/server.h. A run may borrow helper threads for
 /// intra-run fan-out (parallel(), below); helpers touch no ExecContext
 /// member — no counters, no memory tracker, no error sink — so all of
 /// the above stays single-threaded.
@@ -104,10 +104,9 @@ class ExecContext {
   /// Whether the run may fan work out over the process-wide helper pool
   /// (ThreadPool::Shared): SB runs each loop's reverse top-1 searches
   /// there. On by default. Callers that already spread their own work
-  /// over the cores — Server lanes, BatchRunner items, and the paper
-  /// figures, which time SB against sequential baselines — switch it
-  /// off. Results and every deterministic counter are identical either
-  /// way.
+  /// over the cores — Server lanes and the paper figures, which time
+  /// SB against sequential baselines — switch it off. Results and every
+  /// deterministic counter are identical either way.
   void set_parallel(bool parallel) { parallel_ = parallel; }
   bool parallel() const { return parallel_; }
 

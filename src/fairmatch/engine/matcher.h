@@ -22,9 +22,9 @@ namespace fairmatch {
 class PackedFunctionStore;
 
 /// Everything a matcher needs to run, assembled by the caller. The
-/// referenced objects must outlive the matcher. For parallel batch
-/// execution the environment must be item-private (tree, stores and
-/// ctx are stateful even on reads) — see engine/batch_runner.h.
+/// referenced objects must outlive the matcher. For concurrent
+/// execution the environment must be run-private (tree, stores and
+/// ctx are stateful even on reads) — see serve/server.h.
 struct MatcherEnv {
   /// The problem instance. Required.
   const AssignmentProblem* problem = nullptr;

@@ -50,8 +50,9 @@ struct MatcherInfo {
 /// Thread safety: Global()'s lazy construction (builtins included) is
 /// synchronized by the magic static. After that, Find/Create/Names are
 /// const and safe to call from any number of threads concurrently —
-/// BatchRunner lanes resolve matchers this way. Register() is NOT
-/// synchronized: register external variants before spawning lanes.
+/// Server lanes (serve/server.h) resolve matchers this way. Register()
+/// is NOT synchronized: register external variants before spawning
+/// lanes.
 class MatcherRegistry {
  public:
   /// The process-wide registry, with all built-in algorithms already

@@ -47,11 +47,10 @@ void NodeHandle::Release() {
 }
 
 PagedNodeStore::PagedNodeStore(int dims, size_t buffer_frames,
-                               PerfCounters* counters, DiskManager* disk)
+                               PerfCounters* counters)
     : NodeStore(dims),
-      disk_(disk != nullptr ? disk : &own_disk_),
       counters_(counters != nullptr ? counters : &own_counters_),
-      pool_(disk_, buffer_frames, counters_) {}
+      pool_(&disk_, buffer_frames, counters_) {}
 
 NodeHandle PagedNodeStore::Read(PageId pid) {
   NodeHandle handle(pool_.FetchPage(pid), dims(), /*writable=*/false);
@@ -72,7 +71,7 @@ NodeHandle PagedNodeStore::GuardMalformed(NodeHandle handle, PageId pid,
   // unwind at its next cancellation point. Without a sink the bytes
   // pass through untouched, as the seed did: trusted callers never see
   // malformed pages and pay nothing here beyond the header test.
-  ErrorSink* sink = disk_->error_sink();
+  ErrorSink* sink = disk_.error_sink();
   if (sink == nullptr || handle.view().IsWellFormed()) return handle;
   sink->Report(ErrorCode::kDataLoss,
                "PagedNodeStore: malformed node header on page " +
@@ -90,7 +89,7 @@ void PagedNodeStore::Free(PageId pid) { pool_.DeletePage(pid); }
 
 void PagedNodeStore::SetBufferFraction(double fraction) {
   auto frames = static_cast<size_t>(
-      std::llround(fraction * static_cast<double>(disk_->num_pages())));
+      std::llround(fraction * static_cast<double>(disk_.num_pages())));
   pool_.set_capacity(frames);
 }
 

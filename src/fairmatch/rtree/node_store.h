@@ -7,14 +7,14 @@
 // over the function weights (used by the Chain baseline) and is also
 // used by tests.
 //
-// Concurrency (audited for engine/batch_runner.h):
+// Concurrency (audited for serve/server.h):
 //  * PagedNodeStore::Read mutates buffer state (LRU order, pin counts)
 //    on every call — it is single-lane only, like the BufferPool and
-//    DiskManager underneath. Parallel batch items each own a store.
+//    DiskManager underneath. Concurrent runs each own a store.
 //  * MemNodeStore::Read is mutation-free and returns stable bytes, so
 //    any number of threads may Read concurrently PROVIDED no thread
 //    calls Write/Allocate/Free meanwhile (tree-mutating matchers like
-//    Chain therefore still need a per-item store + tree).
+//    Chain therefore still need a per-request store + tree).
 #ifndef FAIRMATCH_RTREE_NODE_STORE_H_
 #define FAIRMATCH_RTREE_NODE_STORE_H_
 
@@ -99,20 +99,15 @@ class PagedNodeStore : public NodeStore {
   /// SetBufferFraction() after bulk load to size it as a % of the file.
   /// When `counters` is non-null (typically an ExecContext's shared
   /// counters), this store's traffic is accounted there instead of in a
-  /// private PerfCounters; `counters` must outlive the store. When
-  /// `disk` is non-null, pages live on that externally owned manager
-  /// (a BatchRunner lane's recycled one — it must be freshly
-  /// constructed or Recycle()d, and outlive the store) instead of a
-  /// private one.
+  /// private PerfCounters; `counters` must outlive the store.
   PagedNodeStore(int dims, size_t buffer_frames,
-                 PerfCounters* counters = nullptr,
-                 DiskManager* disk = nullptr);
+                 PerfCounters* counters = nullptr);
 
   NodeHandle Read(PageId pid) override;
   NodeHandle Write(PageId pid) override;
   PageId Allocate() override;
   void Free(PageId pid) override;
-  int64_t num_pages() const override { return disk_->num_pages(); }
+  int64_t num_pages() const override { return disk_.num_pages(); }
 
   /// Sizes the buffer as `fraction` of the current file size, in pages
   /// (fraction 0 => no caching, the paper's "0% buffer").
@@ -125,7 +120,7 @@ class PagedNodeStore : public NodeStore {
   PerfCounters& counters() { return *counters_; }
   const PerfCounters& counters() const { return *counters_; }
   BufferPool& pool() { return pool_; }
-  DiskManager& disk() { return *disk_; }
+  DiskManager& disk() { return disk_; }
 
  private:
   /// Substitutes a zeroed node (stable bytes in zero_node_) for a
@@ -133,8 +128,7 @@ class PagedNodeStore : public NodeStore {
   /// reports kDataLoss instead of letting entry reads run off the page.
   NodeHandle GuardMalformed(NodeHandle handle, PageId pid, bool writable);
 
-  DiskManager own_disk_;
-  DiskManager* disk_;  // own_disk_ or an injected recyclable one
+  DiskManager disk_;
   PerfCounters own_counters_;
   PerfCounters* counters_;  // own_counters_ or an injected external one
   BufferPool pool_;

@@ -11,7 +11,8 @@
 // the backing NodeStore is (MemNodeStore: yes, while nobody mutates;
 // PagedNodeStore: no, its buffer pool mutates on every read — see
 // rtree/node_store.h). BulkLoad/Insert/Delete always require exclusive
-// access. Batch execution gives each lane a private store + tree.
+// access. Server lanes give each tree-mutating request a private store +
+// tree (serve/server.h).
 #ifndef FAIRMATCH_RTREE_RTREE_H_
 #define FAIRMATCH_RTREE_RTREE_H_
 

@@ -99,12 +99,12 @@ Server::Server(DatasetRegistry* registry, ServerOptions options)
   // Touch the registry before spawning lanes so its lazy builtin
   // registration happens once, off the serving path.
   MatcherRegistry::Global();
-  workspaces_.reserve(static_cast<size_t>(options_.lanes));
+  lane_disks_.reserve(static_cast<size_t>(options_.lanes));
   lanes_.reserve(static_cast<size_t>(options_.lanes));
   for (int i = 0; i < options_.lanes; ++i) {
-    workspaces_.push_back(std::make_unique<LaneWorkspace>());
-    LaneWorkspace* workspace = workspaces_.back().get();
-    lanes_.emplace_back([this, workspace] { LaneLoop(workspace); });
+    lane_disks_.push_back(std::make_unique<DiskManager>());
+    DiskManager* disk = lane_disks_.back().get();
+    lanes_.emplace_back([this, disk] { LaneLoop(disk); });
   }
 }
 
@@ -250,7 +250,7 @@ void Server::RecordOutcome(const std::string& dataset,
   }
 }
 
-void Server::LaneLoop(LaneWorkspace* workspace) {
+void Server::LaneLoop(DiskManager* disk) {
   for (;;) {
     std::unique_ptr<Pending> pending;
     {
@@ -260,7 +260,7 @@ void Server::LaneLoop(LaneWorkspace* workspace) {
       pending = std::move(queue_.front());
       queue_.pop_front();
     }
-    Process(pending.get(), workspace);
+    Process(pending.get(), disk);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --inflight_;
@@ -269,7 +269,7 @@ void Server::LaneLoop(LaneWorkspace* workspace) {
   }
 }
 
-void Server::Process(Pending* pending, LaneWorkspace* workspace) {
+void Server::Process(Pending* pending, DiskManager* disk) {
   Response response;
   response.request_id = pending->id;
   response.queue_ms = pending->since_submit.ElapsedMs();
@@ -296,14 +296,13 @@ void Server::Process(Pending* pending, LaneWorkspace* workspace) {
   } else {
     for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
       response.attempts = attempt;
-      response.status = RunAttempt(pending, workspace, info, attempt,
-                                   &response);
+      response.status = RunAttempt(pending, disk, info, attempt, &response);
       if (response.status.ok() || !IsTransient(response.status.code) ||
           attempt == options_.max_attempts) {
         break;
       }
       // A retry re-runs the whole attempt from scratch on the recycled
-      // workspace; if the deadline cannot survive the backoff, report
+      // lane disk; if the deadline cannot survive the backoff, report
       // the expiry now instead of sleeping through it.
       if (request.deadline_ms > 0.0 &&
           pending->since_submit.ElapsedMs() + options_.retry_backoff_ms >=
@@ -330,27 +329,26 @@ void Server::Process(Pending* pending, LaneWorkspace* workspace) {
   pending->state->Complete(std::move(response));
 }
 
-ServeStatus Server::RunAttempt(Pending* pending, LaneWorkspace* workspace,
+ServeStatus Server::RunAttempt(Pending* pending, DiskManager* disk,
                                const MatcherInfo* info, int attempt,
                                Response* response) {
   const Request& request = pending->request;
   const ResidentDataset& dataset = *pending->dataset;
 
-  // Per-attempt execution state over the shared dataset, mirroring
-  // engine/batch_runner.h's per-item isolation: private ExecContext,
-  // private disk structures on the lane's recycled workspace, private
-  // packed-image view, and — for tree-mutating matchers — a private
-  // tree, so the resident one stays immutable. Because every attempt
-  // starts from a recycled (observably fresh) workspace, a successful
-  // retry is byte-identical to a fault-free first attempt.
-  workspace->Recycle();
-  DiskManager& lane_disk = workspace->disk();
+  // Per-attempt execution state over the shared dataset, per the
+  // isolation contract in serve/server.h: private ExecContext, private
+  // disk structures on the lane's recycled disk, private packed-image
+  // view, and — for tree-mutating matchers — a private tree, so the
+  // resident one stays immutable. Because every attempt starts from a
+  // recycled (observably fresh) disk, a successful retry is
+  // byte-identical to a fault-free first attempt.
+  disk->Recycle();
   ExecContext ctx;
   // Lanes already spread requests over the cores.
   ctx.set_parallel(false);
   // The lane disk reports storage faults into this attempt's sink; the
   // matcher unwinds at its next cancellation point.
-  lane_disk.set_error_sink(&ctx.errors());
+  disk->set_error_sink(&ctx.errors());
 
   std::optional<FaultInjector> injector;
   if (options_.fault_plan.active()) {
@@ -360,10 +358,10 @@ ServeStatus Server::RunAttempt(Pending* pending, LaneWorkspace* workspace,
     plan.seed = FaultInjector::DeriveSeed(plan.seed, pending->id,
                                           static_cast<uint64_t>(attempt));
     injector.emplace(plan);
-    lane_disk.set_fault_injector(&*injector);
+    disk->set_fault_injector(&*injector);
     // Checksums make injected corruption detectable (typed kDataLoss)
     // instead of silently consumed.
-    lane_disk.set_verify_checksums(true);
+    disk->set_verify_checksums(true);
   }
 
   if (request.deadline_ms > 0.0) {
@@ -395,7 +393,7 @@ ServeStatus Server::RunAttempt(Pending* pending, LaneWorkspace* workspace,
   std::optional<DiskFunctionStore> fstore;
   if (info->needs_disk_functions || request.disk_resident_functions) {
     fstore.emplace(dataset.problem().functions, request.buffer_fraction,
-                   &ctx.counters(), &lane_disk);
+                   &ctx.counters(), disk);
     env.fn_store = &*fstore;
     ctx.set_function_backend("disk");
   }
@@ -437,10 +435,10 @@ ServeStatus Server::RunAttempt(Pending* pending, LaneWorkspace* workspace,
     response->injected_faults += injector->counters().injected();
   }
   // Unwire before the stack-owned injector and sink die; the next
-  // attempt (or item) re-wires against its own.
-  lane_disk.set_fault_injector(nullptr);
-  lane_disk.set_error_sink(nullptr);
-  lane_disk.set_verify_checksums(false);
+  // attempt (or request) re-wires against its own.
+  disk->set_fault_injector(nullptr);
+  disk->set_error_sink(nullptr);
+  disk->set_verify_checksums(false);
   return status;
 }
 

@@ -1,9 +1,8 @@
-// fairmatchd: a long-lived, in-process matching service core.
+// fairmatchd: a long-lived, in-process matching service core, and the
+// one path that runs matchers concurrently.
 //
-// Where BatchRunner (engine/batch_runner.h) executes one caller-owned
-// batch and returns, the Server is the inverse sharing model: warm,
-// immutable index sets (serve/dataset_registry.h) stay resident while
-// many concurrent clients submit Requests — {dataset, matcher,
+// Warm, immutable index sets (serve/dataset_registry.h) stay resident
+// while many concurrent clients submit Requests — {dataset, matcher,
 // options} — and get Responses — {matching, RunStats, queue/latency
 // timings, typed status} — back. No network is involved: this is the
 // engine-side core the way DBImpl is a database without a wire
@@ -15,11 +14,20 @@
 // view, a disk-resident function store on the lane's recycled
 // DiskManager, a private tree for tree-mutating matchers); everything
 // else — problem, object tree, packed image — is shared const-clean
-// across lanes per the PR 4 concurrency contracts. The result contract
-// follows from that isolation: a response is byte-identical (matching,
-// io_accesses, pairs, loops) to a direct Matcher::Run() on the same
-// inputs, at any lane count and under any interleaving
-// (tests/serve_test.cc).
+// across lanes. The result contract follows from that isolation: a
+// response is byte-identical (matching, io_accesses, pairs, loops) to
+// a direct Matcher::Run() on the same inputs, at any lane count and
+// under any interleaving (tests/serve_test.cc).
+//
+// Concurrency contract: the layers underneath are NOT internally
+// synchronized (the LRU buffer pools mutate on every read — see
+// storage/buffer_pool.h); isolation, not locking, is what makes lanes
+// safe. Concurrent runs must not share mutable state: no shared tree
+// over a PagedNodeStore, no shared DiskFunctionStore, no shared
+// ExecContext. Immutable inputs (the AssignmentProblem, a tree over a
+// MemNodeStore that no matcher mutates, a packed image read through
+// per-request views) may be shared; see the per-layer notes in
+// rtree/node_store.h.
 //
 // Admission control: Submit() never blocks. A request is either
 // accepted (future completes when a lane finishes it) or rejected
@@ -38,12 +46,12 @@
 //
 // Fault recovery: when ServerOptions::fault_plan is active, every
 // attempt of every request runs against a FaultInjector seeded from
-// (plan seed, request id, attempt) on the lane's workspace disk, with
+// (plan seed, request id, attempt) on the lane's disk, with
 // per-page CRC verification on. Storage faults surface as typed
 // engine statuses (common/status.h), never a crash. Transient failures
 // (kUnavailable, kDataLoss) are retried up to max_attempts with a
 // fixed backoff; each attempt is a fresh isolated run on a recycled
-// workspace, so a successful retry is byte-identical to a fault-free
+// lane disk, so a successful retry is byte-identical to a fault-free
 // run (tests/chaos_test.cc holds it to that). Because the schedule
 // depends only on (request id, attempt), fault and retry counts are
 // invariant under lane count and completion order.
@@ -70,9 +78,9 @@
 #include <vector>
 
 #include "fairmatch/assign/problem.h"
-#include "fairmatch/engine/batch_runner.h"
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/serve/status.h"
+#include "fairmatch/storage/disk_manager.h"
 #include "fairmatch/storage/fault_injector.h"
 
 namespace fairmatch {
@@ -107,7 +115,7 @@ struct ServerOptions {
   int health_threshold = 0;
 
   /// Deterministic storage-fault schedule applied to every attempt's
-  /// lane-workspace disk (chaos testing / the fault_recovery bench).
+  /// lane disk (chaos testing / the fault_recovery bench).
   /// Inactive (all-zero rates) by default: no injector is attached and
   /// per-page CRC verification stays off.
   FaultInjectorOptions fault_plan;
@@ -251,17 +259,18 @@ class Server {
   /// registry; fills `dataset` on success.
   ServeStatus Validate(const Request& request, DatasetHandle* dataset) const;
 
-  void LaneLoop(LaneWorkspace* workspace);
+  void LaneLoop(DiskManager* disk);
 
   /// Executes one admitted request on a lane — the per-attempt loop
-  /// (recycle workspace, seed injector, run, classify, maybe retry).
-  /// Never CHECK-fails on request content: everything reachable from
-  /// client input was validated at Submit().
-  void Process(Pending* pending, LaneWorkspace* workspace);
+  /// (recycle the lane disk, seed injector, run, classify, maybe
+  /// retry). Never CHECK-fails on request content: everything reachable
+  /// from client input was validated at Submit().
+  void Process(Pending* pending, DiskManager* disk);
 
-  /// One isolated execution attempt; fills response matching/stats on
-  /// success and returns the mapped request status.
-  ServeStatus RunAttempt(Pending* pending, LaneWorkspace* workspace,
+  /// One isolated execution attempt on the lane's `disk`; fills
+  /// response matching/stats on success and returns the mapped request
+  /// status.
+  ServeStatus RunAttempt(Pending* pending, DiskManager* disk,
                          const MatcherInfo* info, int attempt,
                          Response* response);
 
@@ -283,7 +292,9 @@ class Server {
   /// options_.health_threshold sheds that dataset's traffic.
   std::map<std::string, int> consecutive_data_loss_;
 
-  std::vector<std::unique_ptr<LaneWorkspace>> workspaces_;
+  /// One disk per lane, Recycle()d before every attempt so per-request
+  /// stores reuse the previous request's page buffers.
+  std::vector<std::unique_ptr<DiskManager>> lane_disks_;
   std::vector<std::thread> lanes_;
   bool joined_ = false;
 };

@@ -64,8 +64,8 @@ class PageHandle {
 /// Not thread-safe, even for concurrent FetchPage() of the same page:
 /// every fetch moves LRU state and pin counts. A pool (and the
 /// DiskManager and PerfCounters it is wired to) belongs to exactly one
-/// execution lane; batch execution (engine/batch_runner.h) isolates
-/// lanes by giving each its own storage stack rather than locking here,
+/// execution lane; the serving core (serve/server.h) isolates lanes by
+/// giving each its own storage stack rather than locking here,
 /// which also keeps per-lane I/O counts deterministic. (The shards
 /// below are a cache-footprint measure — smaller probe tables — not a
 /// locking domain.)

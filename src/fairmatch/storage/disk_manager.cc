@@ -99,7 +99,6 @@ void DiskManager::set_verify_checksums(bool on) {
 
 Status DiskManager::ReadPage(PageId pid, std::byte* dst) const {
   CheckLive(pid, "ReadPage");
-  SimulateLatency(io_latency_us_);
   std::memcpy(dst, pages_[pid]->bytes, kPageSize);
   if (fault_injector_ != nullptr) {
     int spike_us = 0;
@@ -127,7 +126,6 @@ Status DiskManager::ReadPage(PageId pid, std::byte* dst) const {
 
 Status DiskManager::WritePage(PageId pid, const std::byte* src) {
   CheckLive(pid, "WritePage");
-  SimulateLatency(io_latency_us_);
   if (fault_injector_ != nullptr) {
     int spike_us = 0;
     Status status = fault_injector_->OnWrite(pid, &spike_us);

@@ -47,9 +47,9 @@ struct PageData {
 /// Allocates, frees and transfers fixed-size pages.
 ///
 /// Not thread-safe: one DiskManager (like the buffer pool above it)
-/// belongs to exactly one execution lane. Batch execution
-/// (engine/batch_runner.h) gives every lane its own storage stack
-/// instead of locking this one.
+/// belongs to exactly one execution lane. The serving core
+/// (serve/server.h) gives every lane its own disk instead of locking
+/// this one.
 class DiskManager {
  public:
   DiskManager() = default;
@@ -69,10 +69,10 @@ class DiskManager {
   /// manager to its freshly constructed state: ids restart at zero and
   /// reallocated pages come back zeroed, so a recycled manager is
   /// observably identical to a new one — only the 4 KB allocations are
-  /// saved. This is how BatchRunner lanes reuse one storage stack
-  /// across consecutive items (engine/batch_runner.h) without touching
-  /// the per-item determinism contract. Fault wiring (injector, sink,
-  /// checksums) is also cleared: faults are per-run state.
+  /// saved. This is how Server lanes reuse one disk across consecutive
+  /// requests (serve/server.h) without touching the per-request
+  /// determinism contract. Fault wiring (injector, sink, checksums) is
+  /// also cleared: faults are per-run state.
   void Recycle();
 
   /// Buffers parked by Recycle() and not yet handed back out.
@@ -99,16 +99,6 @@ class DiskManager {
   bool IsLive(PageId pid) const {
     return pid >= 0 && pid < num_pages() && pages_[pid] != nullptr;
   }
-
-  /// Per-physical-access latency, in microseconds. Zero (the default)
-  /// keeps the disk a pure byte store, as in all paper experiments,
-  /// where cost is *counted* rather than waited out. A positive value
-  /// makes each ReadPage/WritePage block for that long, modeling a real
-  /// device; the batch throughput bench uses this so that multi-lane
-  /// runs overlap I/O stalls the way a real disk-resident deployment
-  /// would. Counted I/O (PerfCounters) is unaffected.
-  void set_io_latency_us(int us) { io_latency_us_ = us; }
-  int io_latency_us() const { return io_latency_us_; }
 
   /// Attaches (or detaches, nullptr) a fault injector consulted on
   /// every physical access. Not owned; per-run state (cleared by
@@ -165,7 +155,6 @@ class DiskManager {
   std::vector<PageId> free_list_;
   std::vector<std::unique_ptr<PageData>> spare_;  // parked by Recycle()
   std::vector<uint32_t> crcs_;  // per-page CRC32; maintained when verifying
-  int io_latency_us_ = 0;
   bool verify_checksums_ = false;
   FaultInjector* fault_injector_ = nullptr;
   ErrorSink* error_sink_ = nullptr;

@@ -36,8 +36,8 @@ struct ListRecord {
 ///
 /// Not thread-safe, reads included: Entry/ScoreOf/ReadListPage/FetchEff
 /// all go through the LRU buffer (which mutates on every access) and
-/// the shared PerfCounters. One store per execution lane — batch items
-/// running concurrently (engine/batch_runner.h) each build their own.
+/// the shared PerfCounters. One store per execution lane — requests
+/// running concurrently (serve/server.h) each build their own.
 class DiskFunctionStore : public FunctionIndexBase {
  public:
   /// Builds the lists from `fns` and flushes them to the simulated disk.
@@ -47,8 +47,8 @@ class DiskFunctionStore : public FunctionIndexBase {
   /// PerfCounters; `counters` must outlive the store. Construction
   /// traffic is excluded either way (counters are reset at the end of
   /// the constructor). When `disk` is non-null, list pages live on that
-  /// externally owned manager (a BatchRunner lane's recycled one — it
-  /// must be freshly constructed or Recycle()d, and outlive the store)
+  /// externally owned manager (a Server lane's recycled one — it must
+  /// be freshly constructed or Recycle()d, and outlive the store)
   /// instead of a private one.
   DiskFunctionStore(const FunctionSet& fns, double buffer_fraction,
                     PerfCounters* counters = nullptr,

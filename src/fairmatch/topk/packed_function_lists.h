@@ -28,7 +28,7 @@
 //    any block at half the size of a flat 64-bit offset table.
 //
 // The image lives either in an owned in-memory buffer (the fallback,
-// and the batch/test default) or in a file mapped read-only through
+// and the bench/test default) or in a file mapped read-only through
 // storage/mmap_file.h. Either way queries never touch the simulated
 // counted-I/O disk: like FunctionLists, the packed store reports zero
 // io_accesses, and its default-traversal probe sequence is identical
@@ -126,10 +126,10 @@ inline const char* PackedOpenErrorName(PackedOpenError error) {
 /// Immutable packed function-list index over one function set.
 ///
 /// Thread safety: same single-lane rule as the other backends —
-/// Entry() mutates the per-list decode cache. Batch items each build
-/// their own store; concurrent *requests* over one resident image each
-/// query through their own NewSharedView() instead (the image bytes
-/// are immutable, only the decode caches are per-view).
+/// Entry() mutates the per-list decode cache. Independent runs each
+/// build their own store; concurrent *requests* over one resident
+/// image each query through their own NewSharedView() instead (the
+/// image bytes are immutable, only the decode caches are per-view).
 class PackedFunctionStore : public FunctionIndexBase {
  public:
   /// Builds the packed image from `fns` (and mmaps it per `opts`).

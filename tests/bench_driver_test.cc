@@ -86,7 +86,6 @@ class BenchDriverTest : public ::testing::Test {
 TEST_F(BenchDriverTest, RegistryHasAllBuiltinFigures) {
   const std::vector<std::string> expected = {
       "ablation_sb",
-      "batch_throughput",
       "fault_recovery",
       "fig08_optimizations",
       "fig09_dimensionality",
@@ -271,25 +270,6 @@ std::string Failures(const std::string& figure,
   return lines;
 }
 
-// The batch figure: one row per (lane count, algorithm), and its
-// declared invariants (batch totals identical at every lane count) hold
-// — the cross-thread invariant tests/batch_test.cc proves at the engine
-// layer, asserted on the report surface.
-TEST_F(BenchDriverTest, BatchThroughputRowsAreThreadCountInvariant) {
-  const std::vector<ReportRow>& rows = SmokeRows("batch_throughput");
-  const std::set<std::string> algos = {"SB", "BruteForce", "SB-alt"};
-  ASSERT_EQ(rows.size(), 4 * algos.size());
-  std::set<std::string> xs;
-  for (const ReportRow& row : rows) {
-    EXPECT_EQ(row.figure, "batch_throughput");
-    xs.insert(row.x);
-    EXPECT_EQ(algos.count(row.algorithm), 1u) << row.algorithm;
-    EXPECT_GT(row.pairs, 0u) << row.algorithm;
-  }
-  EXPECT_EQ(xs, (std::set<std::string>{"1", "2", "4", "8"}));
-  EXPECT_EQ(Failures("batch_throughput", rows), "");
-}
-
 // The serving figure: its sections and cells, and its declared
 // invariants (deterministic columns identical across every lane count
 // and arrival rate, an exact overload partition) hold — the invariant
@@ -363,9 +343,9 @@ TEST_P(FigureInvariantTest, HoldOnSmokeRowsAndNameAPerturbedCell) {
 
 INSTANTIATE_TEST_SUITE_P(
     DeclaredInvariants, FigureInvariantTest,
-    ::testing::Values("batch_throughput", "micro_packed_probe", "scale_sweep",
-                      "serving_latency", "fault_recovery",
-                      "update_throughput", "recovery_time"),
+    ::testing::Values("micro_packed_probe", "scale_sweep", "serving_latency",
+                      "fault_recovery", "update_throughput",
+                      "recovery_time"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });

@@ -274,7 +274,7 @@ struct SweepResult {
 };
 
 /// Submits kSweepRounds rounds of every chaos matcher (disk-resident
-/// functions: the lane workspace disk is the fault surface) against one
+/// functions: the lane disk is the fault surface) against one
 /// shared resident dataset, waits them all, closes, and snapshots.
 SweepResult RunChaosSweep(DatasetRegistry* registry, double rate, int lanes) {
   ServerOptions options;
@@ -465,7 +465,7 @@ int64_t ReplayedAttemptFaults(const ResidentDataset& dataset,
 // Response.injected_faults is documented as the result-affecting fault
 // total "across all attempts". Because every attempt's schedule is the
 // pure function (plan seed, request id, attempt) and every attempt
-// runs in an observably fresh workspace, that total must equal the sum
+// runs on an observably fresh lane disk, that total must equal the sum
 // of per-attempt injector counts replayed offline — if the server
 // under- or over-accounted (dropped a failed attempt's counters,
 // double-added a retry), the books would not balance.

@@ -7,7 +7,7 @@
 //
 // This differs from stress_test.cc (which drives the algorithm entry
 // points directly) by exercising the exact surface production callers
-// and the batch layer use, and by checking stability rather than only
+// and the serving lanes use, and by checking stability rather than only
 // cross-implementation agreement.
 //
 // A second sweep pins SB's fan-out of each loop's reverse top-1

@@ -148,7 +148,7 @@ TEST(ServeContractTest, DiskResidentFunctionRequestsMatchDirectRuns) {
     ASSERT_TRUE(response.status.ok()) << name;
     EXPECT_TRUE(OfResponse(response) == direct) << name;
     EXPECT_GT(response.stats.io_accesses, 0) << name;
-    // Consecutive requests on the same lane recycle the workspace;
+    // Consecutive requests on the same lane recycle the lane disk;
     // the second run must not see the first one's pages.
     const Response again = server.Execute(request);
     ASSERT_TRUE(again.status.ok()) << name;
@@ -216,49 +216,66 @@ TEST(ServeContractTest, TreeMutatingMatchersDoNotDisturbTheSharedTree) {
 
 TEST(ServeConcurrencyTest, DeterministicAtOneTwoAndEightLanes) {
   const AssignmentProblem problem = SmallProblem(45000);
-  DatasetRegistry registry;
-  registry.Open("ds", problem);
 
   // A request mix crossing every backend: shared tree, per-request
-  // disk store, shared packed image, private tree.
-  const std::vector<std::string> mix = {"SB",     "SB-Packed", "BruteForce",
-                                        "SB-alt", "Chain",     "SB-alt-Packed",
-                                        "SB-TwoSkylines"};
-  const int kRequests = 21;
-  std::vector<Fingerprint> direct;
-  for (int i = 0; i < kRequests; ++i) {
-    ExecContext ctx;
-    direct.push_back(OfDirect(
-        RunRegisteredMatcher(mix[static_cast<size_t>(i) % mix.size()],
-                             problem, &ctx)));
-  }
+  // disk store (SB-alt, and SB with disk-resident functions), shared
+  // packed image, private tree.
+  struct MixEntry {
+    const char* matcher;
+    bool disk_resident_functions;
+  };
+  const std::vector<MixEntry> mix = {
+      {"SB", false},     {"SB-Packed", false}, {"BruteForce", false},
+      {"SB-alt", false}, {"Chain", false},     {"SB-alt-Packed", false},
+      {"SB", true},      {"SB-TwoSkylines", false}};
+  const int kRequests = 24;
 
-  for (const int lanes : {1, 2, 8}) {
-    ServerOptions options;
-    options.lanes = lanes;
-    options.max_queue = kRequests;  // admit everything
-    Server server(&registry, options);
-    std::vector<ResponseFuture> futures;
+  // Both packed-image placements: lane count and the in-memory/mmap
+  // switch must not change any per-request number.
+  for (const bool mmap_mode : {false, true}) {
+    DatasetRegistry registry;
+    DatasetOptions dopts;
+    dopts.packed_mmap = mmap_mode;
+    registry.Open("ds", problem, dopts);
+
+    std::vector<Fingerprint> direct;
     for (int i = 0; i < kRequests; ++i) {
-      Request request;
-      request.dataset = "ds";
-      request.matcher = mix[static_cast<size_t>(i) % mix.size()];
-      futures.push_back(server.Submit(std::move(request)));
+      const MixEntry& entry = mix[static_cast<size_t>(i) % mix.size()];
+      ExecContext ctx;
+      direct.push_back(OfDirect(RunRegisteredMatcher(
+          entry.matcher, problem, &ctx, entry.disk_resident_functions,
+          /*buffer_fraction=*/0.02, mmap_mode)));
     }
-    for (int i = 0; i < kRequests; ++i) {
-      const Response& response = futures[static_cast<size_t>(i)].Wait();
-      ASSERT_TRUE(response.status.ok())
-          << "request " << i << " at lanes=" << lanes << ": "
-          << response.status.message;
-      EXPECT_TRUE(OfResponse(response) == direct[static_cast<size_t>(i)])
-          << "request " << i << " (" << response.stats.algorithm
-          << ") diverged at lanes=" << lanes;
+
+    for (const int lanes : {1, 2, 8}) {
+      ServerOptions options;
+      options.lanes = lanes;
+      options.max_queue = kRequests;  // admit everything
+      Server server(&registry, options);
+      std::vector<ResponseFuture> futures;
+      for (int i = 0; i < kRequests; ++i) {
+        const MixEntry& entry = mix[static_cast<size_t>(i) % mix.size()];
+        Request request;
+        request.dataset = "ds";
+        request.matcher = entry.matcher;
+        request.disk_resident_functions = entry.disk_resident_functions;
+        futures.push_back(server.Submit(std::move(request)));
+      }
+      for (int i = 0; i < kRequests; ++i) {
+        const Response& response = futures[static_cast<size_t>(i)].Wait();
+        ASSERT_TRUE(response.status.ok())
+            << "request " << i << " at lanes=" << lanes
+            << " mmap=" << mmap_mode << ": " << response.status.message;
+        EXPECT_TRUE(OfResponse(response) == direct[static_cast<size_t>(i)])
+            << "request " << i << " (" << response.stats.algorithm
+            << ") diverged at lanes=" << lanes << " mmap=" << mmap_mode;
+      }
+      server.Close();
+      const ServerCounters counters = server.counters();
+      EXPECT_EQ(counters.accepted, kRequests);
+      EXPECT_EQ(counters.completed, kRequests);
+      EXPECT_EQ(counters.rejected, 0);
     }
-    server.Close();
-    const ServerCounters counters = server.counters();
-    EXPECT_EQ(counters.accepted, kRequests);
-    EXPECT_EQ(counters.completed, kRequests);
-    EXPECT_EQ(counters.rejected, 0);
   }
 }
 

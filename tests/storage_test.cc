@@ -6,6 +6,7 @@
 
 #include "fairmatch/storage/buffer_pool.h"
 #include "fairmatch/storage/disk_manager.h"
+#include "fairmatch/storage/fault_injector.h"
 #include "fairmatch/storage/paged_file.h"
 
 namespace fairmatch {
@@ -57,11 +58,20 @@ TEST(DiskManagerDeathTest, OutOfRangeReadAbortsWithDiagnostics) {
 }
 
 // Recycle() must leave the manager observably identical to a freshly
-// constructed one — page ids restart at zero and reallocated pages come
-// back zeroed — while reusing the parked buffers (that reuse is what
-// BatchRunner lanes lean on between items).
+// constructed one — page ids restart at zero, reallocated pages come
+// back zeroed and no fault wiring survives — while reusing the parked
+// buffers (that reuse is what Server lanes lean on between requests,
+// and the cleared wiring keeps one attempt's faults out of the next).
 TEST(DiskManagerTest, RecycleRestartsIdsWithZeroedPages) {
   DiskManager disk;
+  FaultInjectorOptions plan;
+  plan.seed = 7;
+  plan.spike_rate = 1.0;  // active, yet never fails or alters a page
+  FaultInjector injector(plan);
+  ErrorSink sink;
+  disk.set_fault_injector(&injector);
+  disk.set_error_sink(&sink);
+  disk.set_verify_checksums(true);
   std::byte junk[kPageSize];
   std::memset(junk, 0xCD, kPageSize);
   for (int i = 0; i < 5; ++i) disk.WritePage(disk.AllocatePage(), junk);
@@ -72,6 +82,10 @@ TEST(DiskManagerTest, RecycleRestartsIdsWithZeroedPages) {
   EXPECT_EQ(disk.num_pages(), 0);
   EXPECT_EQ(disk.num_live_pages(), 0);
   EXPECT_EQ(disk.spare_pages(), 4u);  // the freed page was already gone
+  EXPECT_EQ(disk.fault_injector(), nullptr);
+  EXPECT_FALSE(disk.has_error_sink());
+  EXPECT_FALSE(disk.verify_checksums());
+  EXPECT_FALSE(sink.failed());
 
   PageId first = disk.AllocatePage();
   EXPECT_EQ(first, 0);  // ids restart, not resume
