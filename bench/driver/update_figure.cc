@@ -23,7 +23,7 @@
 // (`io_accesses`), both pure functions of the cell's seed. Only the
 // latency/throughput columns may vary run to run; the query ratio is
 // the figure's degradation story (an updated epoch serves from
-// incrementally edited pages and possibly a patch overlay).
+// incrementally edited R-tree pages; its packed image is built flat).
 #include <algorithm>
 #include <memory>
 #include <string>

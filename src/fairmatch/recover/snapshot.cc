@@ -193,17 +193,10 @@ serve::ServeStatus LoadSnapshot(const std::string& path,
     return serve::ServeStatus::DataLoss("snapshot payload malformed: " + path);
   }
 
-  // The packed image is derived state: rebuild it flat from the
-  // restored function set (overlay vs flat serves identical matchings,
-  // so the recovered epoch's responses match the uncrashed epoch's).
-  std::unique_ptr<PackedFunctionStore> packed;
-  if (options.build_packed && !problem.functions.empty()) {
-    PackedStoreOptions popts;
-    popts.block_entries = options.packed_block_entries;
-    popts.use_mmap = options.packed_mmap;
-    packed = std::make_unique<PackedFunctionStore>(problem.functions, popts);
-  }
-
+  // The packed image is derived state: rebuild it from the restored
+  // function set, exactly as the uncrashed epoch built it.
+  std::unique_ptr<PackedFunctionStore> packed =
+      serve::BuildPackedImage(problem.functions, options);
   *out = std::make_shared<const serve::ResidentDataset>(
       name, std::move(problem), &store, root, root_level, tree_size,
       std::move(packed), std::move(skyline), epoch);

@@ -12,10 +12,8 @@
 //  * the maintained skyline (id + point per member).
 //
 // The packed function image is NOT serialized: it is a pure function
-// of the function set (rebuilt flat on load per the dataset options),
-// and overlay-vs-flat images are query-identical by the update
-// differential suite's contract — so persisting the overlay shape
-// would cost bytes without changing a single served response.
+// of the function set, rebuilt on load per the dataset options
+// (serve::BuildPackedImage, the same build every epoch runs).
 //
 // One trailing CRC32 covers the whole snapshot; a mismatch is typed
 // kDataLoss and recovery fails over to an older manifest slot. Files

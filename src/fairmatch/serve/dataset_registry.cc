@@ -8,6 +8,15 @@
 
 namespace fairmatch::serve {
 
+std::unique_ptr<PackedFunctionStore> BuildPackedImage(
+    const FunctionSet& fns, const DatasetOptions& options) {
+  if (!options.build_packed || fns.empty()) return nullptr;
+  PackedStoreOptions popts;
+  popts.use_mmap = options.packed_mmap;
+  popts.block_entries = options.packed_block_entries;
+  return std::make_unique<PackedFunctionStore>(fns, popts);
+}
+
 ResidentDataset::ResidentDataset(std::string name, AssignmentProblem problem,
                                  const DatasetOptions& options)
     : name_(std::move(name)),
@@ -16,13 +25,7 @@ ResidentDataset::ResidentDataset(std::string name, AssignmentProblem problem,
       tree_(&store_) {
   Timer timer;
   BuildObjectTree(problem_, &tree_, options.fill_factor);
-  if (options.build_packed && !problem_.functions.empty()) {
-    PackedStoreOptions popts;
-    popts.use_mmap = options.packed_mmap;
-    popts.block_entries = options.packed_block_entries;
-    packed_ =
-        std::make_unique<PackedFunctionStore>(problem_.functions, popts);
-  }
+  packed_ = BuildPackedImage(problem_.functions, options);
   build_ms_ = timer.ElapsedMs();
 }
 

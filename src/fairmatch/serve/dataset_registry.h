@@ -64,6 +64,15 @@ struct DatasetOptions {
   double fill_factor = 0.7;
 };
 
+/// Builds the flat packed function image of `fns` per `options`
+/// (block size, in-memory or mmap-backed), or nullptr when
+/// `options.build_packed` is off or `fns` is empty. The image is a pure
+/// function of the function set: Open(), snapshot recovery
+/// (recover/snapshot.h) and every update epoch (update/delta_builder.h)
+/// build it here.
+std::unique_ptr<PackedFunctionStore> BuildPackedImage(
+    const FunctionSet& fns, const DatasetOptions& options);
+
 /// One warm, immutable index set over one problem instance. Construct
 /// through DatasetRegistry::Open; read-only thereafter.
 class ResidentDataset {
@@ -81,8 +90,7 @@ class ResidentDataset {
   /// path (update/delta_builder.h). `store`'s pages are consumed
   /// (swapped in, no copy): they must already contain the tree described
   /// by `root`/`root_level`/`tree_size` over `problem`'s objects.
-  /// `packed` (may be null, possibly a patch overlay) becomes the
-  /// resident function index, `skyline` the maintained skyline of the
+  /// `packed` (may be null) becomes the resident function index, `skyline` the maintained skyline of the
   /// live objects, and `epoch` the republish generation.
   ResidentDataset(std::string name, AssignmentProblem problem,
                   MemNodeStore* store, PageId root, int root_level,

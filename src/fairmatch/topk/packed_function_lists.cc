@@ -287,157 +287,8 @@ bool PackedFunctionStore::WriteFile(const FunctionSet& fns,
   return MmapFile::Write(path, image.get(), size, error);
 }
 
-/// Immutable overlay state over a flat base image. Shared (read-only)
-/// by the overlay store and all its views; only merge/decode cursors
-/// are per-view.
-struct PackedFunctionStore::PatchState {
-  const PackedFunctionStore* base = nullptr;
-  std::shared_ptr<const void> base_owner;  // keeps `base`'s owner alive
-  std::vector<int32_t> remap;              // base fid -> live fid / -1
-  std::vector<double> eff;                 // live_functions x dims
-  /// Per-dim appended entries (descending eff, ties by ascending id):
-  /// the live functions absent from the base image.
-  std::vector<std::vector<std::pair<double, int32_t>>> patch_lists;
-  /// Per-dim block sequence in descending max-impact order: value >= 0
-  /// is a base block index, value < 0 is ~(patch block index).
-  std::vector<std::vector<int32_t>> block_order;
-  int added = 0;
-  int tombstones = 0;
-
-  size_t bytes() const {
-    size_t total = sizeof(*this) + remap.capacity() * sizeof(int32_t) +
-                   eff.capacity() * sizeof(double);
-    for (const auto& list : patch_lists) {
-      total += list.capacity() * sizeof(std::pair<double, int32_t>);
-    }
-    for (const auto& order : block_order) {
-      total += order.capacity() * sizeof(int32_t);
-    }
-    return total;
-  }
-};
-
-std::unique_ptr<PackedFunctionStore> PackedFunctionStore::NewPatched(
-    const PackedFunctionStore& base, std::shared_ptr<const void> base_owner,
-    const FunctionSet& live_fns, const std::vector<int32_t>& remap) {
-  FAIRMATCH_CHECK(base.data_ != nullptr && base.patch_ == nullptr);
-  FAIRMATCH_CHECK(remap.size() == static_cast<size_t>(base.size()));
-  FAIRMATCH_CHECK(!live_fns.empty());
-  const int dims = base.dims();
-  const int live = static_cast<int>(live_fns.size());
-
-  auto state = std::make_shared<PatchState>();
-  state->base = &base;
-  state->base_owner = std::move(base_owner);
-  state->remap = remap;
-
-  // Which live ids the base image already covers (renamed survivors).
-  std::vector<char> from_base(live_fns.size(), 0);
-  for (int32_t mapped : remap) {
-    if (mapped < 0) {
-      ++state->tombstones;
-      continue;
-    }
-    FAIRMATCH_CHECK(mapped < live && !from_base[mapped]);
-    from_base[mapped] = 1;
-  }
-
-  // Live eff table + per-dim patch lists for the functions the image
-  // lacks, in the FunctionLists order (descending eff, ties by
-  // ascending id) so merged traversal order matches a rebuilt list's.
-  state->eff.resize(static_cast<size_t>(live) * dims);
-  state->patch_lists.resize(dims);
-  double max_gamma = 0.0;
-  for (int f = 0; f < live; ++f) {
-    FAIRMATCH_CHECK(live_fns[f].dims == dims && live_fns[f].id == f);
-    max_gamma = std::max(max_gamma, live_fns[f].gamma);
-    for (int d = 0; d < dims; ++d) {
-      state->eff[static_cast<size_t>(f) * dims + d] = live_fns[f].eff(d);
-    }
-    if (from_base[f]) continue;
-    ++state->added;
-    for (int d = 0; d < dims; ++d) {
-      state->patch_lists[d].emplace_back(live_fns[f].eff(d), f);
-    }
-  }
-  for (int d = 0; d < dims; ++d) {
-    std::sort(state->patch_lists[d].begin(), state->patch_lists[d].end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-  }
-
-  // Merged per-dim block order: base blocks (already descending by
-  // max_impact) interleaved with the patch blocks by max_impact, ties
-  // to the base side. Every dim has the same block count.
-  const int block_entries = base.block_entries_;
-  const int patch_blocks =
-      (state->added + block_entries - 1) / block_entries;
-  state->block_order.resize(dims);
-  for (int d = 0; d < dims; ++d) {
-    std::vector<int32_t>& order = state->block_order[d];
-    order.reserve(static_cast<size_t>(base.num_blocks_) + patch_blocks);
-    int bb = 0;
-    int pb = 0;
-    while (bb < base.num_blocks_ || pb < patch_blocks) {
-      if (pb >= patch_blocks) {
-        order.push_back(bb++);
-        continue;
-      }
-      const double patch_impact =
-          state->patch_lists[d][static_cast<size_t>(pb) * block_entries].first;
-      if (bb < base.num_blocks_ &&
-          base.BlockMaxImpact(d, bb) >= patch_impact) {
-        order.push_back(bb++);
-      } else {
-        order.push_back(~pb);
-        ++pb;
-      }
-    }
-  }
-
-  std::unique_ptr<PackedFunctionStore> store(new PackedFunctionStore());
-  store->dims_ = dims;
-  store->num_functions_ = live;
-  store->block_entries_ = block_entries;
-  store->num_blocks_ = base.num_blocks_ + patch_blocks;
-  store->max_gamma_ = max_gamma;
-  store->eff_table_ = state->eff.data();
-  store->patch_ = std::move(state);
-  store->merge_.assign(dims, MergeCursor{});
-  for (MergeCursor& cursor : store->merge_) cursor.fids.resize(block_entries);
-  return store;
-}
-
-int PackedFunctionStore::patch_added() const {
-  return patch_ == nullptr ? 0 : patch_->added;
-}
-
-int PackedFunctionStore::patch_tombstones() const {
-  return patch_ == nullptr ? 0 : patch_->tombstones;
-}
-
 std::unique_ptr<PackedFunctionStore> PackedFunctionStore::NewSharedView(
     const PackedFunctionStore& base) {
-  if (base.patch_ != nullptr) {
-    // Overlay view: share the immutable patch state, allocate private
-    // merge/decode cursors. The base image's bytes are reachable
-    // through the state (which also keeps their owner alive).
-    std::unique_ptr<PackedFunctionStore> view(new PackedFunctionStore());
-    view->dims_ = base.dims_;
-    view->num_functions_ = base.num_functions_;
-    view->block_entries_ = base.block_entries_;
-    view->num_blocks_ = base.num_blocks_;
-    view->max_gamma_ = base.max_gamma_;
-    view->patch_ = base.patch_;
-    view->eff_table_ = view->patch_->eff.data();
-    view->merge_.assign(base.dims_, MergeCursor{});
-    for (MergeCursor& cursor : view->merge_) {
-      cursor.fids.resize(base.block_entries_);
-    }
-    return view;
-  }
   FAIRMATCH_CHECK(base.data_ != nullptr);
   std::unique_ptr<PackedFunctionStore> view(new PackedFunctionStore());
   // The base already validated the image (constructor or Open); the
@@ -590,12 +441,6 @@ size_t PackedFunctionStore::BlockOffset(int dim, int block) const {
 }
 
 double PackedFunctionStore::BlockMaxImpact(int dim, int block) const {
-  if (patch_ != nullptr) {
-    const int32_t source = patch_->block_order[dim][block];
-    if (source >= 0) return patch_->base->BlockMaxImpact(dim, source);
-    return patch_->patch_lists[dim]
-        [static_cast<size_t>(~source) * block_entries_].first;
-  }
   double impact;
   std::memcpy(&impact, blocks_ + BlockOffset(dim, block), sizeof(impact));
   return impact;
@@ -603,30 +448,6 @@ double PackedFunctionStore::BlockMaxImpact(int dim, int block) const {
 
 int PackedFunctionStore::DecodeBlock(int dim, int block,
                                      int32_t* out_fids) const {
-  if (patch_ != nullptr) {
-    const int32_t source = patch_->block_order[dim][block];
-    if (source >= 0) {
-      // Base block: decode (thread-safe on the flat base — no cache),
-      // then rename survivors and compact out the tombstoned ids. The
-      // returned count may be smaller than the block's; consumers use
-      // the count, never block_entries().
-      const int raw = patch_->base->DecodeBlock(dim, source, out_fids);
-      int kept = 0;
-      for (int i = 0; i < raw; ++i) {
-        const int32_t live = patch_->remap[out_fids[i]];
-        if (live >= 0) out_fids[kept++] = live;
-      }
-      return kept;
-    }
-    const auto& list = patch_->patch_lists[dim];
-    const size_t begin = static_cast<size_t>(~source) * block_entries_;
-    const size_t end =
-        std::min(list.size(), begin + static_cast<size_t>(block_entries_));
-    for (size_t i = begin; i < end; ++i) {
-      out_fids[i - begin] = list[i].second;
-    }
-    return static_cast<int>(end - begin);
-  }
   const std::byte* p = blocks_ + BlockOffset(dim, block);
   BlockHeaderRaw bh;
   std::memcpy(&bh, p, sizeof(bh));
@@ -636,72 +457,7 @@ int PackedFunctionStore::DecodeBlock(int dim, int block,
   return static_cast<int>(bh.count);
 }
 
-bool PackedFunctionStore::PeekBaseEntry(int dim) {
-  MergeCursor& cursor = merge_[dim];
-  if (cursor.base_has) return true;
-  const PatchState& patch = *patch_;
-  for (;;) {
-    if (cursor.base_idx >= cursor.base_count) {
-      if (cursor.base_block >= patch.base->num_blocks()) return false;
-      cursor.base_count =
-          patch.base->DecodeBlock(dim, cursor.base_block, cursor.fids.data());
-      ++cursor.base_block;
-      cursor.base_idx = 0;
-      continue;
-    }
-    const int32_t base_fid = cursor.fids[cursor.base_idx];
-    const int32_t live = patch.remap[base_fid];
-    if (live < 0) {  // tombstoned: invisible to the merged list
-      ++cursor.base_idx;
-      continue;
-    }
-    cursor.base_has = true;
-    cursor.base_coeff = patch.base->eff_of(base_fid, dim);
-    cursor.base_live = live;
-    return true;
-  }
-}
-
-std::pair<double, FunctionId> PackedFunctionStore::NextMerged(int dim) {
-  MergeCursor& cursor = merge_[dim];
-  const auto& list = patch_->patch_lists[dim];
-  const bool base_has = PeekBaseEntry(dim);
-  const bool patch_has = cursor.patch_idx < list.size();
-  FAIRMATCH_CHECK(base_has || patch_has);
-  bool take_base;
-  if (!patch_has) {
-    take_base = true;
-  } else if (!base_has) {
-    take_base = false;
-  } else {
-    const auto& p = list[cursor.patch_idx];
-    take_base = cursor.base_coeff > p.first ||
-                (cursor.base_coeff == p.first && cursor.base_live < p.second);
-  }
-  ++cursor.pos;
-  if (take_base) {
-    cursor.base_has = false;
-    ++cursor.base_idx;
-    return {cursor.base_coeff, cursor.base_live};
-  }
-  const auto& p = list[cursor.patch_idx++];
-  return {p.first, p.second};
-}
-
 std::pair<double, FunctionId> PackedFunctionStore::Entry(int dim, int pos) {
-  if (patch_ != nullptr) {
-    // Merged enumeration of (live base entries, patch entries), both
-    // descending. Sequential scans — the TA traversal — advance the
-    // cursor by one; a rewind replays from the top of the list.
-    MergeCursor& cursor = merge_[dim];
-    if (pos < cursor.pos) {
-      const int block_entries = block_entries_;
-      cursor = MergeCursor{};
-      cursor.fids.resize(block_entries);
-    }
-    while (cursor.pos < pos) (void)NextMerged(dim);
-    return NextMerged(dim);
-  }
   const int block = pos / block_entries_;
   DecodeCache& cache = cache_[dim];
   if (cache.block != block) {
@@ -712,25 +468,9 @@ std::pair<double, FunctionId> PackedFunctionStore::Entry(int dim, int pos) {
   return {eff_of(fid, dim), fid};
 }
 
-bool PackedFunctionStore::mapped() const {
-  if (patch_ != nullptr) return patch_->base->mapped();
-  return file_.mapped();
-}
-
-size_t PackedFunctionStore::image_bytes() const {
-  if (patch_ != nullptr) return patch_->base->image_bytes() + patch_->bytes();
-  return image_size_;
-}
-
 size_t PackedFunctionStore::footprint_bytes() const {
-  // An overlay does not own the base image: it reports only its own
-  // resident state (the image is counted by the epoch that owns it).
-  size_t bytes = sizeof(*this) + (patch_ != nullptr ? patch_->bytes()
-                                                    : image_size_);
+  size_t bytes = sizeof(*this) + image_size_;
   for (const DecodeCache& c : cache_) {
-    bytes += c.fids.capacity() * sizeof(int32_t);
-  }
-  for (const MergeCursor& c : merge_) {
     bytes += c.fids.capacity() * sizeof(int32_t);
   }
   return bytes;

@@ -3,7 +3,9 @@
 // DiskFunctionStore).
 //
 // The store is one immutable byte image, built once from a function
-// set and then queried in place with zero per-probe allocation:
+// set and then queried in place with zero per-probe allocation (an
+// update epoch, update/delta_builder.h, builds a fresh image over its
+// new function set; no image is ever edited):
 //
 //   FileHeader | eff table | sharded block directory | block sequences
 //
@@ -150,34 +152,6 @@ class PackedFunctionStore : public FunctionIndexBase {
   static bool WriteFile(const FunctionSet& fns, const std::string& path,
                         int block_entries = 128, std::string* error = nullptr);
 
-  /// Patch-overlay construction — the incremental-update path
-  /// (update/delta_builder.h). Presents `live_fns` (dense ids) without
-  /// rebuilding the image: `base`'s flat image is kept verbatim, dead
-  /// ids are tombstoned and surviving ones renamed through `remap`
-  /// (`remap[base_fid]` = the function's id in `live_fns`, or -1 =
-  /// tombstoned), and functions absent from the image (arrivals since
-  /// it was built) are appended as sorted per-dim patch blocks that
-  /// every traversal consults alongside the base blocks. `base_owner`
-  /// keeps the object owning `base` alive for the overlay's lifetime
-  /// (epoch chaining across republishes). The overlay preserves the
-  /// descending-impact invariants the TA Entry() scan and the
-  /// block-ordered traversals rely on: merged Entry() order is globally
-  /// descending, and a base block's max_impact stays a valid upper
-  /// bound even when its leading entries are tombstoned. Remapped
-  /// functions must be byte-identical to their base-image versions —
-  /// renames and removals only; a changed function is a remove + add.
-  static std::unique_ptr<PackedFunctionStore> NewPatched(
-      const PackedFunctionStore& base, std::shared_ptr<const void> base_owner,
-      const FunctionSet& live_fns, const std::vector<int32_t>& remap);
-
-  /// True for a patch overlay (NewPatched), false for a flat image.
-  bool patched() const { return patch_ != nullptr; }
-  /// Overlay accounting, 0 for flat images: entries appended by the
-  /// patch and base-image ids tombstoned. Their sum against size() is
-  /// the compaction trigger (update/delta_builder.h).
-  int patch_added() const;
-  int patch_tombstones() const;
-
   /// A queryable view sharing `base`'s packed image: no byte copy, no
   /// re-verification — only the view's private decode caches are
   /// allocated. The image bytes themselves are immutable, so any number
@@ -230,8 +204,8 @@ class PackedFunctionStore : public FunctionIndexBase {
 
   // --- placement / accounting ----------------------------------------
   /// True when the image bytes are an OS file mapping (vs the in-memory
-  /// buffer); a patch overlay reports its base image's placement.
-  bool mapped() const;
+  /// buffer).
+  bool mapped() const { return file_.mapped(); }
 
   /// Total bytes held: the packed image plus the per-list decode
   /// caches. For a mapped image this is the mapping size (resident on
@@ -239,9 +213,8 @@ class PackedFunctionStore : public FunctionIndexBase {
   /// materialized footprints.
   size_t footprint_bytes() const;
 
-  /// Bytes of the packed image alone (the bytes/function bench metric);
-  /// for a patch overlay, the base image plus the patch tables.
-  size_t image_bytes() const;
+  /// Bytes of the packed image alone (the bytes/function bench metric).
+  size_t image_bytes() const { return image_size_; }
 
  private:
   PackedFunctionStore() = default;
@@ -284,32 +257,6 @@ class PackedFunctionStore : public FunctionIndexBase {
     std::vector<int32_t> fids;
   };
   mutable std::vector<DecodeCache> cache_;
-
-  // --- patch overlay (NewPatched) ------------------------------------
-  // Immutable overlay state, shared by every view of the overlay.
-  struct PatchState;
-  std::shared_ptr<const PatchState> patch_;
-
-  /// Per-list merge cursor over (live base entries, patch entries) for
-  /// the overlay's Entry() path. Private per store/view, like cache_.
-  struct MergeCursor {
-    int pos = 0;         // merged live positions consumed so far
-    int base_block = 0;  // next base block to decode
-    int base_idx = 0;    // next entry within the decoded block
-    int base_count = 0;
-    bool base_has = false;  // a peeked, not yet consumed base candidate
-    double base_coeff = 0.0;
-    int32_t base_live = -1;
-    size_t patch_idx = 0;  // next patch-list entry
-    std::vector<int32_t> fids;  // decoded base-block ids
-  };
-  std::vector<MergeCursor> merge_;
-
-  /// Peeks the next non-tombstoned base entry of list `dim` into the
-  /// cursor (no-op if one is already peeked); false when exhausted.
-  bool PeekBaseEntry(int dim);
-  /// Produces the next entry of the merged descending-coefficient list.
-  std::pair<double, FunctionId> NextMerged(int dim);
 };
 
 }  // namespace fairmatch

@@ -19,8 +19,10 @@
 // CandidateQueue (a sorted ring with O(1) end pops for the common
 // small-Omega regime, a flat min-max heap above ~512 entries — the
 // seed paid an O(Omega) erase(begin()) shift per drop), the seen set
-// is a generation-stamped byte map that restarts reuse without
-// clearing, and memory-resident indexes with biased probing run one
+// is a compact bitmap for resumable searches (the default, which reset
+// rarely) and a generation-stamped byte map that restarts reuse
+// without clearing for no-resume searches (which reset on every call),
+// and memory-resident indexes with biased probing run one
 // probe kernel per call: scan positions, frontier values, gains, the
 // probing argmax and the knapsack threshold live in kMaxDims-sized
 // locals derived from the state's positions on entry, and candidates

@@ -79,18 +79,6 @@ DeltaBuilder::DeltaBuilder(serve::DatasetHandle base, DeltaOptions options)
       skyline_ = SortedSkyline(sky.skyline());
     }
   }
-  const PackedFunctionStore* packed = current_->packed();
-  if (packed != nullptr && !packed->patched()) {
-    flat_owner_ = current_;
-    flat_ = packed;
-    base_of_live_.resize(current_->problem().functions.size());
-    std::iota(base_of_live_.begin(), base_of_live_.end(), 0);
-  } else {
-    // No flat image to overlay (none built, or the base handle carries
-    // an overlay whose remap this builder did not produce): the first
-    // Apply() compacts.
-    base_of_live_.assign(current_->problem().functions.size(), -1);
-  }
 }
 
 serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
@@ -150,7 +138,6 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
   // ---- function phase (pure vectors; ids stay dense by
   // swap-with-last, processed in descending deleted id) ---------------
   FunctionSet fns = base_problem.functions;
-  std::vector<int32_t> base_of = base_of_live_;
   std::vector<int32_t> fowner(old_functions);  // slot -> original id
   std::iota(fowner.begin(), fowner.end(), 0);
   for (FunctionId k : del_functions) {
@@ -159,11 +146,9 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
       fns[k] = fns[last];
       fns[k].id = k;
       fowner[k] = fowner[last];
-      base_of[k] = base_of[last];
     }
     fns.pop_back();
     fowner.pop_back();
-    base_of.pop_back();
   }
   std::vector<FunctionId> inserted_fids;
   inserted_fids.reserve(batch.insert_functions.size());
@@ -173,7 +158,6 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
     inserted_fids.push_back(nf.id);
     fns.push_back(nf);
     fowner.push_back(-1);
-    base_of.push_back(-1);
   }
   std::vector<FunctionId> function_final(old_functions, -1);
   for (int slot = 0; slot < static_cast<int>(fns.size()); ++slot) {
@@ -295,50 +279,20 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
   std::vector<ObjectRecord> new_skyline = SortedSkyline(sky.skyline());
 
   // ---- packed phase ---------------------------------------------------
-  std::unique_ptr<PackedFunctionStore> packed;
-  const PackedFunctionStore* new_flat = nullptr;
-  bool compacted = false;
-  int patch_added = 0;
-  int patch_tombstones = 0;
-  const int live_count = static_cast<int>(fns.size());
-  if (options_.dataset.build_packed) {
-    int arrivals = 0;
-    for (int32_t b : base_of) {
-      if (b < 0) ++arrivals;
-    }
-    const int tombstones =
-        flat_ != nullptr ? flat_->size() - (live_count - arrivals) : 0;
-    const bool compact =
-        flat_ == nullptr ||
-        static_cast<double>(arrivals + tombstones) >
-            options_.compaction_threshold * static_cast<double>(live_count);
-    if (compact) {
-      PackedStoreOptions popts;
-      popts.block_entries = options_.dataset.packed_block_entries;
-      popts.use_mmap = options_.dataset.packed_mmap;
-      if (popts.use_mmap && injector != nullptr) {
-        Status s = injector->OnMap(
-            "epoch-" + std::to_string(current_->epoch() + 1) + "-packed");
-        if (!s.ok()) {
-          return serve::ServeStatus::Unavailable("packed compaction map: " +
-                                                 s.message);
-        }
-      }
-      packed = std::make_unique<PackedFunctionStore>(fns, popts);
-      new_flat = packed.get();
-      compacted = true;
-    } else {
-      std::vector<int32_t> remap(flat_->size(), -1);
-      for (int f = 0; f < live_count; ++f) {
-        if (base_of[f] >= 0) remap[base_of[f]] = f;
-      }
-      packed = PackedFunctionStore::NewPatched(
-          *flat_, std::static_pointer_cast<const void>(flat_owner_), fns,
-          remap);
-      patch_added = packed->patch_added();
-      patch_tombstones = packed->patch_tombstones();
+  // The image is a pure function of the new function set: build it
+  // flat, exactly as Open() and snapshot recovery do. Only the file
+  // mapping of an mmap-backed image is fallible.
+  if (options_.dataset.build_packed && options_.dataset.packed_mmap &&
+      injector != nullptr) {
+    Status s = injector->OnMap(
+        "epoch-" + std::to_string(current_->epoch() + 1) + "-packed");
+    if (!s.ok()) {
+      return serve::ServeStatus::Unavailable("packed image map: " +
+                                             s.message);
     }
   }
+  std::unique_ptr<PackedFunctionStore> packed =
+      serve::BuildPackedImage(fns, options_.dataset);
 
   // ---- construct the epoch and commit ---------------------------------
   // Every fallible step is behind us: from here on the new epoch exists
@@ -357,18 +311,6 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
       current_->name(), std::move(new_problem), &work_store, root, root_level,
       tree_size, std::move(packed), new_skyline, new_epoch);
 
-  if (options_.dataset.build_packed) {
-    if (compacted) {
-      flat_owner_ = handle;
-      flat_ = new_flat;
-      base_of.resize(live_count);
-      std::iota(base_of.begin(), base_of.end(), 0);
-    }
-  } else {
-    flat_owner_.reset();
-    flat_ = nullptr;
-  }
-  base_of_live_ = std::move(base_of);
   skyline_ = std::move(new_skyline);
   current_ = std::move(handle);
 
@@ -379,9 +321,7 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
     stats_out->functions_inserted = static_cast<int>(inserted_fids.size());
     stats_out->functions_deleted = static_cast<int>(del_functions.size());
     stats_out->tree_ops = tree_ops;
-    stats_out->packed_compacted = compacted;
-    stats_out->packed_patch_added = patch_added;
-    stats_out->packed_patch_tombstones = patch_tombstones;
+    stats_out->packed_compacted = options_.dataset.build_packed;
     stats_out->apply_ms = timer.ElapsedMs();
     stats_out->object_final = std::move(object_final);
     stats_out->function_final = std::move(function_final);

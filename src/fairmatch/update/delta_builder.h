@@ -19,13 +19,12 @@
 //    updated tree and repaired incrementally: deletions replay
 //    DeltaSky's constrained EDR traversal (DeltaSkyManager::Remove),
 //    arrivals go through the traversal-free DeltaSkyManager::Insert.
-//  * packed function image — survivors are renamed and dead ids
-//    tombstoned through a patch overlay over the unchanged flat image
-//    (PackedFunctionStore::NewPatched); arrivals append as sorted
-//    patch blocks. When the overlay grows past
-//    DeltaOptions::compaction_threshold of the live set, the image is
-//    compacted: rebuilt flat (in memory or mmap-backed per the dataset
-//    options) and the remap reset to identity.
+//  * packed function image — the sorted per-dimension lists are a
+//    pure function of the new function set, so every epoch builds its
+//    image flat (serve::BuildPackedImage, in memory or mmap-backed per
+//    the dataset options), exactly as Open() and snapshot recovery do.
+//    An epoch shares nothing with its predecessor, which is freed as
+//    soon as the last handle to it drops.
 //
 // Id discipline: every matcher indexes problem.objects[oid] /
 // problem.functions[fid] directly, so ids must stay equal to vector
@@ -83,11 +82,9 @@ struct UpdateStats {
   /// rename patch ops of swap-with-last moves).
   int64_t tree_ops = 0;
 
-  /// Packed-image outcome: whether this epoch compacted to a fresh
-  /// flat image, and the overlay size it serves otherwise.
+  /// This epoch built a fresh packed image (every Apply() with
+  /// DatasetOptions::build_packed).
   bool packed_compacted = false;
-  int packed_patch_added = 0;
-  int packed_patch_tombstones = 0;
 
   double apply_ms = 0.0;
 
@@ -107,15 +104,11 @@ struct DeltaOptions {
   /// packed_image_path attach knob is ignored).
   serve::DatasetOptions dataset;
 
-  /// Compact the packed image once the overlay (patch entries +
-  /// tombstones) exceeds this fraction of the live function count.
-  double compaction_threshold = 0.5;
-
   /// When non-null, consulted per fallible step of every Apply(): one
   /// OnRead per cloned tree page (corruption lands on the clone; a
   /// structurally damaged page is detected and typed kDataLoss), one
-  /// OnWrite per tree edit op, one OnMap before an mmap-backed
-  /// compaction. Must outlive the builder. Failures surface as typed
+  /// OnWrite per tree edit op, one OnMap before an mmap-backed packed
+  /// image build. Must outlive the builder. Failures surface as typed
   /// statuses and never touch the published epoch (the chaos-suite
   /// contract, tests/chaos_test.cc).
   FaultInjector* injector = nullptr;
@@ -159,14 +152,6 @@ class DeltaBuilder {
 
   // Maintained skyline of current(), ascending id.
   std::vector<ObjectRecord> skyline_;
-
-  // Packed-image chaining: the epoch whose (flat) image current
-  // overlays, the flat store inside it, and base_of_live_[fid] = that
-  // function's id in the flat image (-1 = arrival not in the image).
-  // flat_ == nullptr forces a compaction on the next Apply.
-  serve::DatasetHandle flat_owner_;
-  const PackedFunctionStore* flat_ = nullptr;
-  std::vector<int32_t> base_of_live_;
 };
 
 /// Runs registered matcher `matcher` directly against a resident

@@ -744,75 +744,143 @@ update::UpdateBatch ChaosBatch(const AssignmentProblem& problem, Rng* rng) {
   return batch;
 }
 
-TEST(ChaosUpdateTest, ApplyUnderFaultsCommitsFullyOrNotAtAll) {
+struct ApplySweepCounts {
   int committed = 0;
   int rejected = 0;
+};
+
+// Three faulted-or-committed Applies over a fresh base dataset. With
+// `packed_mmap` every epoch maps its packed image through the injector's
+// OnMap, so a refused map joins the read/write failures below.
+void SweepApplyUnderFaults(uint64_t seed, double rate, bool packed_mmap,
+                           ApplySweepCounts* counts) {
+  ProblemSpec spec;
+  spec.seed = seed + 4000;
+  spec.num_objects = 70;
+  AssignmentProblem problem = RandomProblem(spec);
+  DatasetOptions dopts;
+  dopts.packed_mmap = packed_mmap;
+  DatasetRegistry registry;
+  DatasetHandle base = registry.Open("chaos-update", problem, dopts);
+
+  FaultInjectorOptions fopts;
+  fopts.seed = seed * 977 + static_cast<uint64_t>(rate * 10000);
+  fopts.read_fail_rate = rate;
+  fopts.write_fail_rate = rate;
+  fopts.spike_rate = 0.02;
+  fopts.spike_us = 50;
+  FaultInjector injector(fopts);
+
+  update::DeltaOptions options;
+  options.dataset = dopts;
+  options.injector = &injector;
+  update::DeltaBuilder builder(base, options);
+
+  Rng rng(seed * 13 + 7);
+  for (int step = 0; step < 3; ++step) {
+    const DatasetHandle before = builder.current();
+    const std::vector<ObjectRecord> before_scan = before->tree()->ScanAll();
+    const uint64_t before_hash =
+        MatchingHash(update::RunOnDataset(*before, "SB").matching);
+    const uint64_t before_packed_hash =
+        MatchingHash(update::RunOnDataset(*before, "SB-Packed").matching);
+
+    const ServeStatus status =
+        builder.Apply(ChaosBatch(before->problem(), &rng), nullptr);
+    if (status.ok()) {
+      ++counts->committed;
+      // Full-commit leg of the contract: the new epoch passes the
+      // update-vs-rebuild differential.
+      const AssignmentProblem& now = builder.current()->problem();
+      EXPECT_EQ(
+          MatchingHash(
+              update::RunOnDataset(*builder.current(), "SB").matching),
+          MatchingHash(RunRegisteredMatcher("SB", now).matching));
+      EXPECT_EQ(builder.current()->packed()->mapped(), packed_mmap);
+      continue;
+    }
+    ++counts->rejected;
+    EXPECT_TRUE(status.code == ServeCode::kUnavailable ||
+                status.code == ServeCode::kDataLoss)
+        << status.message;
+    // Atomicity leg: the builder still names the identical epoch
+    // object, and the old epoch is byte-for-byte untouched.
+    ASSERT_EQ(builder.current().get(), before.get());
+    const std::vector<ObjectRecord> after_scan = before->tree()->ScanAll();
+    ASSERT_EQ(after_scan.size(), before_scan.size());
+    for (size_t i = 0; i < after_scan.size(); ++i) {
+      EXPECT_EQ(after_scan[i].id, before_scan[i].id);
+      for (int d = 0; d < before->problem().dims; ++d) {
+        EXPECT_EQ(after_scan[i].point[d], before_scan[i].point[d]);
+      }
+    }
+    EXPECT_EQ(MatchingHash(update::RunOnDataset(*before, "SB").matching),
+              before_hash);
+    EXPECT_EQ(
+        MatchingHash(update::RunOnDataset(*before, "SB-Packed").matching),
+        before_packed_hash);
+  }
+}
+
+TEST(ChaosUpdateTest, ApplyUnderFaultsCommitsFullyOrNotAtAll) {
+  ApplySweepCounts counts;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     for (double rate : {0.005, 0.05}) {
-      ProblemSpec spec;
-      spec.seed = seed + 4000;
-      spec.num_objects = 70;
-      AssignmentProblem problem = RandomProblem(spec);
-      DatasetRegistry registry;
-      DatasetHandle base = registry.Open("chaos-update", problem);
-
-      FaultInjectorOptions fopts;
-      fopts.seed = seed * 977 + static_cast<uint64_t>(rate * 10000);
-      fopts.read_fail_rate = rate;
-      fopts.write_fail_rate = rate;
-      fopts.spike_rate = 0.02;
-      fopts.spike_us = 50;
-      FaultInjector injector(fopts);
-
-      update::DeltaOptions options;
-      options.injector = &injector;
-      update::DeltaBuilder builder(base, options);
-
-      Rng rng(seed * 13 + 7);
-      for (int step = 0; step < 3; ++step) {
-        const DatasetHandle before = builder.current();
-        const std::vector<ObjectRecord> before_scan =
-            before->tree()->ScanAll();
-        const uint64_t before_hash =
-            MatchingHash(update::RunOnDataset(*before, "SB").matching);
-
-        const ServeStatus status =
-            builder.Apply(ChaosBatch(before->problem(), &rng), nullptr);
-        if (status.ok()) {
-          ++committed;
-          // Full-commit leg of the contract: the new epoch passes the
-          // update-vs-rebuild differential.
-          const AssignmentProblem& now = builder.current()->problem();
-          EXPECT_EQ(MatchingHash(
-                        update::RunOnDataset(*builder.current(), "SB")
-                            .matching),
-                    MatchingHash(RunRegisteredMatcher("SB", now).matching));
-          continue;
-        }
-        ++rejected;
-        EXPECT_TRUE(status.code == ServeCode::kUnavailable ||
-                    status.code == ServeCode::kDataLoss)
-            << status.message;
-        // Atomicity leg: the builder still names the identical epoch
-        // object, and the old epoch is byte-for-byte untouched.
-        ASSERT_EQ(builder.current().get(), before.get());
-        const std::vector<ObjectRecord> after_scan =
-            before->tree()->ScanAll();
-        ASSERT_EQ(after_scan.size(), before_scan.size());
-        for (size_t i = 0; i < after_scan.size(); ++i) {
-          EXPECT_EQ(after_scan[i].id, before_scan[i].id);
-          for (int d = 0; d < before->problem().dims; ++d) {
-            EXPECT_EQ(after_scan[i].point[d], before_scan[i].point[d]);
-          }
-        }
-        EXPECT_EQ(MatchingHash(update::RunOnDataset(*before, "SB").matching),
-                  before_hash);
+      for (bool packed_mmap : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " rate " +
+                     std::to_string(rate) + " packed_mmap " +
+                     std::to_string(packed_mmap));
+        SweepApplyUnderFaults(seed, rate, packed_mmap, &counts);
+        if (HasFatalFailure()) return;
       }
     }
   }
   // The sweep must actually exercise both legs of the contract.
-  EXPECT_GT(committed, 0) << "every Apply faulted; lower the rates";
-  EXPECT_GT(rejected, 0) << "no Apply faulted; raise the rates";
+  EXPECT_GT(counts.committed, 0) << "every Apply faulted; lower the rates";
+  EXPECT_GT(counts.rejected, 0) << "no Apply faulted; raise the rates";
+}
+
+TEST(ChaosUpdateTest, RefusedImageMapIsTypedUnavailable) {
+  ProblemSpec spec;
+  spec.seed = 4200;
+  spec.num_objects = 70;
+  const AssignmentProblem problem = RandomProblem(spec);
+  DatasetOptions dopts;
+  dopts.packed_mmap = true;
+  DatasetRegistry registry;
+  DatasetHandle base = registry.Open("chaos-map", problem, dopts);
+  const uint64_t base_hash =
+      MatchingHash(update::RunOnDataset(*base, "SB-Packed").matching);
+
+  // The map draw follows the cloned-page reads on the same read stream,
+  // so a schedule may fail a page read first or grant the map. Probe
+  // schedules until one refuses the map: the Apply must come back
+  // kUnavailable and leave the builder on the untouched old epoch.
+  bool found = false;
+  for (uint64_t seed = 1; seed <= 64 && !found; ++seed) {
+    FaultInjectorOptions fopts;
+    fopts.seed = seed;
+    fopts.read_fail_rate = 0.5;
+    FaultInjector injector(fopts);
+
+    update::DeltaOptions options;
+    options.dataset = dopts;
+    options.injector = &injector;
+    update::DeltaBuilder builder(base, options);
+
+    Rng rng(seed);
+    const ServeStatus status =
+        builder.Apply(ChaosBatch(base->problem(), &rng), nullptr);
+    if (status.message.rfind("packed image map:", 0) != 0) continue;
+    found = true;
+    EXPECT_EQ(status.code, ServeCode::kUnavailable) << status.message;
+    EXPECT_EQ(builder.current().get(), base.get())
+        << "a refused image map must not advance the epoch";
+  }
+  EXPECT_TRUE(found) << "no schedule refused the image map in 64 tries";
+  EXPECT_TRUE(base->packed()->mapped());
+  EXPECT_EQ(MatchingHash(update::RunOnDataset(*base, "SB-Packed").matching),
+            base_hash);
 }
 
 TEST(ChaosUpdateTest, DamagedClonePageIsTypedDataLoss) {
@@ -854,7 +922,7 @@ TEST(ChaosUpdateTest, DamagedClonePageIsTypedDataLoss) {
       EXPECT_TRUE(status.ok()) << status.message;
     }
   }
-  EXPECT_TRUE(found) << "no schedule damaged a node header in 64 tries";
+  EXPECT_TRUE(found) << "no schedule damaged a node header in 400 tries";
 }
 
 }  // namespace

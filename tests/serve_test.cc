@@ -602,13 +602,10 @@ TEST(DatasetLifecycleTest, RepublishStraddlingRequestsServeTheirEpoch) {
   DatasetHandle old_epoch = registry.Open("ds", problem);
 
   // Build the next epoch off-lock while the old one serves. The batch
-  // churns a function and the tiny compaction threshold forces a fresh
-  // flat packed image: an overlay epoch would otherwise keep the old
-  // epoch alive on purpose (it shares the old flat image), and this
-  // test wants to watch the old epoch's refcount drain to zero.
-  update::DeltaOptions doptions;
-  doptions.compaction_threshold = 0.01;
-  update::DeltaBuilder builder(old_epoch, doptions);
+  // churns objects and a function; the new epoch builds its own packed
+  // image and shares nothing with the old one, so the old epoch's
+  // refcount must drain to zero below with the builder still alive.
+  update::DeltaBuilder builder(old_epoch);
   update::UpdateBatch batch;
   for (ObjectId oid = 0; oid < 25; ++oid) batch.delete_objects.push_back(oid);
   batch.delete_functions.push_back(0);

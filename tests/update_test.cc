@@ -35,6 +35,7 @@
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/serve/server.h"
 #include "fairmatch/skyline/delta_sky.h"
+#include "fairmatch/topk/packed_function_lists.h"
 #include "fairmatch/update/delta_builder.h"
 #include "test_util.h"
 
@@ -62,7 +63,7 @@ using update::UpdateStats;
 
 // The matchers the differential suite pins: the reference algorithm,
 // the disk-resident-F variant, and the packed-image variant (which
-// exercises the patch overlay on the update path).
+// probes each epoch's freshly built packed image).
 const char* const kMatchers[] = {"SB", "SB-alt", "SB-Packed"};
 
 // ---- helpers ---------------------------------------------------------
@@ -258,7 +259,6 @@ void RunTrace(uint64_t seed, bool packed_mmap) {
 
   DeltaOptions options;
   options.dataset = dopts;
-  options.compaction_threshold = 0.4;
   DeltaBuilder builder(base, options);
 
   Rng rng(seed * 7919 + 13);
@@ -377,43 +377,50 @@ TEST(UpdateValidation, MalformedBatchesAreTypedAndAtomic) {
   expect_rejected(empty_functions);
 }
 
-// ---- packed overlay: compaction accounting ---------------------------
+// ---- packed image: built flat per epoch ------------------------------
 
-TEST(UpdatePacked, OverlayGrowsThenCompacts) {
+// A function churn leaves the epoch with the same packed image a fresh
+// build over its function set produces, and the epoch holds nothing of
+// its predecessor: once the new epoch is published and the last handle
+// to the old one drops, the old epoch is freed while the builder lives.
+TEST(UpdatePacked, EpochImageIsFlatAndFreesItsPredecessor) {
   ProblemSpec spec;
   spec.num_functions = 20;
   spec.seed = 5;
   AssignmentProblem problem = RandomProblem(spec);
   DatasetRegistry registry;
   DatasetHandle base = registry.Open("packed", problem, {});
-  DeltaOptions options;
-  options.compaction_threshold = 0.5;
-  DeltaBuilder builder(base, options);
+  const std::weak_ptr<const serve::ResidentDataset> base_weak = base;
+  DeltaBuilder builder(base, {});
 
-  // Small function churn: first epochs ride the patch overlay.
-  Rng rng(31);
-  UpdateBatch small;
-  small.delete_functions = {1};
+  UpdateBatch churn;
+  churn.delete_functions = {1};
   Rng fn_rng(17);
-  small.insert_functions = GenerateFunctions(1, spec.dims, &fn_rng);
+  churn.insert_functions = GenerateFunctions(1, spec.dims, &fn_rng);
   UpdateStats stats;
-  ASSERT_TRUE(builder.Apply(small, &stats).ok());
-  EXPECT_FALSE(stats.packed_compacted);
-  EXPECT_EQ(stats.packed_patch_added, 1);
-  EXPECT_EQ(stats.packed_patch_tombstones, 1);
-  ASSERT_TRUE(builder.current()->packed() != nullptr);
-  EXPECT_TRUE(builder.current()->packed()->patched());
+  ASSERT_TRUE(builder.Apply(churn, &stats).ok());
+  EXPECT_TRUE(stats.packed_compacted);
+  const PackedFunctionStore* packed = builder.current()->packed();
+  ASSERT_NE(packed, nullptr);
+  PackedFunctionStore fresh(builder.current()->problem().functions);
+  EXPECT_EQ(packed->image_bytes(), fresh.image_bytes());
+  ASSERT_EQ(packed->num_blocks(), fresh.num_blocks());
+  std::vector<int32_t> got(fresh.block_entries());
+  std::vector<int32_t> want(fresh.block_entries());
+  for (int d = 0; d < fresh.dims(); ++d) {
+    for (int b = 0; b < fresh.num_blocks(); ++b) {
+      EXPECT_EQ(packed->BlockMaxImpact(d, b), fresh.BlockMaxImpact(d, b));
+      const int n = packed->DecodeBlock(d, b, got.data());
+      ASSERT_EQ(n, fresh.DecodeBlock(d, b, want.data()));
+      for (int i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]);
+    }
+  }
   VerifyEpochAgainstRebuild(*builder.current());
 
-  // Churn past the threshold: the image compacts back to flat.
-  UpdateBatch big;
-  for (FunctionId f = 0; f < 10; ++f) big.delete_functions.push_back(f);
-  Rng fn_rng2(23);
-  big.insert_functions = GenerateFunctions(8, spec.dims, &fn_rng2);
-  ASSERT_TRUE(builder.Apply(big, &stats).ok());
-  EXPECT_TRUE(stats.packed_compacted);
-  EXPECT_FALSE(builder.current()->packed()->patched());
-  VerifyEpochAgainstRebuild(*builder.current());
+  registry.Publish(builder.current());
+  base.reset();
+  EXPECT_TRUE(base_weak.expired())
+      << "the new epoch kept its predecessor alive";
 }
 
 // ---- serving equality at 1/2/8 lanes ---------------------------------
