@@ -1,5 +1,5 @@
 // Micro figures: registry entries that isolate the optimized inner
-// loops (the TA reverse top-1 probe loop, BBS/UpdateSkyline, the SIMD
+// loops (the reverse top-1 search, BBS/UpdateSkyline, the SIMD
 // scoring kernel and the buffer pool) so the perf trajectory of the
 // hot-path work stays CI-visible in BENCH_<scale>.json — the
 // regression gate diffs their deterministic columns across commits
@@ -9,8 +9,12 @@
 // custom runners drive the component directly but report through the
 // same RunStats columns:
 //
-//   micro_reverse_top1 — io = sorted-list probes, loops = Omega
-//     restarts, pairs = completed Best() assignments.
+//   micro_reverse_top1 — a full drain by the in-memory block scan
+//     ("block-scan") and by round-robin TA ("TA-round-robin"); io =
+//     ReverseTop1::probes() (scored functions for block-scan, probed
+//     list entries for TA), loops = Omega restarts, pairs = completed
+//     Best() assignments (equal rows). mem = lists, the block scan's
+//     index and the query states.
 //   micro_bbs — io = counted R-tree node reads (paged store), loops =
 //     RemoveAndUpdate rounds, pairs = skyline members drained.
 //   micro_simd_score — old (scalar) vs new (vector) block-scoring
@@ -55,7 +59,7 @@ RunStats RunMicroReverseTop1(const AssignmentProblem& problem,
                              bool biased) {
   Timer timer;
   RunStats stats;
-  stats.algorithm = biased ? "TA-biased" : "TA-round-robin";
+  stats.algorithm = biased ? "block-scan" : "TA-round-robin";
   FunctionLists lists(&problem.functions);
   ReverseTop1Options options;
   options.biased_probing = biased;
@@ -78,7 +82,7 @@ RunStats RunMicroReverseTop1(const AssignmentProblem& problem,
   stats.cpu_ms = timer.ElapsedMs();
   stats.io_accesses = rt1.probes();
   stats.loops = rt1.restarts();
-  size_t state_bytes = lists.memory_bytes();
+  size_t state_bytes = lists.memory_bytes() + rt1.memory_bytes();
   for (const ReverseTop1State& s : states) state_bytes += s.memory_bytes();
   stats.peak_memory_bytes = state_bytes;
   return stats;
@@ -362,10 +366,11 @@ std::vector<FigureSection> MicroBufferPool() {
 
 std::vector<FigureSection> MicroReverseTop1() {
   FigureSection s;
-  s.title = "Micro: TA reverse top-1 drain";
+  s.title = "Micro: reverse top-1 drain";
   s.subtitle =
       "in-memory lists, 64 resumable query states, x = |F| "
-      "(io = probes, loops = restarts)";
+      "(io = scored functions (block-scan) or list probes (TA), "
+      "loops = restarts)";
   for (int nf : {1000, 5000, 20000}) {
     BenchConfig config;
     config.num_functions = nf;
@@ -374,7 +379,7 @@ std::vector<FigureSection> MicroReverseTop1() {
     std::vector<MeasuredRun> runs;
     for (bool biased : {true, false}) {
       MeasuredRun run;
-      run.algorithm = biased ? "TA-biased" : "TA-round-robin";
+      run.algorithm = biased ? "block-scan" : "TA-round-robin";
       run.runner = [biased](const AssignmentProblem& problem,
                             const BenchConfig&) {
         return RunMicroReverseTop1(problem, biased);
@@ -414,7 +419,7 @@ void RegisterMicroFigures(FigureRegistry* registry) {
   FigureSpec rt1;
   rt1.name = "micro_reverse_top1";
   rt1.description =
-      "Microbench: TA reverse top-1 inner loop (flat candidate heap)";
+      "Microbench: reverse top-1 drain, block scan vs round-robin TA";
   rt1.sections = MicroReverseTop1;
   registry->Register(std::move(rt1));
 

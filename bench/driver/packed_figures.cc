@@ -1,15 +1,17 @@
 // Packed function-list figures: the target experiments for the packed
 // memory-mapped backend (topk/packed_function_lists.h).
 //
-//   micro_packed_probe — the TA reverse top-1 drain over the three
+//   micro_packed_probe — the reverse top-1 drain over the three
 //     function-index backends at growing |F|: "lists" (in-memory
-//     FunctionLists), "packed" (packed image, default entry-at-a-time
-//     traversal) and "packed-impact" (packed image consumed block-wise
-//     in descending max-impact order). The first two perform the
-//     byte-identical probe sequence (io = probes, loops = restarts are
-//     equal rows — a declared invariant); packed-impact changes the
-//     probe granularity but must drain the identical assignments
-//     (pairs).
+//     FunctionLists) and "packed" (packed image, default traversal),
+//     which both run the block scan over the same coefficient table,
+//     and "packed-impact" (TA over the packed image's blocks in
+//     descending max-impact order). io = ReverseTop1::probes() (scored
+//     functions for lists/packed, probed list entries for
+//     packed-impact), loops = Omega restarts. lists and packed are
+//     equal rows (a declared invariant); packed-impact counts other
+//     work but must drain the identical assignments (pairs). mem = the
+//     index, the block scan's index and the query states.
 //   scale_sweep — the paper-size-and-beyond sweep: x multiplies the
 //     paper's |F| by 1/8/32 and compares the disk-resident
 //     DiskFunctionStore baseline against the packed store (in-memory
@@ -45,7 +47,7 @@ struct DrainResult {
   uint64_t assignments = 0;
   int64_t probes = 0;
   int64_t restarts = 0;
-  size_t state_bytes = 0;
+  size_t search_bytes = 0;
 };
 
 DrainResult DrainAllFunctions(FunctionIndexBase* index,
@@ -72,7 +74,11 @@ DrainResult DrainAllFunctions(FunctionIndexBase* index,
   }
   result.probes = rt1.probes();
   result.restarts = rt1.restarts();
-  for (const ReverseTop1State& s : states) result.state_bytes += s.memory_bytes();
+  // The searcher's own index (the block scan's) counts with the states.
+  result.search_bytes = rt1.memory_bytes();
+  for (const ReverseTop1State& s : states) {
+    result.search_bytes += s.memory_bytes();
+  }
   return result;
 }
 
@@ -102,7 +108,7 @@ RunStats RunMicroPackedProbe(const AssignmentProblem& problem,
   stats.io_accesses = drain.probes;
   stats.loops = drain.restarts;
   stats.pairs = drain.assignments;
-  stats.peak_memory_bytes = index_bytes + drain.state_bytes;
+  stats.peak_memory_bytes = index_bytes + drain.search_bytes;
   return stats;
 }
 
@@ -111,8 +117,8 @@ std::vector<FigureSection> MicroPackedProbe() {
   s.title = "Micro: packed-list reverse top-1 drain";
   s.subtitle =
       "full drain, 64 resumable query states, x = |F| "
-      "(io = probes, loops = restarts; lists == packed per column, "
-      "packed-impact equal pairs)";
+      "(io = scored functions or list probes, loops = restarts; "
+      "lists == packed per column, packed-impact equal pairs)";
   for (int nf : {1000, 5000, 20000}) {
     BenchConfig config;
     config.num_functions = nf;
@@ -166,7 +172,7 @@ RunStats RunScaleSweep(const AssignmentProblem& problem,
     stats.pairs = drain.assignments;
     stats.loops = drain.restarts;
     ctx.memory().Set(DiskStoreFootprint(&store, config.buffer_fraction) +
-                     drain.state_bytes);
+                     drain.search_bytes);
     ctx.Finish(&stats);
     return stats;
   }
@@ -180,7 +186,7 @@ RunStats RunScaleSweep(const AssignmentProblem& problem,
   stats.pairs = drain.assignments;
   stats.loops = drain.restarts;
   stats.io_accesses = 0;  // queried in place, no counted I/O
-  stats.peak_memory_bytes = store.footprint_bytes() + drain.state_bytes;
+  stats.peak_memory_bytes = store.footprint_bytes() + drain.search_bytes;
   return stats;
 }
 
@@ -219,11 +225,11 @@ void RegisterPackedFigures(FigureRegistry* registry) {
   FigureSpec probe;
   probe.name = "micro_packed_probe";
   probe.description =
-      "Microbench: TA drain across function-index backends "
+      "Microbench: reverse top-1 drain across function-index backends "
       "(lists / packed / packed impact-ordered)";
   probe.sections = MicroPackedProbe;
-  // The packed default traversal is FunctionLists probe for probe; the
-  // impact-ordered one drains the same assignments.
+  // The packed default traversal is FunctionLists' block scan, count for
+  // count; the impact-ordered TA drains the same assignments.
   probe.invariants = {
       RequireRows(nullptr, {"lists", "packed", "packed-impact"}),
       SameColumns(AlgorithmIn({"lists", "packed"}), ByCell,

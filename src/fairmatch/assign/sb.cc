@@ -34,7 +34,7 @@ class ReverseTop1Candidates final : public CandidateSource {
     sky.ForEach([&](int, const SkylineObject& m) {
       auto it = states_.find(m.id);
       if (it == states_.end()) {
-        // New skyline member: its TA state reuses a retired object's
+        // New skyline member: its search state reuses a retired object's
         // recycled buffers when the pool has one.
         it = states_.emplace(m.id, ObjectState{state_pool_.Acquire()})
                  .first;
@@ -174,7 +174,7 @@ AssignResult SBAssignment::Run() {
     }
     rt1_ = std::make_unique<ReverseTop1>(fn_index_, options_.ta);
   }
-  // Searches fan out only over kernel layouts that allow concurrent
+  // Searches fan out only over search paths that allow concurrent
   // Best() calls, and only when the caller does not own the cores.
   ThreadPool* const pool =
       rt1_ != nullptr && rt1_->concurrent() &&

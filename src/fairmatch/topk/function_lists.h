@@ -19,7 +19,7 @@ namespace fairmatch {
 
 class PackedFunctionStore;
 
-/// Access interface for the TA-style reverse top-1 search. Methods are
+/// Access interface for the reverse top-1 search. Methods are
 /// non-const because disk-backed implementations count I/O.
 class FunctionIndexBase {
  public:
@@ -37,14 +37,6 @@ class FunctionIndexBase {
   /// Aggregate score of function `fid` on object `o` — the TA "random
   /// accesses" that collect the function's remaining coefficients.
   virtual double ScoreOf(FunctionId fid, const Point& o) = 0;
-
-  /// Fast path: direct pointer to list `dim`'s entries when the index is
-  /// memory-resident (saves a virtual call per TA probe), or nullptr for
-  /// disk-backed indexes whose accesses must be counted.
-  virtual const std::pair<double, FunctionId>* RawList(int dim) const {
-    (void)dim;
-    return nullptr;
-  }
 
   /// Fast path: the function-major effective-coefficient table
   /// (`table[fid * dims() + d]` = alpha_d * gamma) of a memory-resident
@@ -74,10 +66,6 @@ class FunctionLists : public FunctionIndexBase {
 
   double ScoreOf(FunctionId fid, const Point& o) override {
     return (*fns_)[fid].Score(o);
-  }
-
-  const std::pair<double, FunctionId>* RawList(int dim) const override {
-    return lists_[dim].data();
   }
 
   const double* EffTable() const override { return eff_.data(); }

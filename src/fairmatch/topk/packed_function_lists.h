@@ -33,9 +33,10 @@
 // and the bench/test default) or in a file mapped read-only through
 // storage/mmap_file.h. Either way queries never touch the simulated
 // counted-I/O disk: like FunctionLists, the packed store reports zero
-// io_accesses, and its default-traversal probe sequence is identical
-// to FunctionLists' (tests/packed_lists_test.cc pins both). The block
-// granularity exists for ReverseTop1's impact-ordered traversal
+// io_accesses, and its default traversal is ReverseTop1's block scan
+// over the same eff table, count for count FunctionLists'
+// (tests/packed_lists_test.cc pins both). The block granularity exists
+// for ReverseTop1's impact-ordered traversal
 // (ReverseTop1Options::impact_ordered) and SB-alt-Packed, which consume
 // whole blocks in descending max-impact order and early-terminate on
 // the TA threshold.

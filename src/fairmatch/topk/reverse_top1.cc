@@ -2,58 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "fairmatch/common/float_util.h"
+#include "fairmatch/common/simd.h"
 
 namespace fairmatch {
 
 namespace {
-// Where the probe kernel reads list entries. Each layout supplies
-// Frontier(d, pos), the upper bound on the coefficient of any unseen
-// function in list d once its cursor is at pos, and Visit(d, pos, fn),
-// which probes position pos of list d, calls fn on every function id it
-// yields and returns the number of entries probed.
-
-// FunctionLists: one entry per probe, read from the raw arrays.
-struct RawLists {
-  const std::pair<double, FunctionId>* const* lists;
-  double Frontier(int d, int pos) const { return lists[d][pos].first; }
-  template <typename Fn>
-  int Visit(int d, int pos, Fn&& fn) const {
-    fn(lists[d][pos].second);
-    return 1;
-  }
-};
-
-// PackedFunctionStore, default traversal: one entry per probe through
-// the store's sequential decode cursor (probe pos, then read pos + 1).
-struct PackedEntries {
-  PackedFunctionStore* store;
-  double Frontier(int d, int pos) const { return store->Entry(d, pos).first; }
-  template <typename Fn>
-  int Visit(int d, int pos, Fn&& fn) const {
-    fn(store->Entry(d, pos).second);
-    return 1;
-  }
-};
-
-// PackedFunctionStore, impact-ordered traversal: one whole block per
-// probe; positions count blocks and the frontier is the next block's
-// max impact (every entry of a consumed block is marked seen).
-struct PackedBlocks {
-  const PackedFunctionStore* store;
-  int32_t* scratch;
-  double Frontier(int d, int pos) const {
-    return store->BlockMaxImpact(d, pos);
-  }
-  template <typename Fn>
-  int Visit(int d, int pos, Fn&& fn) const {
-    const int count = store->DecodeBlock(d, pos, scratch);
-    for (int i = 0; i < count; ++i) fn(scratch[i]);
-    return count;
-  }
-};
-
 // Argmax of gain (strict >, so ties pick the smallest dimension).
 // Exhausted lists carry gain -1, which never wins; -1 when every list is
 // exhausted. Branch-free: the winner changes too often to predict.
@@ -66,6 +23,44 @@ int BestGainDim(const double* gain, int dims) {
     best_gain = std::max(best_gain, gain[d]);
   }
   return best;
+}
+
+// Splits the functions ids[lo, hi) into scan blocks of at most
+// ReverseTop1::kScanBlock: halves at the median of the widest
+// coefficient dimension (ties: smaller dimension; equal coefficients:
+// smaller id) until a part fits, appending the leaves left to right.
+// `leaves` collects each leaf's end offset.
+void SplitBlocks(const double* eff, int dims, int32_t* ids, int lo, int hi,
+                 std::vector<int32_t>* leaves) {
+  if (hi - lo <= ReverseTop1::kScanBlock) {
+    std::sort(ids + lo, ids + hi);
+    leaves->push_back(hi);
+    return;
+  }
+  int widest = 0;
+  double widest_range = -1.0;
+  for (int d = 0; d < dims; ++d) {
+    double lo_coef = eff[static_cast<size_t>(ids[lo]) * dims + d];
+    double hi_coef = lo_coef;
+    for (int i = lo + 1; i < hi; ++i) {
+      const double c = eff[static_cast<size_t>(ids[i]) * dims + d];
+      lo_coef = std::min(lo_coef, c);
+      hi_coef = std::max(hi_coef, c);
+    }
+    if (hi_coef - lo_coef > widest_range) {
+      widest_range = hi_coef - lo_coef;
+      widest = d;
+    }
+  }
+  const int mid = lo + (hi - lo) / 2;
+  std::nth_element(ids + lo, ids + mid, ids + hi, [&](int32_t a, int32_t b) {
+    const double ca = eff[static_cast<size_t>(a) * dims + widest];
+    const double cb = eff[static_cast<size_t>(b) * dims + widest];
+    if (ca != cb) return ca < cb;
+    return a < b;
+  });
+  SplitBlocks(eff, dims, ids, lo, mid, leaves);
+  SplitBlocks(eff, dims, ids, mid, hi, leaves);
 }
 
 // Whether any function is still unassigned. SB passes its unassigned
@@ -83,31 +78,46 @@ ReverseTop1::ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options)
     : index_(index), options_(options) {
   omega_cap_ = std::max(
       1, static_cast<int>(std::llround(options_.omega * index_->size())));
-  raw_lists_.resize(index_->dims());
-  bool all_raw = true;
-  for (int d = 0; d < index_->dims(); ++d) {
-    raw_lists_[d] = index_->RawList(d);
-    if (raw_lists_[d] == nullptr) all_raw = false;
-  }
   packed_ = index_->packed();
   use_impact_ = options_.impact_ordered && packed_ != nullptr;
   // Scan cursors advance in blocks under the impact-ordered traversal,
   // in entries otherwise.
   scan_limit_ = use_impact_ ? packed_->num_blocks() : index_->size();
-  // The probe kernel serves biased probing over memory-resident lists.
-  // Round-robin (the ablation) and the counted disk store, whose I/O
-  // access sequence is part of what it measures, take the generic loop.
+  // Biased probing over a memory-resident index scans blocks, or runs
+  // the TA kernel over impact-ordered packed blocks. Round-robin (the
+  // ablation) and the counted disk store, whose I/O access sequence is
+  // part of what it measures, take the generic loop.
   eff_table_ = index_->EffTable();
   if (options_.biased_probing && eff_table_ != nullptr) {
-    if (use_impact_) {
-      path_ = Path::kPackedBlocks;
-    } else if (all_raw) {
-      path_ = Path::kRawLists;
-    } else if (packed_ != nullptr) {
-      path_ = Path::kPackedEntries;
-    }
+    path_ = use_impact_ ? Path::kPackedBlocks : Path::kBlockScan;
   }
   use_seen_epoch_ = !options_.resume;
+  if (path_ == Path::kBlockScan) BuildScanBlocks();
+}
+
+void ReverseTop1::BuildScanBlocks() {
+  const int dims = index_->dims();
+  const int n = index_->size();
+  blocks_.ids.resize(n);
+  std::iota(blocks_.ids.begin(), blocks_.ids.end(), 0);
+  blocks_.begin.assign(1, 0);
+  SplitBlocks(eff_table_, dims, blocks_.ids.data(), 0, n, &blocks_.begin);
+  blocks_.cols.resize(static_cast<size_t>(n) * dims);
+  blocks_.max_coef.assign(static_cast<size_t>(blocks_.count()) * dims, 0.0);
+  for (int b = 0; b < blocks_.count(); ++b) {
+    const int begin = blocks_.begin[b];
+    const int count = blocks_.begin[b + 1] - begin;
+    double* cols = blocks_.cols.data() + static_cast<size_t>(begin) * dims;
+    double* max_coef = blocks_.max_coef.data() + static_cast<size_t>(b) * dims;
+    for (int i = 0; i < count; ++i) {
+      const double* row =
+          eff_table_ + static_cast<size_t>(blocks_.ids[begin + i]) * dims;
+      for (int d = 0; d < dims; ++d) {
+        cols[d * count + i] = row[d];
+        max_coef[d] = std::max(max_coef[d], row[d]);
+      }
+    }
+  }
 }
 
 int32_t* ReverseTop1::BlockScratch() const {
@@ -121,8 +131,18 @@ int32_t* ReverseTop1::BlockScratch() const {
 void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
   const int dims = index_->dims();
   const int n = index_->size();
-  state->positions_.assign(dims, 0);
   state->queue_.Reset(omega_cap_);
+  state->omega_left_ = omega_cap_;
+  state->initialized = true;
+  if (path_ == Path::kBlockScan) {
+    // An empty window whose last entry precedes every block.
+    state->scan_window_.clear();
+    state->scan_next_ = 0;
+    state->scan_last_ = {std::numeric_limits<double>::infinity(), -1};
+    state->scan_more_ = true;
+    return;
+  }
+  state->positions_.assign(dims, 0);
   if (use_seen_epoch_) {
     // Generation bump instead of clearing: the byte map is wiped only
     // on first use, size change, or 8-bit generation wrap-around.
@@ -137,7 +157,6 @@ void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
   } else {
     state->seen_bits_.assign((n + 63) / 64, 0);
   }
-  state->omega_left_ = omega_cap_;
   state->round_robin_next_ = 0;
   state->dim_order_.resize(dims);
   for (int d = 0; d < dims; ++d) state->dim_order_[d] = d;
@@ -146,7 +165,36 @@ void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
               if (o[a] != o[b]) return o[a] > o[b];
               return a < b;
             });
-  state->initialized = true;
+}
+
+void ReverseTop1::RefillScanWindow(ReverseTop1State* state,
+                                   const Point& o) const {
+  using ScanEntry = ReverseTop1State::ScanEntry;
+  // The scan order: bound descending, then block index.
+  const auto before = [](const ScanEntry& a, const ScanEntry& b) {
+    if (a.bound != b.bound) return a.bound > b.bound;
+    return a.block < b.block;
+  };
+  // Per thread, so concurrent Best() calls never share it.
+  thread_local std::vector<ScanEntry> rest;
+  rest.clear();
+  const int dims = index_->dims();
+  for (int b = 0; b < blocks_.count(); ++b) {
+    // Summed like a score from max_coef >= every coefficient: no
+    // function of the block scores above its bound.
+    const double* max_coef =
+        blocks_.max_coef.data() + static_cast<size_t>(b) * dims;
+    double bound = 0.0;
+    for (int d = 0; d < dims; ++d) bound += max_coef[d] * o[d];
+    const ScanEntry entry{bound, b};
+    if (before(state->scan_last_, entry)) rest.push_back(entry);
+  }
+  const size_t take = std::min<size_t>(kScanWindow, rest.size());
+  std::partial_sort(rest.begin(), rest.begin() + take, rest.end(), before);
+  state->scan_window_.assign(rest.begin(), rest.begin() + take);
+  state->scan_next_ = 0;
+  if (take > 0) state->scan_last_ = rest[take - 1];
+  state->scan_more_ = take < rest.size();
 }
 
 double ReverseTop1::TightThreshold(const ReverseTop1State& state,
@@ -197,10 +245,13 @@ int ReverseTop1::PickList(const ReverseTop1State& state, const Point& o) {
   return best;
 }
 
-template <typename Lists>
-std::optional<std::pair<FunctionId, double>> ReverseTop1::Probe(
-    const Lists& lists, ReverseTop1State* state, const Point& o,
+std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
+    ReverseTop1State* state, const Point& o,
     const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
+  // Positions count blocks; a list's frontier is its next block's max
+  // impact (every entry of a consumed block is marked seen).
+  const PackedFunctionStore* const store = packed_;
+  int32_t* const scratch = BlockScratch();
   const int dims = index_->dims();
   const int limit = scan_limit_;
   const double max_gamma = index_->max_gamma();
@@ -248,7 +299,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Probe(
       order[d] = state->dim_order_[d];
       gain[d] = -1.0;
       if (pos[d] < limit) {
-        frontier[d] = lists.Frontier(d, pos[d]);
+        frontier[d] = store->BlockMaxImpact(d, pos[d]);
         gain[d] = frontier[d] * coord[d];
       }
     }
@@ -285,7 +336,10 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Probe(
       }
 
       const int d = best_dim;
-      probes += lists.Visit(d, pos[d]++, [&](FunctionId fid) {
+      const int count = store->DecodeBlock(d, pos[d]++, scratch);
+      probes += count;
+      for (int k = 0; k < count; ++k) {
+        const FunctionId fid = scratch[k];
         // Most probes hit a seen or assigned function: one branch for
         // both.
         bool seen;
@@ -298,7 +352,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Probe(
           seen = (word & bit) != 0;
           word |= bit;
         }
-        if (seen | (taken[fid] != 0)) return;
+        if (seen | (taken[fid] != 0)) continue;
         // The TA "random accesses": the function's coefficient row,
         // summed in PrefFunction::Score's order.
         const double* row = eff + static_cast<size_t>(fid) * dims;
@@ -310,7 +364,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Probe(
         // would evict a candidate ranked below its worst at once.
         const ScoredCandidate candidate{score, fid};
         if (static_cast<int>(queue.size()) == omega_left) {
-          if (!(candidate < queue.worst())) return;
+          if (!(candidate < queue.worst())) continue;
           queue.Push(candidate);
           queue.PopWorst();
         } else {
@@ -320,7 +374,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Probe(
           top = candidate;
           have_top = true;
         }
-      });
+      }
 
       // Advance list d's frontier. A duplicate coefficient changes
       // nothing; otherwise the gain drops, so the argmax (always d
@@ -328,7 +382,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Probe(
       if (pos[d] >= limit) {
         gain[d] = -1.0;
       } else {
-        const double l = lists.Frontier(d, pos[d]);
+        const double l = store->BlockMaxImpact(d, pos[d]);
         if (l == frontier[d]) continue;
         frontier[d] = l;
         gain[d] = l * coord[d];
@@ -358,19 +412,99 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
     const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
   if (!state->initialized || !options_.resume) Reset(state, o);
   switch (path_) {
-    case Path::kRawLists:
-      return Probe(RawLists{raw_lists_.data()}, state, o, assigned,
-                   num_unassigned);
-    case Path::kPackedEntries:
-      return Probe(PackedEntries{packed_}, state, o, assigned,
-                   num_unassigned);
+    case Path::kBlockScan:
+      return ScanBest(state, o, assigned, num_unassigned);
     case Path::kPackedBlocks:
-      return Probe(PackedBlocks{packed_, BlockScratch()}, state, o,
-                   assigned, num_unassigned);
+      return ProbeBlocks(state, o, assigned, num_unassigned);
     case Path::kGeneric:
       break;
   }
   return GenericBest(state, o, assigned, num_unassigned);
+}
+
+std::optional<std::pair<FunctionId, double>> ReverseTop1::ScanBest(
+    ReverseTop1State* state, const Point& o,
+    const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
+  static_assert(kScanBlock <= 32, "a block's live set is one 32-bit mask");
+  const int dims = index_->dims();
+  const uint8_t* const taken = assigned.data();
+  CandidateQueue& queue = state->queue_;
+  double coord[kMaxDims];
+  for (int d = 0; d < dims; ++d) coord[d] = o[d];
+  double scores[kScanBlock];
+  int64_t probes = 0;
+
+  while (true) {
+    // Drop candidates assigned to other objects since the last call;
+    // each pop spends one unit of the queue's guarantee (Omega), and a
+    // spent queue can no longer vouch for the maximum: restart.
+    while (!queue.empty() && taken[queue.best().fid]) {
+      queue.PopBest();
+      state->omega_left_--;
+    }
+    if (state->omega_left_ <= 0) {
+      restarts_++;
+      Reset(state, o);
+      continue;
+    }
+    const int omega_left = state->omega_left_;
+    // Scan until the best candidate beats every unscanned block's bound
+    // (a tie keeps scanning: the block may hold a smaller id).
+    while (true) {
+      if (state->scan_next_ == state->scan_window_.size()) {
+        if (!state->scan_more_) break;
+        RefillScanWindow(state, o);  // orders at least one block
+      }
+      const ReverseTop1State::ScanEntry next =
+          state->scan_window_[state->scan_next_];
+      if (!queue.empty() && queue.best().score > next.bound + kBoundSlack) {
+        break;
+      }
+      state->scan_next_++;
+      const int b = next.block;
+      const int begin = blocks_.begin[b];
+      const int count = blocks_.begin[b + 1] - begin;
+      const FunctionId* const ids = blocks_.ids.data() + begin;
+      uint32_t live = 0;
+      for (int i = 0; i < count; ++i) {
+        live |= static_cast<uint32_t>(taken[ids[i]] == 0) << i;
+      }
+      if (live == 0) continue;
+      const double* const cols =
+          blocks_.cols.data() + static_cast<size_t>(begin) * dims;
+      simd::ScoreColumnsF64(cols, count, dims, coord, count, scores);
+      probes += count;
+      for (; live != 0; live &= live - 1) {
+        const int i = __builtin_ctz(live);
+        // Keep only the top-Omega candidates (Section 5.1 memory
+        // bound). The queue never holds more than omega_left entries,
+        // so a full queue takes a candidate only by evicting its worst.
+        const ScoredCandidate candidate{scores[i], ids[i]};
+        if (static_cast<int>(queue.size()) == omega_left) {
+          if (!(candidate < queue.worst())) continue;
+          queue.Push(candidate);
+          queue.PopWorst();
+        } else {
+          queue.Push(candidate);
+        }
+      }
+    }
+    // Either the best beats every unscanned block, or every block was
+    // scanned and the queue holds the best unassigned candidates unless
+    // eviction lost them.
+    if (!queue.empty()) {
+      probes_ += probes;
+      const ScoredCandidate& top = queue.best();
+      return std::make_pair(top.fid, top.score);
+    }
+    // Queue starved by eviction: restart unless F is fully assigned.
+    if (!AnyUnassigned(assigned, num_unassigned)) {
+      probes_ += probes;
+      return std::nullopt;
+    }
+    restarts_++;
+    Reset(state, o);
+  }
 }
 
 std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
@@ -446,7 +580,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
       continue;
     }
     probes++;
-    FunctionId fid = EntryAt(d, pos).second;
+    FunctionId fid = index_->Entry(d, pos).second;
     if (Seen(*state, fid)) continue;
     MarkSeen(state, fid);
     if (assigned[fid]) continue;

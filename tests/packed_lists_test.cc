@@ -3,9 +3,9 @@
 // oracle, across randomized seeded shapes and in both placements
 // (in-memory image and mmap):
 //  * entries, scores and metadata are bitwise identical,
-//  * the default ReverseTop1 traversal performs the identical probe
-//    sequence (probes, restarts, returned ids) — the packed store is a
-//    drop-in FunctionLists,
+//  * the default ReverseTop1 traversal performs the identical block
+//    scan (scored functions, restarts, returned ids) — the packed store
+//    is a drop-in FunctionLists,
 //  * the impact-ordered block traversal returns the identical winners
 //    under assignment churn,
 //  * the SB-Packed / SB-alt-Packed engine variants reproduce the

@@ -3,7 +3,7 @@
 // produce the byte-identical assignment sequence and the identical
 // deterministic counters (io_accesses, pairs, loops) that the
 // pre-rewrite code produced, for in-memory and disk-resident function
-// settings and for both TA probing strategies. The golden values below
+// settings and for both probing strategies. The golden values below
 // were captured from the seed implementation on the same fixed
 // problems; matchings are compared through an order-sensitive FNV-1a
 // hash of the (fid, oid) sequence.
@@ -241,13 +241,15 @@ struct TaChurnGolden {
   uint64_t result_hash;
 };
 
-// The TA inner loop in isolation, under assignment churn that forces
-// queue eviction and Omega restarts. Probes and restarts pin the exact
-// probe sequence (PickList choices, threshold terminations); the hash
-// pins every returned function id.
+// Reverse top-1 in isolation, under assignment churn that forces queue
+// eviction and Omega restarts; the hash pins every returned function id.
+// Biased rows run the block scan: probes count scored functions and,
+// with restarts, pin the block sequence (bound order, skipped blocks,
+// terminations). Round-robin rows run TA and pin the exact seed probe
+// sequence (PickList choices, threshold terminations).
 const TaChurnGolden kTaChurnGoldens[] = {
-    {true, 0.025, 831, 0, 0x6894588dbdd8aa40ull},
-    {true, 0.006, 1143, 13, 0x6894588dbdd8aa40ull},
+    {true, 0.025, 10500, 0, 0x6894588dbdd8aa40ull},
+    {true, 0.006, 14150, 16, 0x6894588dbdd8aa40ull},
     {false, 0.025, 2032, 0, 0x6894588dbdd8aa40ull},
     {false, 0.006, 2718, 15, 0x6894588dbdd8aa40ull},
 };
