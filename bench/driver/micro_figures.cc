@@ -23,17 +23,16 @@
 //     deterministic columns are backend-independent (the kernels are
 //     bit-identical), which the regression gate cross-checks between
 //     the SIMD and scalar CI builds.
-//   micro_buffer_pool — old (list + unordered_map) vs new (sharded
-//     open-addressing + intrusive LRU) pool on one seeded fetch
-//     sequence per hit/miss mix; io = physical reads + writes, pairs =
-//     fetches, loops = buffer hits — identical for both
-//     implementations, so only cpu_ms separates the rows.
+//   micro_buffer_pool — the sharded open-addressing + intrusive-LRU
+//     pool on one seeded fetch sequence per hit/miss mix (every
+//     seventh fetch writes, so dirty frames copy-on-write and evict
+//     through a counted write); io = physical reads + writes, pairs =
+//     fetches, loops = buffer hits. cpu_ms is the frame-table, LRU and
+//     copy-on-write cost per fetch.
 #include <algorithm>
 #include <cstring>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "driver/figure_registry.h"
@@ -185,86 +184,9 @@ RunStats RunMicroSimdScore(const AssignmentProblem& problem,
   return stats;
 }
 
-// The seed's list + unordered_map LRU pool, kept verbatim as the
-// microbench baseline so the report keeps measuring the fetch-hit cost
-// the sharded open-addressing pool replaced. Same counted semantics:
-// identical page_reads/page_writes/buffer_hits on any access sequence.
-class ListMapLruPool {
- public:
-  ListMapLruPool(DiskManager* disk, size_t capacity, PerfCounters* counters)
-      : disk_(disk), capacity_(capacity), counters_(counters) {}
-
-  std::byte* Fetch(PageId pid) {
-    counters_->logical_reads++;
-    auto it = frames_.find(pid);
-    if (it != frames_.end()) {
-      counters_->buffer_hits++;
-      Frame& frame = it->second;
-      if (frame.in_lru) {
-        lru_.erase(frame.lru_pos);
-        frame.in_lru = false;
-      }
-      frame.pin_count++;
-      return frame.data->bytes;
-    }
-    counters_->page_reads++;
-    Frame frame;
-    frame.data = std::make_unique<PageData>();
-    disk_->ReadPage(pid, frame.data->bytes);
-    frame.pin_count = 1;
-    auto [ins, ok] = frames_.emplace(pid, std::move(frame));
-    (void)ok;
-    EvictIfNeeded();
-    return ins->second.data->bytes;
-  }
-
-  void Unpin(PageId pid, bool dirty) {
-    Frame& frame = frames_.at(pid);
-    frame.pin_count--;
-    if (dirty) frame.dirty = true;
-    if (frame.pin_count == 0) {
-      frame.lru_pos = lru_.insert(lru_.end(), pid);
-      frame.in_lru = true;
-      EvictIfNeeded();
-    }
-  }
-
- private:
-  struct Frame {
-    std::unique_ptr<PageData> data;
-    int pin_count = 0;
-    bool dirty = false;
-    std::list<PageId>::iterator lru_pos;
-    bool in_lru = false;
-  };
-
-  void EvictIfNeeded() {
-    while (frames_.size() > capacity_ && !lru_.empty()) {
-      PageId victim = lru_.front();
-      lru_.pop_front();
-      auto it = frames_.find(victim);
-      it->second.in_lru = false;
-      if (it->second.dirty) {
-        counters_->page_writes++;
-        disk_->WritePage(victim, it->second.data->bytes);
-      }
-      frames_.erase(it);
-    }
-  }
-
-  DiskManager* disk_;
-  size_t capacity_;
-  PerfCounters* counters_;
-  std::unordered_map<PageId, Frame> frames_;
-  std::list<PageId> lru_;
-};
-
 // One seeded fetch sequence (uniform page picks, every seventh access
-// a dirty write) against a pool sized for the given hit mix. Both pool
-// implementations replay the identical sequence on an identical disk,
-// so every deterministic column matches and cpu_ms isolates the frame
-// table + LRU overhead.
-RunStats RunMicroBufferPool(bool sharded, double capacity_fraction) {
+// a dirty write) against a pool sized for the given hit mix.
+RunStats RunMicroBufferPool(double capacity_fraction) {
   constexpr int kPages = 256;
   const int accesses = Scaled(400000, 2000);
   const size_t capacity =
@@ -277,23 +199,14 @@ RunStats RunMicroBufferPool(bool sharded, double capacity_fraction) {
   for (int i = 0; i < kPages; ++i) pids.push_back(disk.AllocatePage());
 
   RunStats stats;
-  stats.algorithm = sharded ? "sharded" : "list-map";
+  stats.algorithm = "sharded";
   Rng rng(4242);
   Timer timer;
-  if (sharded) {
+  {
     BufferPool pool(&disk, capacity, &counters);
     for (int i = 0; i < accesses; ++i) {
       PageHandle h = pool.FetchPage(pids[rng.UniformInt(0, kPages - 1)]);
       if (i % 7 == 0) h.mutable_bytes()[0] = std::byte{1};
-    }
-  } else {
-    ListMapLruPool pool(&disk, capacity, &counters);
-    for (int i = 0; i < accesses; ++i) {
-      const PageId pid = pids[rng.UniformInt(0, kPages - 1)];
-      std::byte* bytes = pool.Fetch(pid);
-      const bool dirty = i % 7 == 0;
-      if (dirty) bytes[0] = std::byte{1};
-      pool.Unpin(pid, dirty);
     }
   }
   stats.cpu_ms = timer.ElapsedMs();
@@ -348,18 +261,13 @@ std::vector<FigureSection> MicroBufferPool() {
     config.num_functions = 10;
     config.num_objects = 100;
     config = Scale(config);
-    std::vector<MeasuredRun> runs;
-    for (bool sharded : {false, true}) {
-      MeasuredRun run;
-      run.algorithm = sharded ? "sharded" : "list-map";
-      const double f = fraction;
-      run.runner = [sharded, f](const AssignmentProblem&,
-                                const BenchConfig&) {
-        return RunMicroBufferPool(sharded, f);
-      };
-      runs.push_back(std::move(run));
-    }
-    s.cells.push_back({label, config, nullptr, std::move(runs)});
+    MeasuredRun run;
+    run.algorithm = "sharded";
+    const double f = fraction;
+    run.runner = [f](const AssignmentProblem&, const BenchConfig&) {
+      return RunMicroBufferPool(f);
+    };
+    s.cells.push_back({label, config, nullptr, {std::move(run)}});
   }
   return {s};
 }
@@ -440,8 +348,8 @@ void RegisterMicroFigures(FigureRegistry* registry) {
   FigureSpec pool;
   pool.name = "micro_buffer_pool";
   pool.description =
-      "Microbench: buffer pool fetch/unpin, list+map LRU vs sharded "
-      "open addressing";
+      "Microbench: buffer pool fetch/unpin (sharded open addressing, "
+      "copy-on-write frames)";
   pool.sections = MicroBufferPool;
   registry->Register(std::move(pool));
 }

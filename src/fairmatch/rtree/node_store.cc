@@ -10,8 +10,7 @@ namespace fairmatch {
 NodeHandle::NodeHandle(PageHandle page, int dims, bool writable)
     : page_(std::move(page)), dims_(dims), writable_(writable) {
   pid_ = page_.page_id();
-  bytes_ = writable_ ? page_.mutable_bytes()
-                     : const_cast<std::byte*>(page_.bytes());
+  if (writable_) page_.mutable_bytes();  // copy-on-write, marks dirty
 }
 
 NodeHandle::NodeHandle(std::byte* bytes, PageId pid, int dims, bool writable)

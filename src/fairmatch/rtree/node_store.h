@@ -28,7 +28,11 @@
 namespace fairmatch {
 
 /// RAII access to one node. Keeps the underlying page pinned (paged
-/// store) for as long as the handle lives.
+/// store) for as long as the handle lives. A paged handle reads its
+/// bytes through the PageHandle on every view(), never from a cached
+/// pointer: a writable handle on the same page copies it out of the
+/// disk view on first write (buffer_pool.h), and a read handle taken
+/// earlier must see that copy.
 class NodeHandle {
  public:
   NodeHandle() = default;
@@ -45,18 +49,23 @@ class NodeHandle {
   NodeHandle& operator=(const NodeHandle&) = delete;
   ~NodeHandle() = default;
 
-  bool valid() const { return bytes_ != nullptr; }
+  bool valid() const { return page_.valid() || bytes_ != nullptr; }
   PageId page_id() const { return pid_; }
 
-  /// Accessor over the node bytes.
-  NodeView view() const { return NodeView(bytes_, dims_, writable_); }
+  /// Accessor over the node bytes. A read-only view never writes, so
+  /// handing it a disk view's bytes as non-const is safe.
+  NodeView view() const {
+    std::byte* bytes =
+        page_.valid() ? const_cast<std::byte*>(page_.bytes()) : bytes_;
+    return NodeView(bytes, dims_, writable_);
+  }
 
   /// Releases the pin early.
   void Release();
 
  private:
   PageHandle page_;
-  std::byte* bytes_ = nullptr;
+  std::byte* bytes_ = nullptr;  // memory-store and surrogate handles only
   PageId pid_ = kInvalidPage;
   int dims_ = 0;
   bool writable_ = false;

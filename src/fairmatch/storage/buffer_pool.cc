@@ -7,14 +7,14 @@
 
 namespace fairmatch {
 
-PageHandle::PageHandle(BufferPool* pool, PageId pid, std::byte* bytes)
-    : pool_(pool), pid_(pid), bytes_(bytes) {}
+PageHandle::PageHandle(BufferPool* pool, PageId pid, int32_t frame)
+    : pool_(pool), pid_(pid), frame_(frame) {}
 
 PageHandle::PageHandle(PageHandle&& other) noexcept
-    : pool_(other.pool_), pid_(other.pid_), bytes_(other.bytes_) {
+    : pool_(other.pool_), pid_(other.pid_), frame_(other.frame_) {
   other.pool_ = nullptr;
-  other.bytes_ = nullptr;
   other.pid_ = kInvalidPage;
+  other.frame_ = BufferPool::kNoFrame;
 }
 
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
@@ -22,10 +22,10 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
     Release();
     pool_ = other.pool_;
     pid_ = other.pid_;
-    bytes_ = other.bytes_;
+    frame_ = other.frame_;
     other.pool_ = nullptr;
-    other.bytes_ = nullptr;
     other.pid_ = kInvalidPage;
+    other.frame_ = BufferPool::kNoFrame;
   }
   return *this;
 }
@@ -34,19 +34,16 @@ PageHandle::~PageHandle() { Release(); }
 
 void PageHandle::Release() {
   if (pool_ != nullptr) {
-    pool_->Unpin(pid_, /*dirty=*/false);
+    pool_->Unpin(frame_);
     pool_ = nullptr;
-    bytes_ = nullptr;
     pid_ = kInvalidPage;
+    frame_ = BufferPool::kNoFrame;
   }
 }
 
 std::byte* PageHandle::mutable_bytes() {
   FAIRMATCH_CHECK(pool_ != nullptr);
-  const int32_t frame = pool_->Lookup(pid_);
-  FAIRMATCH_CHECK(frame != BufferPool::kNoFrame);
-  pool_->frames_[frame].dirty = true;
-  return bytes_;
+  return pool_->MakeWritable(frame_);
 }
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity_frames,
@@ -148,6 +145,7 @@ int32_t BufferPool::AllocFrame(PageId pid) {
   }
   Frame& f = frames_[frame];
   f.pid = pid;
+  f.bytes = f.data->bytes;
   f.pin_count = 0;
   f.dirty = false;
   f.in_lru = false;
@@ -203,7 +201,7 @@ PageHandle BufferPool::FetchPage(PageId pid) {
     Frame& f = frames_[frame];
     if (f.in_lru) LruRemove(frame);
     f.pin_count++;
-    return PageHandle(this, pid, f.data->bytes);
+    return PageHandle(this, pid, frame);
   }
   // Miss: physical read (before any eviction writeback, matching the
   // counted access order of the original pool).
@@ -219,16 +217,18 @@ PageHandle BufferPool::FetchPage(PageId pid) {
     disk_->ReportBadPageRef(pid, "BufferPool::FetchPage");
     std::memset(f.data->bytes, 0, kPageSize);
   } else {
-    // A faulted read (injected failure, checksum mismatch) already
-    // zero-filled the frame and reported to the run's sink; the zeroed
-    // page is structurally safe for every consumer, so the fetch
-    // proceeds and the run unwinds at its next cancellation point.
-    disk_->ReadPage(pid, f.data->bytes);
+    // A clean read is a view of the disk page; an injected or faulted
+    // one lands in the frame's own buffer. A faulted read (injected
+    // failure, checksum mismatch) comes back zero-filled and already
+    // reported to the run's sink; the zeroed page is structurally safe
+    // for every consumer, so the fetch proceeds and the run unwinds at
+    // its next cancellation point.
+    f.bytes = disk_->ReadPage(pid, f.data->bytes).bytes;
   }
   f.pin_count = 1;
   Insert(pid, frame);
   EvictIfNeeded();
-  return PageHandle(this, pid, f.data->bytes);
+  return PageHandle(this, pid, frame);
 }
 
 PageHandle BufferPool::NewPage() {
@@ -240,7 +240,7 @@ PageHandle BufferPool::NewPage() {
   f.dirty = true;
   Insert(pid, frame);
   EvictIfNeeded();
-  return PageHandle(this, pid, f.data->bytes);
+  return PageHandle(this, pid, frame);
 }
 
 void BufferPool::DeletePage(PageId pid) {
@@ -281,13 +281,21 @@ void BufferPool::set_capacity(size_t capacity_frames) {
   EvictIfNeeded();
 }
 
-void BufferPool::Unpin(PageId pid, bool dirty) {
-  const int32_t frame = Lookup(pid);
-  FAIRMATCH_CHECK(frame != kNoFrame);
+std::byte* BufferPool::MakeWritable(int32_t frame) {
+  Frame& f = frames_[frame];
+  FAIRMATCH_DCHECK(f.pin_count > 0);
+  if (f.bytes != f.data->bytes) {
+    std::memcpy(f.data->bytes, f.bytes, kPageSize);
+    f.bytes = f.data->bytes;
+  }
+  f.dirty = true;
+  return f.data->bytes;
+}
+
+void BufferPool::Unpin(int32_t frame) {
   Frame& f = frames_[frame];
   FAIRMATCH_CHECK(f.pin_count > 0);
   f.pin_count--;
-  if (dirty) f.dirty = true;
   if (f.pin_count == 0) {
     LruPushBack(frame);
     EvictIfNeeded();
@@ -308,6 +316,7 @@ void BufferPool::EvictIfNeeded() {
 
 void BufferPool::FlushFrame(Frame& frame) {
   if (frame.dirty) {
+    FAIRMATCH_DCHECK(frame.bytes == frame.data->bytes);
     counters_->page_writes++;
     disk_->WritePage(frame.pid, frame.data->bytes);
     frame.dirty = false;

@@ -7,6 +7,21 @@
 // buffer" configuration: pages stay resident only while pinned and every
 // fetch is a miss.
 //
+// Zero-copy clean frames. A miss stores whatever DiskManager::ReadPage
+// returns: with no fault injector attached that is a view of the disk's
+// own page, so reading one record off a missed page copies nothing.
+// Every frame also owns a 4 KB buffer; the frame copies into it on the
+// first write through any handle (copy-on-write), and a faulted or
+// injected read lands there too. Dirty frames therefore always own
+// their bytes, and a flush writes them back exactly as a copying pool
+// would. Counting is unaffected: a copy-on-write is not an access.
+//
+// View lifetime. PageHandle::bytes() is valid while the handle pins
+// the page; after Release() the bytes may belong to another page or to
+// nobody. A view frame relies on the disk page outliving it: DeletePage
+// drops the frame before freeing the page, and a pool must be destroyed
+// before its disk is Recycle()d or destroyed.
+//
 // The frame table is a sharded open-addressing hash (linear probing,
 // backward-shift deletion) over a recycling frame arena, and the LRU is
 // an intrusive doubly-linked list threaded through the frames. Fetch,
@@ -30,11 +45,13 @@ namespace fairmatch {
 class BufferPool;
 
 /// RAII pin on a buffered page. While alive, the page bytes stay valid.
-/// Movable, not copyable.
+/// Movable, not copyable. The handle names its frame, not a byte
+/// pointer, so every pin of a page sees a copy-on-write made through
+/// any other pin of it.
 class PageHandle {
  public:
   PageHandle() = default;
-  PageHandle(BufferPool* pool, PageId pid, std::byte* bytes);
+  PageHandle(BufferPool* pool, PageId pid, int32_t frame);
   PageHandle(PageHandle&& other) noexcept;
   PageHandle& operator=(PageHandle&& other) noexcept;
   PageHandle(const PageHandle&) = delete;
@@ -46,15 +63,19 @@ class PageHandle {
 
   bool valid() const { return pool_ != nullptr; }
   PageId page_id() const { return pid_; }
-  const std::byte* bytes() const { return bytes_; }
+  /// The page's current bytes (a disk view or the frame's own copy).
+  /// Re-read after another handle's mutable_bytes(): a copy-on-write
+  /// moves the page to the frame's own buffer.
+  inline const std::byte* bytes() const;
 
-  /// Mutable access; marks the frame dirty.
+  /// Mutable access; copies a viewed page into the frame's own buffer
+  /// on the first write and marks the frame dirty.
   std::byte* mutable_bytes();
 
  private:
   BufferPool* pool_ = nullptr;
   PageId pid_ = kInvalidPage;
-  std::byte* bytes_ = nullptr;
+  int32_t frame_ = -1;
 };
 
 /// LRU replacement buffer pool. Frames above capacity are tolerated while
@@ -118,8 +139,12 @@ class BufferPool {
     bool in_lru = false;
     int32_t lru_prev = kNoFrame;
     int32_t lru_next = kNoFrame;
-    // Page bytes, stable across frame-arena growth; recycled with the
-    // slot so steady-state eviction/fetch churn never allocates.
+    // What every pin reads: `data->bytes`, or the disk's own page for a
+    // clean frame read without an injector. Dirty frames own theirs.
+    const std::byte* bytes = nullptr;
+    // The frame's own page buffer, stable across frame-arena growth;
+    // recycled with the slot so steady-state eviction/fetch churn never
+    // allocates.
     std::unique_ptr<PageData> data;
   };
 
@@ -153,7 +178,9 @@ class BufferPool {
   void LruPushBack(int32_t frame);
   void LruRemove(int32_t frame);
 
-  void Unpin(PageId pid, bool dirty);
+  /// Copy-on-write: makes `frame` own its bytes and marks it dirty.
+  std::byte* MakeWritable(int32_t frame);
+  void Unpin(int32_t frame);
   void EvictIfNeeded();
   void FlushFrame(Frame& frame);
 
@@ -169,6 +196,10 @@ class BufferPool {
   int32_t lru_head_ = kNoFrame;
   int32_t lru_tail_ = kNoFrame;
 };
+
+inline const std::byte* PageHandle::bytes() const {
+  return pool_ == nullptr ? nullptr : pool_->frames_[frame_].bytes;
+}
 
 }  // namespace fairmatch
 

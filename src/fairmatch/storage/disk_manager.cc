@@ -97,31 +97,31 @@ void DiskManager::set_verify_checksums(bool on) {
   }
 }
 
-Status DiskManager::ReadPage(PageId pid, std::byte* dst) const {
+PageRead DiskManager::ReadPage(PageId pid, std::byte* scratch) const {
   CheckLive(pid, "ReadPage");
-  std::memcpy(dst, pages_[pid]->bytes, kPageSize);
+  PageRead read{pages_[pid]->bytes, Status::Ok()};
   if (fault_injector_ != nullptr) {
+    // The injector may corrupt what it returns: give it a private copy
+    // so the stored page never changes on a read.
+    std::memcpy(scratch, read.bytes, kPageSize);
+    read.bytes = scratch;
     int spike_us = 0;
-    Status status = fault_injector_->OnRead(pid, dst, &spike_us);
+    read.status = fault_injector_->OnRead(pid, scratch, &spike_us);
     SimulateLatency(spike_us);
-    if (!status.ok()) {
-      std::memset(dst, 0, kPageSize);
-      if (error_sink_ != nullptr) {
-        error_sink_->Report(status.code, status.message);
-      }
-      return status;
-    }
   }
-  if (verify_checksums_ && Crc32Of(dst, kPageSize) != crcs_[pid]) {
-    std::memset(dst, 0, kPageSize);
-    Status status = Status::DataLoss("checksum mismatch reading page " +
-                                     std::to_string(pid));
+  if (read.status.ok() && verify_checksums_ &&
+      Crc32Of(read.bytes, kPageSize) != crcs_[pid]) {
+    read.status = Status::DataLoss("checksum mismatch reading page " +
+                                   std::to_string(pid));
+  }
+  if (!read.status.ok()) {
+    std::memset(scratch, 0, kPageSize);
+    read.bytes = scratch;
     if (error_sink_ != nullptr) {
-      error_sink_->Report(status.code, status.message);
+      error_sink_->Report(read.status.code, read.status.message);
     }
-    return status;
   }
-  return Status::Ok();
+  return read;
 }
 
 Status DiskManager::WritePage(PageId pid, const std::byte* src) {

@@ -6,17 +6,31 @@
 // serialize into them), and every physical read/write is counted by the
 // buffer pool that owns this disk. See DESIGN.md "Substitutions".
 //
+// Reads are views. Because the pages already live in memory, a clean
+// read hands out the page's own bytes instead of a copy: ReadPage
+// returns the bytes the caller should use, and only writes into the
+// caller's scratch buffer when the bytes must differ from what the disk
+// holds (an attached FaultInjector may corrupt or fail the transfer, a
+// checksum mismatch zero-fills it). A view stays valid until the page
+// is freed (FreePage) or the manager is Recycle()d or destroyed, and it
+// sees every later WritePage to that page. BufferPool frames keep such
+// views for exactly as long as a page is resident, which is why
+// BufferPool::DeletePage drops the frame before FreePage and why every
+// pool must die before its disk's Recycle() (serve/server.cc orders it
+// so). Nobody may write through a view; the pool copies first.
+//
 // Fault surface: this is the single origin of typed storage errors for
 // the layers above. A FaultInjector (storage/fault_injector.h) can be
 // attached to fail/corrupt/delay accesses on a seeded schedule, and
 // set_verify_checksums(true) maintains a per-page CRC32 side table so a
 // corrupted read is *detected* (kDataLoss) instead of silently
-// consumed. Failures never abort: ReadPage zero-fills the destination
-// (a zeroed page parses as an empty node / empty record run everywhere
-// above), reports to the attached ErrorSink, and returns a Status the
-// buffer pool may also inspect. With no injector and checksums off
-// (the default), behavior and cost are byte-identical to the plain
-// byte store the parity suite pins.
+// consumed. Failures never abort: ReadPage hands back a zero-filled
+// scratch page (a zeroed page parses as an empty node / empty record
+// run everywhere above), reports to the attached ErrorSink, and returns
+// a Status the buffer pool may also inspect. Injected faults act on the
+// scratch copy only, so the stored page is never altered by a read.
+// With no injector and checksums off (the default), counted behavior is
+// byte-identical to the plain byte store the parity suite pins.
 //
 // CHECK vs Status: liveness violations on ids that only a programming
 // error can produce (double FreePage, a WritePage past the allocation
@@ -42,6 +56,14 @@ class FaultInjector;
 /// Raw content of one disk page.
 struct PageData {
   std::byte bytes[kPageSize];
+};
+
+/// Outcome of DiskManager::ReadPage: the bytes to use and what
+/// happened. `bytes` is either the stored page itself (a view, see the
+/// file comment) or the caller's scratch buffer; it is never null.
+struct PageRead {
+  const std::byte* bytes = nullptr;
+  Status status;
 };
 
 /// Allocates, frees and transfers fixed-size pages.
@@ -78,13 +100,17 @@ class DiskManager {
   /// Buffers parked by Recycle() and not yet handed back out.
   size_t spare_pages() const { return spare_.size(); }
 
-  /// Copies the page content into `dst` (kPageSize bytes). On a fault
-  /// (injected read failure, checksum mismatch) `dst` is zero-filled —
-  /// structurally safe for every consumer above — the error is
-  /// reported to the attached sink, and the Status says what happened.
-  /// Aborts on a non-live `pid`: data-derived ids must be guarded with
-  /// IsLive() by the caller (BufferPool does).
-  Status ReadPage(PageId pid, std::byte* dst) const;
+  /// Reads page `pid`. With no injector attached the result is a view
+  /// of the stored page and `scratch` is untouched (with checksums on,
+  /// the CRC is verified over the stored bytes). With an injector the
+  /// page is copied into `scratch` (kPageSize bytes) and the injector
+  /// acts on that copy. On a fault (injected read failure, checksum
+  /// mismatch) the result is `scratch` zero-filled — structurally safe
+  /// for every consumer above — the error is reported to the attached
+  /// sink, and the status says what happened. Aborts on a non-live
+  /// `pid`: data-derived ids must be guarded with IsLive() by the
+  /// caller (BufferPool does).
+  PageRead ReadPage(PageId pid, std::byte* scratch) const;
 
   /// Copies `src` (kPageSize bytes) into the page. On an injected
   /// write failure the page keeps its previous content. Aborts on a

@@ -2,8 +2,8 @@
 //
 // When F does not fit in memory, the paper materializes the D sorted
 // coefficient lists on disk. We store each list as a PagedFile of
-// (float coefficient, int32 function id) records on the simulated disk
-// behind one shared LRU buffer, so that
+// ListRecords (double coefficient, int32 function id; 16 bytes with
+// padding) on the simulated disk behind one shared LRU buffer, so that
 //   * sequential block scans (SB-alt's batch search) cost one read per
 //     page, and
 //   * TA random accesses (fetching a function's remaining coefficients)
@@ -98,7 +98,7 @@ class DiskFunctionStore : public FunctionIndexBase {
   void ResetCounters();
   void SetBufferFraction(double fraction);
   int64_t num_pages() const { return disk_->num_pages(); }
-  /// The underlying simulated disk (latency knob, diagnostics).
+  /// The underlying simulated disk (fault wiring, diagnostics).
   DiskManager& disk() { return *disk_; }
 
  private:

@@ -4,8 +4,11 @@
 // see the written-back bytes and cost exactly one physical read), the
 // pinned-overflow path at capacities 0, 1 and 2 (more pinned pages
 // than frames), and a randomized differential sweep against a
-// reference model of the documented LRU semantics. General pool/paged
-// file coverage lives in tests/storage_test.cc.
+// reference model of the documented LRU semantics. The zero-copy
+// tests pin the view contract: a clean miss hands out the disk's own
+// page, a write copies it into the frame first and every pin sees the
+// copy, and an injector only ever acts on a private copy. General
+// pool/paged file coverage lives in tests/storage_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +21,7 @@
 #include "fairmatch/common/rng.h"
 #include "fairmatch/storage/buffer_pool.h"
 #include "fairmatch/storage/disk_manager.h"
+#include "fairmatch/storage/fault_injector.h"
 
 namespace fairmatch {
 namespace {
@@ -37,9 +41,8 @@ uint64_t ReadStamp(const PageHandle& h) {
 /// Reads the 8-byte stamp directly from the simulated disk.
 uint64_t DiskStamp(const DiskManager& disk, PageId pid) {
   std::byte buf[kPageSize];
-  disk.ReadPage(pid, buf);
   uint64_t value = 0;
-  std::memcpy(&value, buf, sizeof(value));
+  std::memcpy(&value, disk.ReadPage(pid, buf).bytes, sizeof(value));
   return value;
 }
 
@@ -175,6 +178,151 @@ TEST(BufferPoolTest, ZeroCapacityWritesBackEveryDirtyUnpin) {
   }
   EXPECT_EQ(counters.page_reads, 4);
   EXPECT_EQ(pool.resident_frames(), 0u);
+}
+
+/// A disk with `n` flushed pages, page i stamped 0xD0 + i.
+std::vector<PageId> StampedPages(DiskManager* disk, int n) {
+  std::vector<PageId> pids;
+  PageData page{};
+  for (int i = 0; i < n; ++i) {
+    pids.push_back(disk->AllocatePage());
+    const uint64_t stamp = 0xD0 + static_cast<uint64_t>(i);
+    std::memcpy(page.bytes, &stamp, sizeof(stamp));
+    EXPECT_TRUE(disk->WritePage(pids.back(), page.bytes).ok());
+  }
+  return pids;
+}
+
+// Two read pins and a third, writing pin of one page: the write copies
+// the disk view into the frame, and both earlier pins see the written
+// bytes, not the view they started on.
+TEST(BufferPoolTest, CopyOnWriteIsSeenThroughEveryPin) {
+  DiskManager disk;
+  PerfCounters counters;
+  BufferPool pool(&disk, 2, &counters);
+  const PageId pid = StampedPages(&disk, 1)[0];
+  PageData scratch;
+  const std::byte* stored = disk.ReadPage(pid, scratch.bytes).bytes;
+
+  PageHandle r1 = pool.FetchPage(pid);
+  PageHandle r2 = pool.FetchPage(pid);
+  EXPECT_EQ(r1.bytes(), stored);  // a clean miss is a view
+  {
+    PageHandle w = pool.FetchPage(pid);
+    Stamp(&w, 0xE1);
+    EXPECT_NE(w.bytes(), stored);  // the frame owns its bytes now
+  }
+  EXPECT_EQ(ReadStamp(r1), 0xE1u);
+  EXPECT_EQ(ReadStamp(r2), 0xE1u);
+  EXPECT_EQ(r1.bytes(), r2.bytes());
+  EXPECT_EQ(DiskStamp(disk, pid), 0xD0u);  // not written back yet
+  EXPECT_EQ(counters.page_reads, 1);
+  EXPECT_EQ(counters.buffer_hits, 2);
+  EXPECT_EQ(counters.page_writes, 0);
+
+  r1.Release();
+  r2.Release();
+  pool.FlushAll();
+  EXPECT_EQ(counters.page_writes, 1);
+  EXPECT_EQ(DiskStamp(disk, pid), 0xE1u);
+}
+
+// The same fetch sequence with no injector (views) and with an
+// injector that never alters a page (every read copied): identical
+// bytes and identical counters.
+TEST(BufferPoolTest, CleanMissViewMatchesCopiedRead) {
+  FaultInjectorOptions plan;
+  plan.seed = 3;
+  plan.spike_rate = 1.0;  // active, but spike_us = 0: no sleep, no fault
+  FaultInjector injector(plan);
+  PerfCounters counters[2];
+  std::vector<uint64_t> stamps[2];
+  for (int copied = 0; copied < 2; ++copied) {
+    DiskManager disk;
+    const std::vector<PageId> pids = StampedPages(&disk, 5);
+    if (copied == 1) disk.set_fault_injector(&injector);
+    BufferPool pool(&disk, 2, &counters[copied]);
+    PageData scratch;
+    Rng rng(77);
+    for (int i = 0; i < 200; ++i) {
+      const PageId pid = pids[rng.UniformInt(0, pids.size() - 1)];
+      PageHandle h = pool.FetchPage(pid);
+      stamps[copied].push_back(ReadStamp(h));
+      const bool viewed = h.bytes() == disk.ReadPage(pid, scratch.bytes).bytes;
+      EXPECT_EQ(viewed, copied == 0) << i;
+    }
+  }
+  EXPECT_EQ(stamps[0], stamps[1]);
+  EXPECT_GT(counters[0].page_reads, 0);
+  EXPECT_EQ(counters[0].logical_reads, counters[1].logical_reads);
+  EXPECT_EQ(counters[0].buffer_hits, counters[1].buffer_hits);
+  EXPECT_EQ(counters[0].page_reads, counters[1].page_reads);
+  EXPECT_EQ(counters[0].page_writes, counters[1].page_writes);
+}
+
+// A corrupted read delivers the flipped bytes to the pin but leaves the
+// stored page untouched: with the injector detached, a re-read returns
+// the original bytes.
+TEST(BufferPoolTest, InjectedCorruptionNeverReachesTheStoredPage) {
+  DiskManager disk;
+  PerfCounters counters;
+  BufferPool pool(&disk, 0, &counters);
+  const PageId pid = StampedPages(&disk, 1)[0];
+  PageData scratch;
+  PageData original;
+  std::memcpy(original.bytes, disk.ReadPage(pid, scratch.bytes).bytes,
+              kPageSize);
+
+  FaultInjectorOptions plan;
+  plan.seed = 11;
+  plan.corrupt_rate = 1.0;
+  FaultInjector injector(plan);
+  disk.set_fault_injector(&injector);
+  {
+    PageHandle h = pool.FetchPage(pid);
+    EXPECT_NE(std::memcmp(h.bytes(), original.bytes, kPageSize), 0)
+        << "the flipped bytes should be delivered";
+  }
+  EXPECT_EQ(injector.counters().corruptions, 1);
+
+  disk.set_fault_injector(nullptr);
+  EXPECT_EQ(
+      std::memcmp(disk.ReadPage(pid, scratch.bytes).bytes, original.bytes,
+                  kPageSize),
+      0);
+  PageHandle h = pool.FetchPage(pid);
+  EXPECT_EQ(std::memcmp(h.bytes(), original.bytes, kPageSize), 0);
+  EXPECT_EQ(counters.page_reads, 2);
+}
+
+// A write copied out of a clean view and then dropped by the injector
+// at writeback leaves the disk page exactly as it was.
+TEST(BufferPoolTest, DroppedWriteAfterCopyOnWriteLeavesDiskUnchanged) {
+  DiskManager disk;
+  PerfCounters counters;
+  BufferPool pool(&disk, 0, &counters);
+  const PageId pid = StampedPages(&disk, 1)[0];
+
+  FaultInjectorOptions plan;
+  plan.seed = 5;
+  plan.write_fail_rate = 1.0;
+  FaultInjector injector(plan);
+  ErrorSink sink;
+  disk.set_error_sink(&sink);
+  {
+    PageHandle h = pool.FetchPage(pid);  // no injector yet: a view
+    Stamp(&h, 0xF1);
+    EXPECT_EQ(DiskStamp(disk, pid), 0xD0u);  // the view was not written
+    disk.set_fault_injector(&injector);
+  }  // evicted at capacity 0: the writeback is dropped
+  EXPECT_EQ(counters.page_writes, 1);
+  EXPECT_EQ(injector.counters().write_failures, 1);
+  EXPECT_TRUE(sink.failed());
+
+  disk.set_fault_injector(nullptr);
+  EXPECT_EQ(DiskStamp(disk, pid), 0xD0u);
+  PageHandle h = pool.FetchPage(pid);
+  EXPECT_EQ(ReadStamp(h), 0xD0u);
 }
 
 /// Reference model of the documented pool semantics: global LRU over

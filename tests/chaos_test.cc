@@ -181,10 +181,10 @@ TEST(DiskFaultTest, InjectedReadFailureZeroFillsReportsAndLeavesPageIntact) {
   disk.set_error_sink(&sink);
 
   PageData out;
-  const Status status = disk.ReadPage(pid, out.bytes);
-  EXPECT_EQ(status.code, ErrorCode::kUnavailable);
+  const PageRead read = disk.ReadPage(pid, out.bytes);
+  EXPECT_EQ(read.status.code, ErrorCode::kUnavailable);
   for (size_t i = 0; i < kPageSize; ++i) {
-    ASSERT_EQ(out.bytes[i], std::byte{0}) << "byte " << i;
+    ASSERT_EQ(read.bytes[i], std::byte{0}) << "byte " << i;
   }
   EXPECT_TRUE(sink.failed());
   EXPECT_EQ(sink.status().code, ErrorCode::kUnavailable);
@@ -193,8 +193,9 @@ TEST(DiskFaultTest, InjectedReadFailureZeroFillsReportsAndLeavesPageIntact) {
   // Transfer fault only: with the injector detached the stored page is
   // intact, which is what makes retries able to succeed.
   disk.set_fault_injector(nullptr);
-  ASSERT_TRUE(disk.ReadPage(pid, out.bytes).ok());
-  EXPECT_EQ(std::memcmp(out.bytes, pattern.bytes, kPageSize), 0);
+  const PageRead reread = disk.ReadPage(pid, out.bytes);
+  ASSERT_TRUE(reread.status.ok());
+  EXPECT_EQ(std::memcmp(reread.bytes, pattern.bytes, kPageSize), 0);
 }
 
 TEST(DiskFaultTest, ChecksumVerificationTurnsCorruptionIntoDataLoss) {
@@ -214,17 +215,18 @@ TEST(DiskFaultTest, ChecksumVerificationTurnsCorruptionIntoDataLoss) {
   disk.set_error_sink(&sink);
 
   PageData out;
-  const Status status = disk.ReadPage(pid, out.bytes);
-  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
+  const PageRead read = disk.ReadPage(pid, out.bytes);
+  EXPECT_EQ(read.status.code, ErrorCode::kDataLoss);
   for (size_t i = 0; i < kPageSize; ++i) {
-    ASSERT_EQ(out.bytes[i], std::byte{0}) << "byte " << i;
+    ASSERT_EQ(read.bytes[i], std::byte{0}) << "byte " << i;
   }
   EXPECT_EQ(sink.status().code, ErrorCode::kDataLoss);
   EXPECT_EQ(injector.counters().corruptions, 1);
 
   disk.set_fault_injector(nullptr);
-  ASSERT_TRUE(disk.ReadPage(pid, out.bytes).ok());
-  EXPECT_EQ(std::memcmp(out.bytes, pattern.bytes, kPageSize), 0);
+  const PageRead reread = disk.ReadPage(pid, out.bytes);
+  ASSERT_TRUE(reread.status.ok());
+  EXPECT_EQ(std::memcmp(reread.bytes, pattern.bytes, kPageSize), 0);
 }
 
 TEST(DiskFaultTest, CorruptionWithoutChecksumsIsSilentlyConsumed) {
@@ -243,8 +245,9 @@ TEST(DiskFaultTest, CorruptionWithoutChecksumsIsSilentlyConsumed) {
   disk.set_error_sink(&sink);
 
   PageData out;
-  EXPECT_TRUE(disk.ReadPage(pid, out.bytes).ok());
-  EXPECT_NE(std::memcmp(out.bytes, pattern.bytes, kPageSize), 0)
+  const PageRead read = disk.ReadPage(pid, out.bytes);
+  EXPECT_TRUE(read.status.ok());
+  EXPECT_NE(std::memcmp(read.bytes, pattern.bytes, kPageSize), 0)
       << "the flipped bytes should be delivered";
   EXPECT_FALSE(sink.failed()) << "undetectable corruption must not report";
   EXPECT_EQ(injector.counters().corruptions, 1);

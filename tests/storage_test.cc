@@ -1,9 +1,11 @@
-// Unit tests for the simulated disk, LRU buffer pool and paged files.
+// Unit tests for the simulated disk, LRU buffer pool, paged files and
+// the paged node store's handles.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "fairmatch/rtree/node_store.h"
 #include "fairmatch/storage/buffer_pool.h"
 #include "fairmatch/storage/disk_manager.h"
 #include "fairmatch/storage/fault_injector.h"
@@ -21,11 +23,9 @@ TEST(DiskManagerTest, AllocateReadWrite) {
   std::memset(buf, 0xAB, kPageSize);
   disk.WritePage(a, buf);
   std::byte out[kPageSize];
-  disk.ReadPage(a, out);
-  EXPECT_EQ(std::memcmp(buf, out, kPageSize), 0);
+  EXPECT_EQ(std::memcmp(buf, disk.ReadPage(a, out).bytes, kPageSize), 0);
   // Page b still zeroed.
-  disk.ReadPage(b, out);
-  EXPECT_EQ(out[0], std::byte{0});
+  EXPECT_EQ(disk.ReadPage(b, out).bytes[0], std::byte{0});
   EXPECT_EQ(disk.num_pages(), 2);
 }
 
@@ -91,9 +91,9 @@ TEST(DiskManagerTest, RecycleRestartsIdsWithZeroedPages) {
   EXPECT_EQ(first, 0);  // ids restart, not resume
   EXPECT_EQ(disk.spare_pages(), 3u);  // served from the parked buffers
   std::byte out[kPageSize];
-  disk.ReadPage(first, out);
+  const std::byte* bytes = disk.ReadPage(first, out).bytes;
   for (size_t i = 0; i < kPageSize; ++i) {
-    ASSERT_EQ(out[i], std::byte{0}) << "byte " << i;
+    ASSERT_EQ(bytes[i], std::byte{0}) << "byte " << i;
   }
 }
 
@@ -211,8 +211,7 @@ TEST(BufferPoolTest, DirtyEvictionCountsWrite) {
   EXPECT_EQ(counters.page_writes, 1);
   // Durability: the write reached the disk.
   std::byte out[kPageSize];
-  disk.ReadPage(a, out);
-  EXPECT_EQ(out[0], std::byte{1});
+  EXPECT_EQ(disk.ReadPage(a, out).bytes[0], std::byte{1});
 }
 
 TEST(BufferPoolTest, ShrinkCapacityEvicts) {
@@ -278,6 +277,43 @@ TEST(PagedFileTest, SequentialScanIsOneReadPerPage) {
   int64_t v;
   for (int64_t i = 0; i < file.num_records(); ++i) file.Read(i, &v);
   EXPECT_EQ(counters.page_reads, file.num_pages());
+}
+
+// A read handle taken first sees a clean disk view; a writable handle
+// on the same page then copies it into the frame. Every later edit
+// through the writer must show through the reader too, and the edits
+// reach the disk when the frame is flushed.
+TEST(PagedNodeStoreTest, ReadAndWriteHandlesOnOnePageStayCoherent) {
+  PagedNodeStore store(2, /*buffer_frames=*/4);
+  const PageId pid = store.Allocate();
+  {
+    NodeHandle w = store.Write(pid);
+    w.view().Init(/*level=*/0);
+    w.view().AppendLeaf(Point(2, 0.25f), 7);
+  }
+  store.ResetCounters();  // flushed: the next fetch is a clean miss
+
+  NodeHandle r = store.Read(pid);
+  ASSERT_TRUE(r.valid());
+  EXPECT_EQ(r.view().count(), 1);
+  {
+    NodeHandle w = store.Write(pid);
+    w.view().AppendLeaf(Point(2, 0.75f), 8);
+    EXPECT_EQ(r.view().count(), 2);
+    EXPECT_EQ(r.view().child(1), 8);
+    w.view().RemoveEntry(0);
+  }
+  EXPECT_EQ(r.view().count(), 1);
+  EXPECT_EQ(r.view().child(0), 8);
+  EXPECT_EQ(store.counters().page_reads, 1);
+  r.Release();
+  EXPECT_FALSE(r.valid());
+
+  store.ResetCounters();
+  NodeHandle again = store.Read(pid);
+  EXPECT_EQ(again.view().count(), 1);
+  EXPECT_EQ(again.view().child(0), 8);
+  EXPECT_EQ(again.view().leaf_point(0)[0], 0.75f);
 }
 
 }  // namespace
