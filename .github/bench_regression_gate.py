@@ -11,7 +11,11 @@ row present in both reports:
   * a deterministic metric drifted (io_accesses, pairs or loops must be
     bit-identical run to run), or
   * median cpu_ms regressed by more than REGRESSION_FACTOR (default
-    1.30, i.e. >30%) on rows large enough to measure (>= MIN_CPU_MS),
+    1.30, i.e. >30%) on rows large enough to measure (>= MIN_CPU_MS), or
+  * on a rate row (algorithm label ending in RATE_SUFFIX, e.g.
+    `apply:updates_per_s`), whose cpu_ms column stores a rate, the rate
+    fell below the previous one divided by REGRESSION_FACTOR: rates are
+    higher-is-better,
 
 or when a row present in the previous report disappeared (a figure or
 matcher silently dropped out). New rows are allowed — they have no
@@ -24,6 +28,7 @@ import sys
 REGRESSION_FACTOR = float(os.environ.get("BENCH_REGRESSION_FACTOR", "1.30"))
 MIN_CPU_MS = float(os.environ.get("BENCH_REGRESSION_MIN_CPU_MS", "5.0"))
 DETERMINISTIC_FIELDS = ("io_accesses", "pairs", "loops")
+RATE_SUFFIX = "_per_s"
 
 
 def note(message):
@@ -80,13 +85,17 @@ def main():
                     f"deterministic drift: {label} {field} "
                     f"{prev[field]} -> {cur[field]}"
                 )
-        if prev["cpu_ms"] >= MIN_CPU_MS and cur["cpu_ms"] > prev[
-            "cpu_ms"
-        ] * REGRESSION_FACTOR:
+        before, after = prev["cpu_ms"], cur["cpu_ms"]
+        if key[3].endswith(RATE_SUFFIX):
+            if after < before / REGRESSION_FACTOR:
+                slowdowns.append(
+                    f"rate regression: {label} {before:.1f}/s -> "
+                    f"{after:.1f}/s (x{after / before:.2f})"
+                )
+        elif before >= MIN_CPU_MS and after > before * REGRESSION_FACTOR:
             slowdowns.append(
-                f"cpu regression: {label} {prev['cpu_ms']:.1f}ms -> "
-                f"{cur['cpu_ms']:.1f}ms "
-                f"(x{cur['cpu_ms'] / prev['cpu_ms']:.2f})"
+                f"cpu regression: {label} {before:.1f}ms -> "
+                f"{after:.1f}ms (x{after / before:.2f})"
             )
 
     for line in failures + slowdowns:

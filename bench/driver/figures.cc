@@ -237,10 +237,15 @@ std::vector<FigureSection> Fig16Nba() {
 }
 
 // --- Figure 17: disk-resident functions (Section 7.6). The
-// cardinalities of F and O are swapped relative to the defaults:
-// |F|=100k on the simulated disk (sorted coefficient lists), |O|=5k in
-// a main-memory R-tree. SB-alt's batch best-pair search saves the I/O.
+// cardinalities of F and O are swapped relative to the defaults: at
+// paper scale |F|=100k on the simulated disk (sorted coefficient
+// lists), |O|=5k in a main-memory R-tree. SB-alt's batch best-pair
+// search saves the I/O.
 std::vector<FigureSection> Fig17() {
+  BenchConfig sizes;
+  sizes.num_functions = 100000;
+  sizes.num_objects = 5000;
+  sizes = Scale(sizes);
   std::vector<FigureSection> sections;
   for (Distribution dist :
        {Distribution::kIndependent, Distribution::kAntiCorrelated}) {
@@ -248,15 +253,14 @@ std::vector<FigureSection> Fig17() {
     s.key = DistributionName(dist);
     s.title = std::string("Figure 17: disk-resident F (") +
               DistributionName(dist) + ")";
-    s.subtitle = "|F|=100k on disk, |O|=5k in memory, x = dimensionality D";
+    s.subtitle = "|F|=" + std::to_string(sizes.num_functions) +
+                 " on disk, |O|=" + std::to_string(sizes.num_objects) +
+                 " in memory, x = dimensionality D";
     for (int dims : {3, 4, 5, 6}) {
-      BenchConfig config;
-      config.num_functions = 100000;
-      config.num_objects = 5000;
+      BenchConfig config = sizes;
       config.dims = dims;
       config.distribution = dist;
       config.disk_resident_functions = true;
-      config = Scale(config);
       s.cells.push_back({std::to_string(dims), config, nullptr,
                          Algos({"SB", "SB-alt", "BruteForce", "Chain"})});
     }

@@ -9,12 +9,12 @@
 // custom runners drive the component directly but report through the
 // same RunStats columns:
 //
-//   micro_reverse_top1 — a full drain by the in-memory block scan
-//     ("block-scan") and by round-robin TA ("TA-round-robin"); io =
-//     ReverseTop1::probes() (scored functions for block-scan, probed
-//     list entries for TA), loops = Omega restarts, pairs = completed
-//     Best() assignments (equal rows). mem = lists, the block scan's
-//     index and the query states.
+//   micro_reverse_top1 — a full drain over a packed image by SB's
+//     in-memory kernel, biased TA over impact-ordered blocks
+//     ("TA-impact"), and by round-robin TA over the image's entries
+//     ("TA-round-robin"); io = ReverseTop1::probes() (probed list
+//     entries), loops = Omega restarts, pairs = completed Best()
+//     assignments (equal rows). mem = the image and the query states.
 //   micro_bbs — io = counted R-tree node reads (paged store), loops =
 //     RemoveAndUpdate rounds, pairs = skyline members drained.
 //   micro_simd_score — old (scalar) vs new (vector) block-scoring
@@ -44,7 +44,7 @@
 #include "fairmatch/skyline/bbs.h"
 #include "fairmatch/storage/buffer_pool.h"
 #include "fairmatch/storage/disk_manager.h"
-#include "fairmatch/topk/function_lists.h"
+#include "fairmatch/topk/packed_function_lists.h"
 #include "fairmatch/topk/reverse_top1.h"
 
 namespace fairmatch::bench {
@@ -58,11 +58,11 @@ RunStats RunMicroReverseTop1(const AssignmentProblem& problem,
                              bool biased) {
   Timer timer;
   RunStats stats;
-  stats.algorithm = biased ? "block-scan" : "TA-round-robin";
-  FunctionLists lists(&problem.functions);
+  stats.algorithm = biased ? "TA-impact" : "TA-round-robin";
+  PackedFunctionStore packed(problem.functions);
   ReverseTop1Options options;
   options.biased_probing = biased;
-  ReverseTop1 rt1(&lists, options);
+  ReverseTop1 rt1(&packed, options);
   std::vector<uint8_t> assigned(problem.functions.size(), 0);
   int64_t remaining = static_cast<int64_t>(problem.functions.size());
   const size_t nq =
@@ -81,7 +81,7 @@ RunStats RunMicroReverseTop1(const AssignmentProblem& problem,
   stats.cpu_ms = timer.ElapsedMs();
   stats.io_accesses = rt1.probes();
   stats.loops = rt1.restarts();
-  size_t state_bytes = lists.memory_bytes() + rt1.memory_bytes();
+  size_t state_bytes = packed.footprint_bytes();
   for (const ReverseTop1State& s : states) state_bytes += s.memory_bytes();
   stats.peak_memory_bytes = state_bytes;
   return stats;
@@ -276,9 +276,8 @@ std::vector<FigureSection> MicroReverseTop1() {
   FigureSection s;
   s.title = "Micro: reverse top-1 drain";
   s.subtitle =
-      "in-memory lists, 64 resumable query states, x = |F| "
-      "(io = scored functions (block-scan) or list probes (TA), "
-      "loops = restarts)";
+      "in-memory packed image, 64 resumable query states, x = |F| "
+      "(io = list probes, loops = restarts)";
   for (int nf : {1000, 5000, 20000}) {
     BenchConfig config;
     config.num_functions = nf;
@@ -287,7 +286,7 @@ std::vector<FigureSection> MicroReverseTop1() {
     std::vector<MeasuredRun> runs;
     for (bool biased : {true, false}) {
       MeasuredRun run;
-      run.algorithm = biased ? "block-scan" : "TA-round-robin";
+      run.algorithm = biased ? "TA-impact" : "TA-round-robin";
       run.runner = [biased](const AssignmentProblem& problem,
                             const BenchConfig&) {
         return RunMicroReverseTop1(problem, biased);
@@ -327,7 +326,8 @@ void RegisterMicroFigures(FigureRegistry* registry) {
   FigureSpec rt1;
   rt1.name = "micro_reverse_top1";
   rt1.description =
-      "Microbench: reverse top-1 drain, block scan vs round-robin TA";
+      "Microbench: reverse top-1 drain, impact-ordered vs round-robin "
+      "TA";
   rt1.sections = MicroReverseTop1;
   registry->Register(std::move(rt1));
 

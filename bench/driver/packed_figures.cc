@@ -1,17 +1,16 @@
 // Packed function-list figures: the target experiments for the packed
 // memory-mapped backend (topk/packed_function_lists.h).
 //
-//   micro_packed_probe — the reverse top-1 drain over the three
-//     function-index backends at growing |F|: "lists" (in-memory
-//     FunctionLists) and "packed" (packed image, default traversal),
-//     which both run the block scan over the same coefficient table,
-//     and "packed-impact" (TA over the packed image's blocks in
-//     descending max-impact order). io = ReverseTop1::probes() (scored
-//     functions for lists/packed, probed list entries for
-//     packed-impact), loops = Omega restarts. lists and packed are
-//     equal rows (a declared invariant); packed-impact counts other
-//     work but must drain the identical assignments (pairs). mem = the
-//     index, the block scan's index and the query states.
+//   micro_packed_probe — the reverse top-1 drain over the function-
+//     index backends at growing |F|: "lists" (in-memory FunctionLists)
+//     and "packed" (packed image walked entry by entry), which both run
+//     the generic TA loop one list entry per probe, and "packed-impact"
+//     (SB's kernel: TA over the packed image's blocks in descending
+//     max-impact order). io = ReverseTop1::probes() (probed list
+//     entries), loops = Omega restarts. lists and packed are equal rows
+//     (a declared invariant); packed-impact probes whole blocks but
+//     must drain the identical assignments (pairs). mem = the index and
+//     the query states.
 //   scale_sweep — the paper-size-and-beyond sweep: x multiplies the
 //     paper's |F| by 1/8/32 and compares the disk-resident
 //     DiskFunctionStore baseline against the packed store (in-memory
@@ -74,8 +73,6 @@ DrainResult DrainAllFunctions(FunctionIndexBase* index,
   }
   result.probes = rt1.probes();
   result.restarts = rt1.restarts();
-  // The searcher's own index (the block scan's) counts with the states.
-  result.search_bytes = rt1.memory_bytes();
   for (const ReverseTop1State& s : states) {
     result.search_bytes += s.memory_bytes();
   }
@@ -117,8 +114,9 @@ std::vector<FigureSection> MicroPackedProbe() {
   s.title = "Micro: packed-list reverse top-1 drain";
   s.subtitle =
       "full drain, 64 resumable query states, x = |F| "
-      "(io = scored functions or list probes, loops = restarts; "
-      "lists == packed per column, packed-impact equal pairs)";
+      "(io = list probes, loops = restarts; lists and packed run "
+      "the generic TA loop, lists == packed per column, "
+      "packed-impact equal pairs)";
   for (int nf : {1000, 5000, 20000}) {
     BenchConfig config;
     config.num_functions = nf;
@@ -228,8 +226,9 @@ void RegisterPackedFigures(FigureRegistry* registry) {
       "Microbench: reverse top-1 drain across function-index backends "
       "(lists / packed / packed impact-ordered)";
   probe.sections = MicroPackedProbe;
-  // The packed default traversal is FunctionLists' block scan, count for
-  // count; the impact-ordered TA drains the same assignments.
+  // The packed image walked entry by entry is FunctionLists' TA probe
+  // sequence, count for count; the impact-ordered TA drains the same
+  // assignments.
   probe.invariants = {
       RequireRows(nullptr, {"lists", "packed", "packed-impact"}),
       SameColumns(AlgorithmIn({"lists", "packed"}), ByCell,

@@ -11,7 +11,7 @@
 #include "fairmatch/rtree/rtree.h"
 #include "fairmatch/skyline/bbs.h"
 #include "fairmatch/storage/buffer_pool.h"
-#include "fairmatch/topk/function_lists.h"
+#include "fairmatch/topk/packed_function_lists.h"
 #include "fairmatch/topk/ranked_search.h"
 #include "fairmatch/topk/reverse_top1.h"
 
@@ -125,8 +125,8 @@ void BM_ReverseTop1(benchmark::State& state) {
   const int nf = static_cast<int>(state.range(0));
   Rng rng(8);
   FunctionSet fns = GenerateFunctions(nf, 4, &rng);
-  FunctionLists lists(&fns);
-  ReverseTop1 rt1(&lists, ReverseTop1Options{});
+  PackedFunctionStore packed(fns);
+  ReverseTop1 rt1(&packed, ReverseTop1Options{});
   auto points = GeneratePoints(Distribution::kAntiCorrelated, 256, 4, &rng);
   std::vector<uint8_t> assigned(fns.size(), 0);
   size_t i = 0;

@@ -63,7 +63,7 @@ int main() {
   Server server(&registry, options);
 
   const std::vector<std::string> mix = {"SB", "SB-Packed", "SB-TwoSkylines",
-                                        "SB-alt-Packed"};
+                                        "SB-alt"};
   const int kRequests = 64;
   std::vector<ResponseFuture> futures;
   futures.reserve(kRequests);

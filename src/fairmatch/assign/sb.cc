@@ -169,8 +169,9 @@ AssignResult SBAssignment::Run() {
   Timer timer;
   if (options_.best_pair_mode == BestPairMode::kThresholdAlgorithm) {
     if (fn_index_ == nullptr) {
-      owned_lists_ = std::make_unique<FunctionLists>(&problem_->functions);
-      fn_index_ = owned_lists_.get();
+      owned_store_ =
+          std::make_unique<PackedFunctionStore>(problem_->functions);
+      fn_index_ = owned_store_.get();
     }
     rt1_ = std::make_unique<ReverseTop1>(fn_index_, options_.ta);
   }

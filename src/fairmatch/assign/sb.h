@@ -26,6 +26,7 @@
 
 #include "fairmatch/assign/problem.h"
 #include "fairmatch/assign/skyline_loop.h"
+#include "fairmatch/topk/packed_function_lists.h"
 #include "fairmatch/topk/reverse_top1.h"
 
 namespace fairmatch {
@@ -46,7 +47,7 @@ struct SBOptions {
   /// Emit multiple stable pairs per loop (Section 5.3). The ablation
   /// variants disable this and emit one pair per loop (Algorithm 1).
   bool multi_pair = true;
-  /// TA tuning (omega, biased probing, resume).
+  /// TA tuning (omega, biased probing, resume, impact order).
   ReverseTop1Options ta;
 };
 
@@ -54,9 +55,11 @@ struct SBOptions {
 class SBAssignment {
  public:
   /// `tree` must contain exactly the problem's objects. If `fn_index` is
-  /// null an in-memory FunctionLists index is built (its construction
-  /// time is charged to the run, matching the paper's accounting);
-  /// passing a DiskFunctionStore yields the disk-resident-F setting.
+  /// null an anonymous in-memory PackedFunctionStore is built (its
+  /// construction time is charged to the run, matching the paper's
+  /// accounting); a supplied PackedFunctionStore (a resident dataset's
+  /// image) is searched in place, and passing a DiskFunctionStore
+  /// yields the disk-resident-F setting.
   /// When `ctx` is given, search-structure memory is reported to its
   /// shared MemoryTracker (engine/exec_context.h) instead of a private
   /// one.
@@ -79,7 +82,7 @@ class SBAssignment {
   FunctionIndexBase* fn_index_;
   ExecContext* ctx_;
 
-  std::unique_ptr<FunctionLists> owned_lists_;
+  std::unique_ptr<PackedFunctionStore> owned_store_;
   std::unique_ptr<ReverseTop1> rt1_;
 };
 

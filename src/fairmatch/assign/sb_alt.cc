@@ -56,8 +56,11 @@ struct BatchMemberBlocks {
   int m_count = 0;
 
   /// (Re)fills every block from the current skyline members; best
-  /// functions are recomputed from scratch each loop.
-  void Gather(const SkylineSet& sky, int dims) {
+  /// functions are recomputed from scratch each loop. Kept out of line,
+  /// like WorthFetching: inlined into BatchSearch::Candidates, their
+  /// only caller, they slow SB-alt's scan loop (assign_diskf read 7-10%
+  /// slower on a 4-vCPU x86 VM).
+  [[gnu::noinline]] void Gather(const SkylineSet& sky, int dims) {
     m_count = static_cast<int>(sky.size());
     member.clear();
     pts.clear();
@@ -172,9 +175,10 @@ struct BatchMemberBlocks {
 /// batches of up to 8 members; its scalar backend reproduces the
 /// original per-member loop bit-for-bit (zero-beta lanes add an exact
 /// +0.0), so the boolean outcome — and with it every golden I/O
-/// count — is unchanged.
-bool WorthFetching(const BatchMemberBlocks& mb, int dims, int d, double coef,
-                   double max_gamma, const std::vector<double>& frontier) {
+/// count — is unchanged. Kept out of line (see Gather).
+[[gnu::noinline]] bool WorthFetching(const BatchMemberBlocks& mb, int dims,
+                                     int d, double coef, double max_gamma,
+                                     const std::vector<double>& frontier) {
   const double budget0 = max_gamma - coef;
   int lanes[8];
   double bounds[8];
@@ -206,18 +210,16 @@ bool WorthFetching(const BatchMemberBlocks& mb, int dims, int d, double coef,
   return false;
 }
 
-// --- block cursors ----------------------------------------------------
-// A cursor walks the D sorted coefficient lists one block at a time for
-// BatchSearch. Rewind() restarts every list and sets the initial
-// per-list frontiers; Next() reads the next block and returns its list
-// (-1 once every list is exhausted); fid()/coef() read entry r of that
-// block; Eff() gives a function's full effective-coefficient row;
-// Advance() lowers the list's frontier — the upper bound on the
-// coefficient of any function not yet seen in it — past the block.
-
-/// SB-alt over a DiskFunctionStore: one page per list in round-robin
-/// order (lists 0..D-1, then again; exhausted lists are skipped).
-/// Coefficients of a fetched function cost D-1 counted random accesses.
+// --- the page cursor ---------------------------------------------------
+// Walks a DiskFunctionStore's D sorted coefficient lists one page per
+// list in round-robin order (lists 0..D-1, then again; exhausted lists
+// are skipped) for BatchSearch. Rewind() restarts every list and sets
+// the initial per-list frontiers; Next() reads the next page and
+// returns its list (-1 once every list is exhausted); fid()/coef() read
+// entry r of that page; Eff() gives a function's full
+// effective-coefficient row, at D-1 counted random accesses; Advance()
+// lowers the list's frontier — the upper bound on the coefficient of
+// any function not yet seen in it — past the page.
 class RoundRobinPages {
  public:
   explicit RoundRobinPages(DiskFunctionStore* store)
@@ -272,85 +274,17 @@ class RoundRobinPages {
   std::array<double, kMaxDims> eff_{};
 };
 
-/// SB-alt over a PackedFunctionStore: the unconsumed block with the
-/// highest max impact across all lists goes next (ties: smallest dim),
-/// so the frontiers drop as fast as possible and members retire after
-/// the fewest blocks. Blocks are decoded from the packed image in place
-/// and coefficients read straight from it: zero counted I/O.
-class ImpactBlocks {
- public:
-  explicit ImpactBlocks(const PackedFunctionStore* store)
-      : store_(store),
-        dims_(store->dims()),
-        num_blocks_(store->num_blocks()),
-        next_block_(dims_, 0),
-        fids_(store->block_entries()) {}
-
-  double max_gamma() const { return store_->max_gamma(); }
-
-  /// The first block's max impact (the list's largest coefficient) is a
-  /// tighter initial frontier than max gamma.
-  void Rewind(std::vector<double>* frontier) {
-    std::fill(next_block_.begin(), next_block_.end(), 0);
-    for (int d = 0; d < dims_; ++d) {
-      (*frontier)[d] = store_->BlockMaxImpact(d, 0);
-    }
-  }
-
-  int Next() {
-    int d = -1;
-    double best_impact = -1.0;
-    for (int k = 0; k < dims_; ++k) {
-      if (next_block_[k] >= num_blocks_) continue;
-      const double impact = store_->BlockMaxImpact(k, next_block_[k]);
-      if (impact > best_impact) {
-        best_impact = impact;
-        d = k;
-      }
-    }
-    if (d >= 0) count_ = store_->DecodeBlock(d, next_block_[d]++, fids_.data());
-    return d;
-  }
-
-  int count() const { return count_; }
-  FunctionId fid(int r) const { return fids_[r]; }
-  double coef(int r, int d) const { return store_->eff_of(fids_[r], d); }
-
-  const double* Eff(FunctionId fid, int /*d*/, double /*coef*/) const {
-    return store_->EffRow(fid);
-  }
-
-  /// Unseen functions now sit at or after the next block; a fully
-  /// consumed list has no unseen functions left at all.
-  void Advance(int d, std::vector<double>* frontier) const {
-    (*frontier)[d] = next_block_[d] < num_blocks_
-                         ? store_->BlockMaxImpact(d, next_block_[d])
-                         : 0.0;
-  }
-
-  size_t memory_bytes() const { return fids_.size() * sizeof(int32_t); }
-
- private:
-  const PackedFunctionStore* store_;
-  int dims_;
-  int num_blocks_;
-  std::vector<int> next_block_;
-  std::vector<int32_t> fids_;
-  int count_ = 0;
-};
-
-/// SB-alt's candidate source: each loop scans the lists block by block
-/// through `Cursor` once, scoring every newly seen, unassigned, worth-
-/// fetching function against all still-active members, until every
-/// member is provably done or the lists run out. No per-member state
+/// SB-alt's candidate source: each loop scans the lists page by page
+/// through a RoundRobinPages cursor once, scoring every newly seen,
+/// unassigned, worth-fetching function against all still-active
+/// members, until every member is provably done or the lists run out. No per-member state
 /// survives the loop. A member leaves the active set only once it has a
 /// candidate, and each fetched function is scored against every active
 /// member, so after the scan either every member has a candidate or
 /// none has (no unassigned function was reached).
-template <typename Cursor>
 class BatchSearch final : public CandidateSource {
  public:
-  BatchSearch(Cursor cursor, const AssignmentProblem& problem)
+  BatchSearch(RoundRobinPages cursor, const AssignmentProblem& problem)
       : cursor_(std::move(cursor)),
         dims_(problem.dims),
         max_gamma_(cursor_.max_gamma()),
@@ -397,7 +331,7 @@ class BatchSearch final : public CandidateSource {
   }
 
  private:
-  Cursor cursor_;
+  RoundRobinPages cursor_;
   const int dims_;
   const double max_gamma_;
   BatchMemberBlocks mb_;
@@ -412,19 +346,9 @@ class BatchSearch final : public CandidateSource {
 AssignResult SBAltAssignment(const AssignmentProblem& problem,
                              const RTree& tree, DiskFunctionStore* store,
                              ExecContext* ctx) {
-  BatchSearch<RoundRobinPages> source(RoundRobinPages(store), problem);
+  BatchSearch source(RoundRobinPages(store), problem);
   SkylineLoopOptions loop;
   loop.algorithm = "SB-alt";
-  return RunSkylineLoop(problem, tree, loop, &source, ctx);
-}
-
-AssignResult SBAltPackedAssignment(const AssignmentProblem& problem,
-                                   const RTree& tree,
-                                   PackedFunctionStore* store,
-                                   ExecContext* ctx) {
-  BatchSearch<ImpactBlocks> source(ImpactBlocks(store), problem);
-  SkylineLoopOptions loop;
-  loop.algorithm = "SB-alt-Packed";
   return RunSkylineLoop(problem, tree, loop, &source, ctx);
 }
 

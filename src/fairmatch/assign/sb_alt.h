@@ -11,15 +11,13 @@
 // kept, so each list block is read at most once per loop and memory
 // stays low — the trade the paper describes for F larger than memory.
 //
-// One batch scan serves two block cursors: round-robin pages over a
-// DiskFunctionStore (SB-alt) and globally impact-ordered blocks over a
-// PackedFunctionStore (SB-alt-Packed). Both run single-threaded.
+// The scan walks a DiskFunctionStore's lists one page per list in
+// round-robin order and runs single-threaded.
 #ifndef FAIRMATCH_ASSIGN_SB_ALT_H_
 #define FAIRMATCH_ASSIGN_SB_ALT_H_
 
 #include "fairmatch/assign/problem.h"
 #include "fairmatch/topk/disk_function_lists.h"
-#include "fairmatch/topk/packed_function_lists.h"
 
 namespace fairmatch {
 
@@ -33,16 +31,6 @@ class ExecContext;
 AssignResult SBAltAssignment(const AssignmentProblem& problem,
                              const RTree& tree, DiskFunctionStore* store,
                              ExecContext* ctx = nullptr);
-
-/// SB-alt over a PackedFunctionStore: the same batch member search, but
-/// the scan consumes packed blocks in globally descending max-impact
-/// order (instead of round-robin pages) and reads coefficients straight
-/// from the packed image — zero counted I/O, tighter frontiers sooner.
-/// Same matching as SB-alt under the shared tie rules.
-AssignResult SBAltPackedAssignment(const AssignmentProblem& problem,
-                                   const RTree& tree,
-                                   PackedFunctionStore* store,
-                                   ExecContext* ctx = nullptr);
 
 }  // namespace fairmatch
 

@@ -1,17 +1,15 @@
 // Portable vector kernels for the column-major (SoA) hot loops.
 //
-// Five kernels cover the vectorized inner loops: linear scoring of a
+// Four kernels cover the vectorized inner loops: linear scoring of a
 // block of member columns (SB-alt's batch search), first-dominator
 // search over a block of skyline columns (SkylineSet::FindDominator),
 // fractional-knapsack score bounds over a batch of members (SB-alt's
-// fetch-worthiness probe), fixed-width id decode (the packed
-// function-list block payloads), and linear scoring of a block of
-// double coefficient columns (the reverse top-1 block scan). The
-// scoring and dominator kernels operate on dim-major columns:
-// `cols[d * stride + j]` is coordinate d of column j, so one vector
-// load touches consecutive columns of one dimension; the knapsack
-// kernel instead lanes over members (gathered rows), and the id
-// decoder is a pure integer widening pass.
+// fetch-worthiness probe), and fixed-width id decode (the packed
+// function-list block payloads). The first two operate on dim-major
+// float columns: `cols[d * stride + j]` is coordinate d of column j,
+// so one vector load touches consecutive columns of one dimension; the
+// knapsack kernel instead lanes over members (gathered rows), and the
+// id decoder is a pure integer widening pass.
 //
 // Backend selection is at compile time: AVX2 when the target enables
 // it, else SSE2 (any x86-64), else NEON (aarch64), else the scalar
@@ -490,135 +488,6 @@ inline void UnpackIds(const unsigned char* src, int id_bytes, int32_t base,
   }
 #else
   UnpackIdsScalar(src, id_bytes, base, count, out);
-#endif
-}
-
-// ---------------------------------------------------------------------
-// Kernel 5 — double-column scoring: out[j] = sum_d cols[d*stride+j] *
-// weights[d], the reverse top-1 block scan's score of every function of
-// a block (cols = the block's effective coefficients, weights = the
-// object's coordinates).
-// ---------------------------------------------------------------------
-
-/// Scalar reference: per column, 0.0 plus each product in ascending
-/// dimension order with separate mul and add — PrefFunction::Score's
-/// sequence, so a column's score is bit-identical to the function's.
-inline void ScoreColumnsF64Scalar(const double* cols, size_t stride, int dims,
-                                  const double* weights, int count,
-                                  double* out) {
-  for (int j = 0; j < count; ++j) out[j] = 0.0;
-  for (int d = 0; d < dims; ++d) {
-    const double* col = cols + static_cast<size_t>(d) * stride;
-    const double w = weights[d];
-    for (int j = 0; j < count; ++j) out[j] += col[j] * w;
-  }
-}
-
-/// Vector backends hold a register block of accumulators across the
-/// dimension loop (four vectors, then one), and the scalar reference
-/// finishes the sub-vector tail. Each lane is one column's scalar
-/// sequence.
-inline void ScoreColumnsF64(const double* cols, size_t stride, int dims,
-                            const double* weights, int count, double* out) {
-#if defined(FAIRMATCH_SIMD_AVX2)
-  int j = 0;
-  for (; j + 16 <= count; j += 16) {
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
-    for (int d = 0; d < dims; ++d) {
-      const double* col = cols + static_cast<size_t>(d) * stride + j;
-      const __m256d w = _mm256_set1_pd(weights[d]);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(col), w));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(col + 4), w));
-      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(col + 8), w));
-      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(col + 12), w));
-    }
-    _mm256_storeu_pd(out + j, a0);
-    _mm256_storeu_pd(out + j + 4, a1);
-    _mm256_storeu_pd(out + j + 8, a2);
-    _mm256_storeu_pd(out + j + 12, a3);
-  }
-  for (; j + 4 <= count; j += 4) {
-    __m256d a = _mm256_setzero_pd();
-    for (int d = 0; d < dims; ++d) {
-      const double* col = cols + static_cast<size_t>(d) * stride + j;
-      a = _mm256_add_pd(
-          a, _mm256_mul_pd(_mm256_loadu_pd(col), _mm256_set1_pd(weights[d])));
-    }
-    _mm256_storeu_pd(out + j, a);
-  }
-  if (j < count) {
-    ScoreColumnsF64Scalar(cols + j, stride, dims, weights, count - j,
-                          out + j);
-  }
-#elif defined(FAIRMATCH_SIMD_SSE2)
-  int j = 0;
-  for (; j + 8 <= count; j += 8) {
-    __m128d a0 = _mm_setzero_pd();
-    __m128d a1 = _mm_setzero_pd();
-    __m128d a2 = _mm_setzero_pd();
-    __m128d a3 = _mm_setzero_pd();
-    for (int d = 0; d < dims; ++d) {
-      const double* col = cols + static_cast<size_t>(d) * stride + j;
-      const __m128d w = _mm_set1_pd(weights[d]);
-      a0 = _mm_add_pd(a0, _mm_mul_pd(_mm_loadu_pd(col), w));
-      a1 = _mm_add_pd(a1, _mm_mul_pd(_mm_loadu_pd(col + 2), w));
-      a2 = _mm_add_pd(a2, _mm_mul_pd(_mm_loadu_pd(col + 4), w));
-      a3 = _mm_add_pd(a3, _mm_mul_pd(_mm_loadu_pd(col + 6), w));
-    }
-    _mm_storeu_pd(out + j, a0);
-    _mm_storeu_pd(out + j + 2, a1);
-    _mm_storeu_pd(out + j + 4, a2);
-    _mm_storeu_pd(out + j + 6, a3);
-  }
-  for (; j + 2 <= count; j += 2) {
-    __m128d a = _mm_setzero_pd();
-    for (int d = 0; d < dims; ++d) {
-      const double* col = cols + static_cast<size_t>(d) * stride + j;
-      a = _mm_add_pd(a, _mm_mul_pd(_mm_loadu_pd(col), _mm_set1_pd(weights[d])));
-    }
-    _mm_storeu_pd(out + j, a);
-  }
-  if (j < count) {
-    ScoreColumnsF64Scalar(cols + j, stride, dims, weights, count - j,
-                          out + j);
-  }
-#elif defined(FAIRMATCH_SIMD_NEON)
-  int j = 0;
-  for (; j + 8 <= count; j += 8) {
-    float64x2_t a0 = vdupq_n_f64(0.0);
-    float64x2_t a1 = vdupq_n_f64(0.0);
-    float64x2_t a2 = vdupq_n_f64(0.0);
-    float64x2_t a3 = vdupq_n_f64(0.0);
-    for (int d = 0; d < dims; ++d) {
-      const double* col = cols + static_cast<size_t>(d) * stride + j;
-      const float64x2_t w = vdupq_n_f64(weights[d]);
-      a0 = vaddq_f64(a0, vmulq_f64(vld1q_f64(col), w));
-      a1 = vaddq_f64(a1, vmulq_f64(vld1q_f64(col + 2), w));
-      a2 = vaddq_f64(a2, vmulq_f64(vld1q_f64(col + 4), w));
-      a3 = vaddq_f64(a3, vmulq_f64(vld1q_f64(col + 6), w));
-    }
-    vst1q_f64(out + j, a0);
-    vst1q_f64(out + j + 2, a1);
-    vst1q_f64(out + j + 4, a2);
-    vst1q_f64(out + j + 6, a3);
-  }
-  for (; j + 2 <= count; j += 2) {
-    float64x2_t a = vdupq_n_f64(0.0);
-    for (int d = 0; d < dims; ++d) {
-      const double* col = cols + static_cast<size_t>(d) * stride + j;
-      a = vaddq_f64(a, vmulq_f64(vld1q_f64(col), vdupq_n_f64(weights[d])));
-    }
-    vst1q_f64(out + j, a);
-  }
-  if (j < count) {
-    ScoreColumnsF64Scalar(cols + j, stride, dims, weights, count - j,
-                          out + j);
-  }
-#else
-  ScoreColumnsF64Scalar(cols, stride, dims, weights, count, out);
 #endif
 }
 

@@ -88,9 +88,13 @@ MatcherInfo Variant(const std::string& name, const std::string& description,
   return info;
 }
 
-RunFn RunSBWith(SBOptions options) {
-  return [options](const MatcherEnv& env) {
-    SBAssignment sb(env.problem, env.tree, options, env.fn_store, env.ctx);
+/// SB over `env.fn_store` (null: SB builds its own packed image), or
+/// with `packed` over the environment's resident packed image.
+RunFn RunSBWith(SBOptions options, bool packed = false) {
+  return [options, packed](const MatcherEnv& env) {
+    FunctionIndexBase* index = env.fn_store;
+    if (packed) index = env.packed_fns;
+    SBAssignment sb(env.problem, env.tree, options, index, env.ctx);
     return sb.Run();
   };
 }
@@ -148,30 +152,13 @@ void RegisterBuiltinMatchers(MatcherRegistry* registry) {
     registry->Register(std::move(info));
   }
 
-  // --- packed-list variants --------------------------------------------
+  // --- SB over a supplied packed image ---------------------------------
   {
     MatcherInfo info = Variant(
         "SB-Packed",
-        "SB over packed function lists with the impact-ordered block "
-        "traversal (topk/packed_function_lists.h)",
-        [](const MatcherEnv& env) {
-          SBOptions o;
-          o.ta.impact_ordered = true;
-          SBAssignment sb(env.problem, env.tree, o, env.packed_fns, env.ctx);
-          return sb.Run();
-        });
-    info.needs_packed_functions = true;
-    registry->Register(std::move(info));
-  }
-  {
-    MatcherInfo info = Variant(
-        "SB-alt-Packed",
-        "batch best-pair search consuming packed blocks in descending "
-        "max-impact order",
-        [](const MatcherEnv& env) {
-          return SBAltPackedAssignment(*env.problem, *env.tree,
-                                       env.packed_fns, env.ctx);
-        });
+        "SB over a supplied packed function-list image "
+        "(topk/packed_function_lists.h)",
+        RunSBWith(SBOptions{}, /*packed=*/true));
     info.needs_packed_functions = true;
     registry->Register(std::move(info));
   }

@@ -4,9 +4,13 @@
 // gamma. The lists are static; assigned functions are skipped lazily.
 //
 // FunctionIndexBase abstracts where the lists live: FunctionLists keeps
-// them in memory (the paper's default setting, F fits in memory), while
-// DiskFunctionStore (disk_function_lists.h) materializes them on the
-// simulated disk with counted I/O (Section 7.6 / Figure 17).
+// them in memory as plain sorted vectors (the differential reference
+// for the packed store, searched by ReverseTop1's generic TA loop);
+// PackedFunctionStore (packed_function_lists.h) holds them as one
+// immutable block image, which SB searches in the paper's default
+// setting (F fits in memory); DiskFunctionStore
+// (disk_function_lists.h) materializes them on the simulated disk with
+// counted I/O (Section 7.6 / Figure 17).
 #ifndef FAIRMATCH_TOPK_FUNCTION_LISTS_H_
 #define FAIRMATCH_TOPK_FUNCTION_LISTS_H_
 
@@ -38,12 +42,6 @@ class FunctionIndexBase {
   /// accesses" that collect the function's remaining coefficients.
   virtual double ScoreOf(FunctionId fid, const Point& o) = 0;
 
-  /// Fast path: the function-major effective-coefficient table
-  /// (`table[fid * dims() + d]` = alpha_d * gamma) of a memory-resident
-  /// index, or nullptr for disk-backed indexes. A score summed from a
-  /// row in dimension order is bit-identical to PrefFunction::Score.
-  virtual const double* EffTable() const { return nullptr; }
-
   /// Downcast hook: the packed block store returns itself, every other
   /// backend nullptr. Lets ReverseTop1 opt into the impact-ordered
   /// block traversal without RTTI.
@@ -68,11 +66,9 @@ class FunctionLists : public FunctionIndexBase {
     return (*fns_)[fid].Score(o);
   }
 
-  const double* EffTable() const override { return eff_.data(); }
-
   const FunctionSet& functions() const { return *fns_; }
 
-  /// Bytes held by the index: the lists plus the coefficient table.
+  /// Bytes held by the index: the lists.
   size_t memory_bytes() const;
 
  private:
@@ -80,7 +76,6 @@ class FunctionLists : public FunctionIndexBase {
   int dims_;
   double max_gamma_;
   std::vector<std::vector<std::pair<double, FunctionId>>> lists_;
-  std::vector<double> eff_;  // function-major effective coefficients
 };
 
 }  // namespace fairmatch

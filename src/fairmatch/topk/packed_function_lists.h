@@ -33,13 +33,12 @@
 // and the bench/test default) or in a file mapped read-only through
 // storage/mmap_file.h. Either way queries never touch the simulated
 // counted-I/O disk: like FunctionLists, the packed store reports zero
-// io_accesses, and its default traversal is ReverseTop1's block scan
-// over the same eff table, count for count FunctionLists'
-// (tests/packed_lists_test.cc pins both). The block granularity exists
-// for ReverseTop1's impact-ordered traversal
-// (ReverseTop1Options::impact_ordered) and SB-alt-Packed, which consume
-// whole blocks in descending max-impact order and early-terminate on
-// the TA threshold.
+// io_accesses, and an entry-by-entry traversal (Entry()) probes the
+// same sequence as FunctionLists (tests/packed_lists_test.cc pins
+// both). The block granularity exists for ReverseTop1's impact-ordered
+// traversal (ReverseTop1Options::impact_ordered, SB's in-memory
+// search), which consumes whole blocks in descending max-impact order
+// and early-terminates on the TA threshold.
 //
 // Integrity: every block carries a CRC32 over its (zero-checksummed)
 // header and payload, verified on Open() along with structural bounds,
@@ -180,7 +179,6 @@ class PackedFunctionStore : public FunctionIndexBase {
     for (int i = 0; i < dims_; ++i) s += eff[i] * o[i];
     return s;
   }
-  const double* EffTable() const override { return eff_table_; }
   PackedFunctionStore* packed() override { return this; }
 
   // --- block API (impact-ordered traversals) -------------------------
@@ -196,6 +194,11 @@ class PackedFunctionStore : public FunctionIndexBase {
   /// block_entries()); returns the entry count. Zero allocation; the
   /// byte-packed deltas go through simd::UnpackIds.
   int DecodeBlock(int dim, int block, int32_t* out_fids) const;
+
+  /// The function-major effective-coefficient table (`table[fid *
+  /// dims() + d]` = alpha_d * gamma). A score summed from a row in
+  /// dimension order is bit-identical to PrefFunction::Score.
+  const double* EffTable() const { return eff_table_; }
 
   /// The function's effective-coefficient row (`dims()` doubles).
   const double* EffRow(FunctionId fid) const {

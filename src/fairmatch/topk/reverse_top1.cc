@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 #include "fairmatch/common/float_util.h"
-#include "fairmatch/common/simd.h"
 
 namespace fairmatch {
 
@@ -25,44 +22,6 @@ int BestGainDim(const double* gain, int dims) {
   return best;
 }
 
-// Splits the functions ids[lo, hi) into scan blocks of at most
-// ReverseTop1::kScanBlock: halves at the median of the widest
-// coefficient dimension (ties: smaller dimension; equal coefficients:
-// smaller id) until a part fits, appending the leaves left to right.
-// `leaves` collects each leaf's end offset.
-void SplitBlocks(const double* eff, int dims, int32_t* ids, int lo, int hi,
-                 std::vector<int32_t>* leaves) {
-  if (hi - lo <= ReverseTop1::kScanBlock) {
-    std::sort(ids + lo, ids + hi);
-    leaves->push_back(hi);
-    return;
-  }
-  int widest = 0;
-  double widest_range = -1.0;
-  for (int d = 0; d < dims; ++d) {
-    double lo_coef = eff[static_cast<size_t>(ids[lo]) * dims + d];
-    double hi_coef = lo_coef;
-    for (int i = lo + 1; i < hi; ++i) {
-      const double c = eff[static_cast<size_t>(ids[i]) * dims + d];
-      lo_coef = std::min(lo_coef, c);
-      hi_coef = std::max(hi_coef, c);
-    }
-    if (hi_coef - lo_coef > widest_range) {
-      widest_range = hi_coef - lo_coef;
-      widest = d;
-    }
-  }
-  const int mid = lo + (hi - lo) / 2;
-  std::nth_element(ids + lo, ids + mid, ids + hi, [&](int32_t a, int32_t b) {
-    const double ca = eff[static_cast<size_t>(a) * dims + widest];
-    const double cb = eff[static_cast<size_t>(b) * dims + widest];
-    if (ca != cb) return ca < cb;
-    return a < b;
-  });
-  SplitBlocks(eff, dims, ids, lo, mid, leaves);
-  SplitBlocks(eff, dims, ids, mid, hi, leaves);
-}
-
 // Whether any function is still unassigned. SB passes its unassigned
 // count; without it (cold callers on the rare queue-starved path) this
 // falls back to an O(|F|) scan.
@@ -78,46 +37,17 @@ ReverseTop1::ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options)
     : index_(index), options_(options) {
   omega_cap_ = std::max(
       1, static_cast<int>(std::llround(options_.omega * index_->size())));
+  // Biased probing over a packed store's impact-ordered blocks runs the
+  // TA kernel. Everything else takes the generic loop: round-robin (the
+  // ablation), FunctionLists, and the counted disk store, whose I/O
+  // access sequence is part of what it measures.
   packed_ = index_->packed();
-  use_impact_ = options_.impact_ordered && packed_ != nullptr;
+  use_impact_ = options_.impact_ordered && options_.biased_probing &&
+                packed_ != nullptr;
   // Scan cursors advance in blocks under the impact-ordered traversal,
   // in entries otherwise.
   scan_limit_ = use_impact_ ? packed_->num_blocks() : index_->size();
-  // Biased probing over a memory-resident index scans blocks, or runs
-  // the TA kernel over impact-ordered packed blocks. Round-robin (the
-  // ablation) and the counted disk store, whose I/O access sequence is
-  // part of what it measures, take the generic loop.
-  eff_table_ = index_->EffTable();
-  if (options_.biased_probing && eff_table_ != nullptr) {
-    path_ = use_impact_ ? Path::kPackedBlocks : Path::kBlockScan;
-  }
   use_seen_epoch_ = !options_.resume;
-  if (path_ == Path::kBlockScan) BuildScanBlocks();
-}
-
-void ReverseTop1::BuildScanBlocks() {
-  const int dims = index_->dims();
-  const int n = index_->size();
-  blocks_.ids.resize(n);
-  std::iota(blocks_.ids.begin(), blocks_.ids.end(), 0);
-  blocks_.begin.assign(1, 0);
-  SplitBlocks(eff_table_, dims, blocks_.ids.data(), 0, n, &blocks_.begin);
-  blocks_.cols.resize(static_cast<size_t>(n) * dims);
-  blocks_.max_coef.assign(static_cast<size_t>(blocks_.count()) * dims, 0.0);
-  for (int b = 0; b < blocks_.count(); ++b) {
-    const int begin = blocks_.begin[b];
-    const int count = blocks_.begin[b + 1] - begin;
-    double* cols = blocks_.cols.data() + static_cast<size_t>(begin) * dims;
-    double* max_coef = blocks_.max_coef.data() + static_cast<size_t>(b) * dims;
-    for (int i = 0; i < count; ++i) {
-      const double* row =
-          eff_table_ + static_cast<size_t>(blocks_.ids[begin + i]) * dims;
-      for (int d = 0; d < dims; ++d) {
-        cols[d * count + i] = row[d];
-        max_coef[d] = std::max(max_coef[d], row[d]);
-      }
-    }
-  }
 }
 
 int32_t* ReverseTop1::BlockScratch() const {
@@ -134,14 +64,6 @@ void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
   state->queue_.Reset(omega_cap_);
   state->omega_left_ = omega_cap_;
   state->initialized = true;
-  if (path_ == Path::kBlockScan) {
-    // An empty window whose last entry precedes every block.
-    state->scan_window_.clear();
-    state->scan_next_ = 0;
-    state->scan_last_ = {std::numeric_limits<double>::infinity(), -1};
-    state->scan_more_ = true;
-    return;
-  }
   state->positions_.assign(dims, 0);
   if (use_seen_epoch_) {
     // Generation bump instead of clearing: the byte map is wiped only
@@ -165,36 +87,6 @@ void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
               if (o[a] != o[b]) return o[a] > o[b];
               return a < b;
             });
-}
-
-void ReverseTop1::RefillScanWindow(ReverseTop1State* state,
-                                   const Point& o) const {
-  using ScanEntry = ReverseTop1State::ScanEntry;
-  // The scan order: bound descending, then block index.
-  const auto before = [](const ScanEntry& a, const ScanEntry& b) {
-    if (a.bound != b.bound) return a.bound > b.bound;
-    return a.block < b.block;
-  };
-  // Per thread, so concurrent Best() calls never share it.
-  thread_local std::vector<ScanEntry> rest;
-  rest.clear();
-  const int dims = index_->dims();
-  for (int b = 0; b < blocks_.count(); ++b) {
-    // Summed like a score from max_coef >= every coefficient: no
-    // function of the block scores above its bound.
-    const double* max_coef =
-        blocks_.max_coef.data() + static_cast<size_t>(b) * dims;
-    double bound = 0.0;
-    for (int d = 0; d < dims; ++d) bound += max_coef[d] * o[d];
-    const ScanEntry entry{bound, b};
-    if (before(state->scan_last_, entry)) rest.push_back(entry);
-  }
-  const size_t take = std::min<size_t>(kScanWindow, rest.size());
-  std::partial_sort(rest.begin(), rest.begin() + take, rest.end(), before);
-  state->scan_window_.assign(rest.begin(), rest.begin() + take);
-  state->scan_next_ = 0;
-  if (take > 0) state->scan_last_ = rest[take - 1];
-  state->scan_more_ = take < rest.size();
 }
 
 double ReverseTop1::TightThreshold(const ReverseTop1State& state,
@@ -255,7 +147,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
   const int dims = index_->dims();
   const int limit = scan_limit_;
   const double max_gamma = index_->max_gamma();
-  const double* const eff = eff_table_;
+  const double* const eff = store->EffTable();
   const uint8_t* const taken = assigned.data();
   const bool epoch = use_seen_epoch_;
   CandidateQueue& queue = state->queue_;
@@ -411,100 +303,8 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
     ReverseTop1State* state, const Point& o,
     const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
   if (!state->initialized || !options_.resume) Reset(state, o);
-  switch (path_) {
-    case Path::kBlockScan:
-      return ScanBest(state, o, assigned, num_unassigned);
-    case Path::kPackedBlocks:
-      return ProbeBlocks(state, o, assigned, num_unassigned);
-    case Path::kGeneric:
-      break;
-  }
+  if (use_impact_) return ProbeBlocks(state, o, assigned, num_unassigned);
   return GenericBest(state, o, assigned, num_unassigned);
-}
-
-std::optional<std::pair<FunctionId, double>> ReverseTop1::ScanBest(
-    ReverseTop1State* state, const Point& o,
-    const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
-  static_assert(kScanBlock <= 32, "a block's live set is one 32-bit mask");
-  const int dims = index_->dims();
-  const uint8_t* const taken = assigned.data();
-  CandidateQueue& queue = state->queue_;
-  double coord[kMaxDims];
-  for (int d = 0; d < dims; ++d) coord[d] = o[d];
-  double scores[kScanBlock];
-  int64_t probes = 0;
-
-  while (true) {
-    // Drop candidates assigned to other objects since the last call;
-    // each pop spends one unit of the queue's guarantee (Omega), and a
-    // spent queue can no longer vouch for the maximum: restart.
-    while (!queue.empty() && taken[queue.best().fid]) {
-      queue.PopBest();
-      state->omega_left_--;
-    }
-    if (state->omega_left_ <= 0) {
-      restarts_++;
-      Reset(state, o);
-      continue;
-    }
-    const int omega_left = state->omega_left_;
-    // Scan until the best candidate beats every unscanned block's bound
-    // (a tie keeps scanning: the block may hold a smaller id).
-    while (true) {
-      if (state->scan_next_ == state->scan_window_.size()) {
-        if (!state->scan_more_) break;
-        RefillScanWindow(state, o);  // orders at least one block
-      }
-      const ReverseTop1State::ScanEntry next =
-          state->scan_window_[state->scan_next_];
-      if (!queue.empty() && queue.best().score > next.bound + kBoundSlack) {
-        break;
-      }
-      state->scan_next_++;
-      const int b = next.block;
-      const int begin = blocks_.begin[b];
-      const int count = blocks_.begin[b + 1] - begin;
-      const FunctionId* const ids = blocks_.ids.data() + begin;
-      uint32_t live = 0;
-      for (int i = 0; i < count; ++i) {
-        live |= static_cast<uint32_t>(taken[ids[i]] == 0) << i;
-      }
-      if (live == 0) continue;
-      const double* const cols =
-          blocks_.cols.data() + static_cast<size_t>(begin) * dims;
-      simd::ScoreColumnsF64(cols, count, dims, coord, count, scores);
-      probes += count;
-      for (; live != 0; live &= live - 1) {
-        const int i = __builtin_ctz(live);
-        // Keep only the top-Omega candidates (Section 5.1 memory
-        // bound). The queue never holds more than omega_left entries,
-        // so a full queue takes a candidate only by evicting its worst.
-        const ScoredCandidate candidate{scores[i], ids[i]};
-        if (static_cast<int>(queue.size()) == omega_left) {
-          if (!(candidate < queue.worst())) continue;
-          queue.Push(candidate);
-          queue.PopWorst();
-        } else {
-          queue.Push(candidate);
-        }
-      }
-    }
-    // Either the best beats every unscanned block, or every block was
-    // scanned and the queue holds the best unassigned candidates unless
-    // eviction lost them.
-    if (!queue.empty()) {
-      probes_ += probes;
-      const ScoredCandidate& top = queue.best();
-      return std::make_pair(top.fid, top.score);
-    }
-    // Queue starved by eviction: restart unless F is fully assigned.
-    if (!AnyUnassigned(assigned, num_unassigned)) {
-      probes_ += probes;
-      return std::nullopt;
-    }
-    restarts_++;
-    Reset(state, o);
-  }
 }
 
 std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
@@ -558,27 +358,9 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::GenericBest(
       continue;
     }
 
-    // Probe list d: one whole packed block under the impact-ordered
-    // traversal, one entry otherwise.
+    // Probe list d.
     int pos = state->positions_[d]++;
     state->round_robin_next_ = (d + 1) % index_->dims();
-    if (use_impact_) {
-      int32_t* const fids = BlockScratch();
-      const int count = packed_->DecodeBlock(d, pos, fids);
-      probes += count;
-      for (int i = 0; i < count; ++i) {
-        const FunctionId fid = fids[i];
-        if (Seen(*state, fid)) continue;
-        MarkSeen(state, fid);
-        if (assigned[fid]) continue;
-        const double score = index_->ScoreOf(fid, o);
-        state->queue_.Push(ScoredCandidate{score, fid});
-        if (static_cast<int>(state->queue_.size()) > state->omega_left_) {
-          state->queue_.PopWorst();
-        }
-      }
-      continue;
-    }
     probes++;
     FunctionId fid = index_->Entry(d, pos).second;
     if (Seen(*state, fid)) continue;

@@ -5,56 +5,36 @@
 // resumes instead of restarting. Omega decreases on every queue pop;
 // at zero the search restarts from scratch (the omega trade-off of
 // Section 5.1). The winner is the unassigned function maximizing f(o),
-// ties broken by the smaller id, on every path below.
+// ties broken by the smaller id, on both paths below.
 //
-// Three loops serve Best(), picked once per ReverseTop1 by the index
-// and the options:
+// Two loops serve Best(), picked once per ReverseTop1 by the index and
+// the options. Both are the Threshold Algorithm [Fagin et al.] over the
+// D per-dimension coefficient lists with the paper's T_tight, the
+// fractional-knapsack termination threshold over the frontier values
+// (budget B = max gamma):
 //
-//  * the block scan (biased probing over a memory-resident index that
-//    is not impact-ordered: FunctionLists, or a PackedFunctionStore's
-//    default traversal). The constructor splits F, read from the
-//    index's function-major coefficient table
-//    (FunctionIndexBase::EffTable), into blocks of at most kScanBlock
-//    functions by a deterministic recursive median split on the widest
-//    coefficient dimension (ties by id). A block stores its
-//    coefficients as dim-major columns and a per-dimension maximum. An
-//    object's first Best() orders the blocks by the upper bound
-//    sum_d max_coef[d] * o[d] (descending, ties by block index) and
-//    keeps a cursor into that order. The order is materialized
-//    kScanWindow blocks at a time (the next window recomputes the
-//    bounds and selects the blocks after the last one ordered), so a
-//    state stays a few hundred bytes at any |F|. A call scans blocks
-//    while the queue is empty or its best score is <= the next bound +
-//    kBoundSlack (so a tie with a smaller id is never skipped), skips a
-//    block whose functions are all assigned, and scores the rest of the
-//    block in one column pass (simd::ScoreColumnsF64: ascending-d mul
-//    then add, bit-identical to PrefFunction::Score). Each function
-//    lives in one block, so no seen set is kept. probes() counts scored
-//    functions.
 //  * the TA probe kernel over a PackedFunctionStore's impact-ordered
-//    blocks (ReverseTop1Options::impact_ordered, SB-Packed): the
-//    Threshold Algorithm [Fagin et al.] over the D per-dimension lists
-//    with the paper's two other optimizations — T_tight, the
-//    fractional-knapsack termination threshold over the frontier values
-//    (budget B = max gamma), and biased probing, which probes the list
-//    maximizing l_i * o_i next. Positions, frontiers, gains and the
-//    threshold live in kMaxDims locals; a probe consumes a whole packed
-//    block and the frontier is the next block's max impact. probes()
-//    counts list entries.
-//  * the generic TA loop: the counted-disk DiskFunctionStore, whose
-//    page access order is part of what Figure 17 measures, and
-//    round-robin probing (the ablation). It re-reads the lists every
-//    iteration so the counted I/O sequence is the seed's. probes()
-//    counts list entries.
+//    blocks (biased probing with ReverseTop1Options::impact_ordered;
+//    SB's in-memory search). Biased probing probes the list maximizing
+//    l_i * o_i next. Positions, frontiers, gains and the threshold live
+//    in kMaxDims locals; a probe consumes a whole packed block and the
+//    frontier is the next block's max impact. probes() counts list
+//    entries.
+//  * the generic TA loop, one list entry per probe, for every other
+//    case: the counted-disk DiskFunctionStore, whose page access order
+//    is part of what Figure 17 measures; round-robin probing (the
+//    ablation); FunctionLists; and a packed store walked entry by entry
+//    (impact_ordered = false). It re-reads the lists every iteration so
+//    the counted I/O sequence is the seed's. probes() counts list
+//    entries.
 //
 // Threading contract: one ReverseTop1 serves one run. When concurrent()
-// is true — the block scan and the impact-ordered kernel, which read
-// only immutable data (the block index built in the constructor; the
-// packed image through the const, cache-free DecodeBlock and
-// BlockMaxImpact, each thread decoding into its own scratch buffer) —
-// Best() may run on several threads at once provided each call has its
-// own ReverseTop1State and nobody writes `assigned` meanwhile. SB fans
-// a loop's searches out this way (assign/sb.h). The probe and restart
+// is true — the impact-ordered kernel, which reads the immutable packed
+// image through the const, cache-free DecodeBlock and BlockMaxImpact,
+// each thread decoding into its own scratch buffer — Best() may run on
+// several threads at once provided each call has its own
+// ReverseTop1State and nobody writes `assigned` meanwhile. SB fans a
+// loop's searches out this way (assign/sb.h). The probe and restart
 // totals are atomic and sum to the same values in any interleaving.
 // The generic loop is single-threaded.
 #ifndef FAIRMATCH_TOPK_REVERSE_TOP1_H_
@@ -83,11 +63,12 @@ struct ReverseTop1Options {
   /// the ablation bench).
   bool resume = true;
   /// Impact-ordered block traversal: when the index is a
-  /// PackedFunctionStore, TA probes consume whole packed blocks in
-  /// descending max-impact order and a list stops contributing as soon
-  /// as its next block's max impact falls under the knapsack threshold.
+  /// PackedFunctionStore and probing is biased, TA probes consume whole
+  /// packed blocks in descending max-impact order and a list stops
+  /// contributing as soon as its next block's max impact falls under
+  /// the knapsack threshold. False walks a packed store entry by entry.
   /// Ignored for non-packed indexes.
-  bool impact_ordered = false;
+  bool impact_ordered = true;
 };
 
 /// Candidate queue item: (score, fid), ordered best-first.
@@ -191,9 +172,7 @@ class ReverseTop1State {
   /// Approximate bytes held (memory-usage metric).
   size_t memory_bytes() const {
     return sizeof(*this) + positions_.capacity() * sizeof(int) +
-           dim_order_.capacity() * sizeof(int) +
-           scan_window_.capacity() * sizeof(ScanEntry) +
-           queue_.memory_bytes() +
+           dim_order_.capacity() * sizeof(int) + queue_.memory_bytes() +
            seen_bits_.capacity() * sizeof(uint64_t) +
            seen_gen_.capacity() * sizeof(uint8_t);
   }
@@ -210,21 +189,7 @@ class ReverseTop1State {
  private:
   friend class ReverseTop1;
 
-  /// One block of the block scan with its bound for this object.
-  struct ScanEntry {
-    double bound;
-    int32_t block;
-  };
-
   bool initialized = false;
-  // Block scan: the next blocks in scan order (a window refilled from
-  // the blocks after scan_last_), the next one to scan, and whether
-  // any block lies beyond the window.
-  std::vector<ScanEntry> scan_window_;
-  size_t scan_next_ = 0;
-  ScanEntry scan_last_{0.0, 0};
-  bool scan_more_ = false;
-  // TA loops.
   std::vector<int> positions_;  // next unread index per list
   std::vector<int> dim_order_;  // dims sorted by o[d] descending
   // Top candidates, capacity-bounded by Omega.
@@ -285,9 +250,6 @@ class ReverseTop1StatePool {
 /// Reverse top-1 searcher over one function index.
 class ReverseTop1 {
  public:
-  /// Most functions per block-scan block.
-  static constexpr int kScanBlock = 32;
-
   ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options);
 
   /// Returns the unassigned function maximizing f(o) (ties: smaller id),
@@ -302,57 +264,17 @@ class ReverseTop1 {
 
   /// Whether Best() may run concurrently on distinct states (see the
   /// threading contract at the top of this file).
-  bool concurrent() const { return path_ != Path::kGeneric; }
+  bool concurrent() const { return use_impact_; }
 
-  /// Work counter (diagnostics / ablation): functions scored by the
-  /// block scan, list entries probed by the TA loops.
+  /// Work counter (diagnostics / ablation): list entries probed.
   int64_t probes() const { return probes_; }
   /// Number of from-scratch restarts triggered by Omega exhaustion.
   int64_t restarts() const { return restarts_; }
 
-  /// Bytes held by the block scan's index (0 on the TA paths).
-  size_t memory_bytes() const {
-    return blocks_.begin.capacity() * sizeof(int32_t) +
-           blocks_.ids.capacity() * sizeof(FunctionId) +
-           (blocks_.cols.capacity() + blocks_.max_coef.capacity()) *
-               sizeof(double);
-  }
-
  private:
-  /// Blocks a search state orders at a time.
-  static constexpr int kScanWindow = 16;
-
   /// Starts `state` over for object `o`: an empty queue with the full
-  /// Omega, and the path's scan position at the beginning.
+  /// Omega, every list at its head and nothing seen.
   void Reset(ReverseTop1State* state, const Point& o) const;
-
-  /// Which loop Best() runs (see the top of this file).
-  enum class Path { kGeneric, kBlockScan, kPackedBlocks };
-
-  /// Function-major blocks of F for the block scan (see the top of this
-  /// file). Block b holds the functions ids[begin[b] .. begin[b + 1]);
-  /// its coefficients are the dim-major columns at cols + begin[b] *
-  /// dims (stride = the block's size), its per-dimension maxima
-  /// max_coef[b * dims .. (b + 1) * dims).
-  struct ScanBlocks {
-    std::vector<int32_t> begin;
-    std::vector<FunctionId> ids;
-    std::vector<double> cols;
-    std::vector<double> max_coef;
-    int count() const { return static_cast<int>(begin.size()) - 1; }
-  };
-
-  /// Builds blocks_ from the index's coefficient table.
-  void BuildScanBlocks();
-
-  /// Orders the next kScanWindow blocks after state->scan_last_ into
-  /// the state's window.
-  void RefillScanWindow(ReverseTop1State* state, const Point& o) const;
-
-  /// The block scan (biased probing over a memory-resident index).
-  std::optional<std::pair<FunctionId, double>> ScanBest(
-      ReverseTop1State* state, const Point& o,
-      const std::vector<uint8_t>& assigned, int64_t num_unassigned);
 
   /// The TA probe kernel over impact-ordered packed blocks.
   std::optional<std::pair<FunctionId, double>> ProbeBlocks(
@@ -379,11 +301,8 @@ class ReverseTop1 {
 
   /// Upper bound on the coefficient of any unseen function in list
   /// `dim` once the scan cursor is at `pos`: the next unread entry's
-  /// coefficient, or — impact-ordered — the next unconsumed block's max
-  /// impact (every entry of a consumed block is marked seen, so an
-  /// unseen function sits in a later block).
+  /// coefficient.
   double FrontierValue(int dim, int pos) const {
-    if (use_impact_) return packed_->BlockMaxImpact(dim, pos);
     return index_->Entry(dim, pos).first;
   }
 
@@ -404,16 +323,14 @@ class ReverseTop1 {
 
   FunctionIndexBase* index_;
   ReverseTop1Options options_;
-  // Set when the index is a PackedFunctionStore; use_impact_ adds
-  // options_.impact_ordered. Impact-ordered scans advance positions_ in
-  // BLOCK units and scan_limit_ is the per-list block count; otherwise
-  // positions are entry indexes and the limit is |F|.
+  // Set when the index is a PackedFunctionStore; use_impact_ (the
+  // kernel path) adds biased probing and options_.impact_ordered. The
+  // kernel advances positions_ in BLOCK units and scan_limit_ is the
+  // per-list block count; otherwise positions are entry indexes and
+  // the limit is |F|.
   PackedFunctionStore* packed_ = nullptr;
   bool use_impact_ = false;
   int scan_limit_ = 0;
-  const double* eff_table_ = nullptr;  // index_->EffTable()
-  Path path_ = Path::kGeneric;
-  ScanBlocks blocks_;  // built for Path::kBlockScan only
   // Seen-set representation (see ReverseTop1State): epoch byte map for
   // no-resume (reset-per-call) searches, compact bitmap otherwise.
   bool use_seen_epoch_ = false;

@@ -609,7 +609,7 @@ TEST(ChaosDeadlineTest, ExpiredDeadlineAbortsDirectRunAtCancellationPoint) {
   // packed function stores the SB-alt and packed variants need.
   for (const char* name :
        {"SB", "SB-SinglePair", "SB-UpdateSkyline", "SB-DeltaSky",
-        "SB-TwoSkylines", "SB-alt", "SB-alt-Packed", "SB-Packed"}) {
+        "SB-TwoSkylines", "SB-alt", "SB-Packed"}) {
     ExecContext ctx;
     ctx.set_deadline(std::chrono::steady_clock::now() -
                      std::chrono::milliseconds(1));

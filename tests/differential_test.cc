@@ -15,6 +15,10 @@
 // and off, SB and SB-Packed must produce byte-identical matchings and
 // identical loop, probe and restart counts. This suite is part of the
 // TSan CI matrix.
+//
+// A third pins SB's result to its function index: SB over its own
+// packed image, over a supplied PackedFunctionStore and over
+// FunctionLists (the generic TA loop) must produce the same matching.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,12 +35,15 @@
 #include "fairmatch/engine/exec_context.h"
 #include "fairmatch/engine/registry.h"
 #include "fairmatch/skyline/bbs.h"
+#include "fairmatch/topk/function_lists.h"
+#include "fairmatch/topk/packed_function_lists.h"
 #include "test_util.h"
 
 namespace fairmatch {
 namespace {
 
 using fairmatch::testing::GridFunctions;
+using fairmatch::testing::GridPoints;
 using fairmatch::testing::MemTree;
 using fairmatch::testing::ProblemSpec;
 using fairmatch::testing::RandomProblem;
@@ -145,19 +152,17 @@ struct SBRun {
   int64_t restarts;
 };
 
-/// SB (in-memory lists) or SB-Packed (impact-ordered packed blocks)
-/// with fan-out allowed or not.
+/// SB over its own packed image, or SB-Packed (a supplied one), with
+/// fan-out allowed or not.
 SBRun RunSB(const AssignmentProblem& problem, bool packed, bool parallel) {
   MemTree mem(problem);
   std::unique_ptr<PackedFunctionStore> store;
-  SBOptions options;
   if (packed) {
     store = std::make_unique<PackedFunctionStore>(problem.functions);
-    options.ta.impact_ordered = true;
   }
   ExecContext ctx;
   ctx.set_parallel(parallel);
-  SBAssignment sb(&problem, &mem.tree, options, store.get(), &ctx);
+  SBAssignment sb(&problem, &mem.tree, SBOptions{}, store.get(), &ctx);
   AssignResult result = sb.Run();
   return SBRun{std::move(result), sb.probes(), sb.restarts()};
 }
@@ -205,6 +210,67 @@ TEST_P(ParallelVsInlineTest, SearchesFanOutWithoutChangingAnything) {
 
 INSTANTIATE_TEST_SUITE_P(Instances, ParallelVsInlineTest,
                          ::testing::Range(0, 4));
+
+// --- SB's matching does not depend on its function index -------------
+
+/// Random shapes (0-7), the fan-out instances (8-11, the last
+/// tie-heavy), and grid points against grid functions (12-13: equal
+/// scores everywhere, duplicated points, capacities on 13).
+AssignmentProblem IndexCase(int index) {
+  if (index < 8) return RandomProblem(SpecForSeed(200 + index));
+  if (index < 12) return ParallelCase(index - 8);
+  const int dims = index == 12 ? 3 : 4;
+  FunctionSet fns = GridFunctions(90, dims, 3, 1200 + index);
+  if (index == 13) SetFunctionCapacities(&fns, 2);
+  return MakeProblem(GridPoints(400, dims, 4, 1300 + index), std::move(fns),
+                     /*object_capacity=*/index == 13 ? 2 : 1);
+}
+
+class SBIndexAgreementTest : public ::testing::TestWithParam<int> {};
+
+// SB with no index (it builds an anonymous packed image and runs the
+// impact-ordered kernel), SB over a supplied PackedFunctionStore (small
+// blocks, so the frontier moves often), and SB over FunctionLists (the
+// generic TA loop, which the benchmark suite's traced replay runs)
+// pick the same winner on every search, so they emit the same matching
+// in the same order with the same score bits and loop count.
+TEST_P(SBIndexAgreementTest, SameMatchingOverEveryIndex) {
+  const AssignmentProblem problem = IndexCase(GetParam());
+  PackedStoreOptions small_blocks;
+  small_blocks.block_entries = 8;
+  PackedFunctionStore packed(problem.functions, small_blocks);
+  FunctionLists lists(&problem.functions);
+  const auto run = [&](FunctionIndexBase* index) {
+    MemTree mem(problem);
+    SBAssignment sb(&problem, &mem.tree, SBOptions{}, index);
+    return sb.Run();
+  };
+  const AssignResult want = run(nullptr);
+  ASSERT_TRUE(VerifyStableMatching(problem, want.matching).ok);
+  ASSERT_FALSE(want.matching.empty());
+  for (FunctionIndexBase* index :
+       {static_cast<FunctionIndexBase*>(&packed),
+        static_cast<FunctionIndexBase*>(&lists)}) {
+    const std::string label =
+        std::string(index == &lists ? "FunctionLists" : "packed") +
+        ", case " + std::to_string(GetParam());
+    const AssignResult got = run(index);
+    ASSERT_EQ(got.matching.size(), want.matching.size()) << label;
+    for (size_t i = 0; i < want.matching.size(); ++i) {
+      ASSERT_EQ(got.matching[i].fid, want.matching[i].fid)
+          << label << ", pair " << i;
+      ASSERT_EQ(got.matching[i].oid, want.matching[i].oid)
+          << label << ", pair " << i;
+      ASSERT_EQ(ScoreBits(got.matching[i].score),
+                ScoreBits(want.matching[i].score))
+          << label << ", pair " << i;
+    }
+    EXPECT_EQ(got.stats.loops, want.stats.loops) << label;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, SBIndexAgreementTest,
+                         ::testing::Range(0, 14));
 
 }  // namespace
 }  // namespace fairmatch

@@ -3,13 +3,13 @@
 // oracle, across randomized seeded shapes and in both placements
 // (in-memory image and mmap):
 //  * entries, scores and metadata are bitwise identical,
-//  * the default ReverseTop1 traversal performs the identical block
-//    scan (scored functions, restarts, returned ids) — the packed store
-//    is a drop-in FunctionLists,
+//  * the entry-by-entry ReverseTop1 traversal (impact_ordered = false)
+//    performs the identical TA probe sequence (probes, restarts,
+//    returned ids) — the packed store is a drop-in FunctionLists,
 //  * the impact-ordered block traversal returns the identical winners
 //    under assignment churn,
-//  * the SB-Packed / SB-alt-Packed engine variants reproduce the
-//    by-definition oracle matching,
+//  * the SB-Packed engine variant reproduces the by-definition oracle
+//    matching,
 //  * Open() rejects corrupt blocks (checksum), tampered headers and
 //    truncated files.
 #include <gtest/gtest.h>
@@ -145,12 +145,13 @@ uint64_t DrainFingerprint(ReverseTop1* rt1, const AssignmentProblem& problem,
   return h;
 }
 
-TEST_P(PackedDifferentialTest, DefaultTraversalReproducesProbeSequence) {
+TEST_P(PackedDifferentialTest, EntryTraversalReproducesProbeSequence) {
   const PackedShape shape = ShapeForSeed(GetParam());
   const AssignmentProblem problem = RandomProblem(shape.spec);
   FunctionLists lists(&problem.functions);
   ReverseTop1Options options;
   options.omega = 0.01;  // small enough to force evictions and restarts
+  options.impact_ordered = false;
   ReverseTop1 oracle(&lists, options);
   int64_t want_probes = 0, want_restarts = 0;
   const uint64_t want =
@@ -190,14 +191,14 @@ TEST_P(PackedDifferentialTest, ImpactOrderedTraversalReturnsOracleWinners) {
   options.omega = 0.01;
   ReverseTop1 oracle(&lists, options);
   const uint64_t want = DrainFingerprint(&oracle, problem);
+  ASSERT_FALSE(oracle.concurrent());
   for (const bool use_mmap : {false, true}) {
     PackedStoreOptions opts;
     opts.block_entries = shape.block_entries;
     opts.use_mmap = use_mmap;
     PackedFunctionStore packed(problem.functions, opts);
-    ReverseTop1Options impact = options;
-    impact.impact_ordered = true;
-    ReverseTop1 rt1(&packed, impact);
+    ReverseTop1 rt1(&packed, options);
+    ASSERT_TRUE(rt1.concurrent());
     // Block consumption changes the probe count but must not change a
     // single returned winner.
     int64_t probes = 0, restarts = 0;
@@ -213,23 +214,22 @@ TEST_P(PackedDifferentialTest, PackedMatchersReproduceOracleMatching) {
   const AssignmentProblem problem = RandomProblem(shape.spec);
   Matching want = NaiveStableMatching(problem);
   CanonicalizeMatching(&want);
-  for (const char* name : {"SB-Packed", "SB-alt-Packed"}) {
-    for (const bool use_mmap : {false, true}) {
-      ExecContext ctx;
-      AssignResult got = RunRegisteredMatcher(name, problem, &ctx,
-                                              /*force_disk_functions=*/false,
-                                              /*buffer_fraction=*/0.02,
-                                              /*packed_mmap=*/use_mmap);
-      CanonicalizeMatching(&got.matching);
-      ASSERT_EQ(got.matching.size(), want.size())
-          << name << " mmap " << use_mmap;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.matching[i].fid, want[i].fid) << name << " pair " << i;
-        EXPECT_EQ(got.matching[i].oid, want[i].oid) << name << " pair " << i;
-      }
-      // No counted I/O: the packed image is queried in place.
-      EXPECT_EQ(got.stats.io_accesses, 0) << name << " mmap " << use_mmap;
+  const char* name = "SB-Packed";
+  for (const bool use_mmap : {false, true}) {
+    ExecContext ctx;
+    AssignResult got = RunRegisteredMatcher(name, problem, &ctx,
+                                            /*force_disk_functions=*/false,
+                                            /*buffer_fraction=*/0.02,
+                                            /*packed_mmap=*/use_mmap);
+    CanonicalizeMatching(&got.matching);
+    ASSERT_EQ(got.matching.size(), want.size())
+        << name << " mmap " << use_mmap;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.matching[i].fid, want[i].fid) << name << " pair " << i;
+      EXPECT_EQ(got.matching[i].oid, want[i].oid) << name << " pair " << i;
     }
+    // No counted I/O: the packed image is queried in place.
+    EXPECT_EQ(got.stats.io_accesses, 0) << name << " mmap " << use_mmap;
   }
 }
 

@@ -74,7 +74,6 @@ const MatcherGolden kMatcherGoldens[] = {
     {0, "SB-TwoSkylines", 0, 40, 12, 0xede54ad4b4de17e3ull},
     {0, "SB-UpdateSkyline", 0, 40, 40, 0x4593b914dac9ec5bull},
     {0, "SB-alt", 520, 40, 12, 0xede54ad4b4de17e3ull},
-    {0, "SB-alt-Packed", 0, 40, 12, 0xede54ad4b4de17e3ull},
     {0, "SB-Packed", 0, 40, 12, 0xede54ad4b4de17e3ull},
     {1, "BruteForce", 0, 30, 67, 0x8fa050d81831063full},
     {1, "Chain", 0, 30, 69, 0xf9565a2bb04972ffull},
@@ -85,7 +84,6 @@ const MatcherGolden kMatcherGoldens[] = {
     {1, "SB-TwoSkylines", 0, 30, 7, 0x2c9b31ce674f49bfull},
     {1, "SB-UpdateSkyline", 0, 30, 30, 0x8fa050d81831063full},
     {1, "SB-alt", 277, 30, 7, 0x2c9b31ce674f49bfull},
-    {1, "SB-alt-Packed", 0, 30, 7, 0x2c9b31ce674f49bfull},
     {1, "SB-Packed", 0, 30, 7, 0x2c9b31ce674f49bfull},
     {2, "BruteForce", 0, 50, 180, 0xb7d6f2b985be8e1dull},
     {2, "Chain", 0, 50, 108, 0x399e66f06f4a6b1dull},
@@ -96,7 +94,6 @@ const MatcherGolden kMatcherGoldens[] = {
     {2, "SB-TwoSkylines", 0, 50, 23, 0xe879ff576277a9ddull},
     {2, "SB-UpdateSkyline", 0, 50, 50, 0xb7d6f2b985be8e1dull},
     {2, "SB-alt", 645, 50, 23, 0xe879ff576277a9ddull},
-    {2, "SB-alt-Packed", 0, 50, 23, 0xe879ff576277a9ddull},
     {2, "SB-Packed", 0, 50, 23, 0xe879ff576277a9ddull},
     {3, "BruteForce", 0, 20, 31, 0x956d57b9357fa57eull},
     {3, "Chain", 0, 20, 37, 0x6168da9cabc3993eull},
@@ -107,7 +104,6 @@ const MatcherGolden kMatcherGoldens[] = {
     {3, "SB-TwoSkylines", 0, 20, 7, 0xf3fcbe51c5f5f3beull},
     {3, "SB-UpdateSkyline", 0, 20, 20, 0x956d57b9357fa57eull},
     {3, "SB-alt", 223, 20, 7, 0xf3fcbe51c5f5f3beull},
-    {3, "SB-alt-Packed", 0, 20, 7, 0xf3fcbe51c5f5f3beull},
     {3, "SB-Packed", 0, 20, 7, 0xf3fcbe51c5f5f3beull},
     {4, "BruteForce", 0, 30, 63, 0xc0117845d4c28cc4ull},
     {4, "Chain", 0, 30, 84, 0x5db5c67a94b2cb04ull},
@@ -118,7 +114,6 @@ const MatcherGolden kMatcherGoldens[] = {
     {4, "SB-TwoSkylines", 0, 30, 13, 0xad4ceb66c01a1504ull},
     {4, "SB-UpdateSkyline", 0, 30, 30, 0xc0117845d4c28cc4ull},
     {4, "SB-alt", 417, 30, 13, 0xad4ceb66c01a1504ull},
-    {4, "SB-alt-Packed", 0, 30, 13, 0xad4ceb66c01a1504ull},
     {4, "SB-Packed", 0, 30, 13, 0xad4ceb66c01a1504ull},
 };
 
@@ -243,13 +238,12 @@ struct TaChurnGolden {
 
 // Reverse top-1 in isolation, under assignment churn that forces queue
 // eviction and Omega restarts; the hash pins every returned function id.
-// Biased rows run the block scan: probes count scored functions and,
-// with restarts, pin the block sequence (bound order, skipped blocks,
-// terminations). Round-robin rows run TA and pin the exact seed probe
-// sequence (PickList choices, threshold terminations).
+// Both probing strategies run the generic TA loop over FunctionLists
+// and pin the exact seed probe sequence (PickList choices, threshold
+// terminations).
 const TaChurnGolden kTaChurnGoldens[] = {
-    {true, 0.025, 10500, 0, 0x6894588dbdd8aa40ull},
-    {true, 0.006, 14150, 16, 0x6894588dbdd8aa40ull},
+    {true, 0.025, 831, 0, 0x6894588dbdd8aa40ull},
+    {true, 0.006, 1143, 13, 0x6894588dbdd8aa40ull},
     {false, 0.025, 2032, 0, 0x6894588dbdd8aa40ull},
     {false, 0.006, 2718, 15, 0x6894588dbdd8aa40ull},
 };

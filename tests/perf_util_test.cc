@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "fairmatch/common/minmax_heap.h"
-#include "fairmatch/common/preference.h"
 #include "fairmatch/common/rng.h"
 #include "fairmatch/common/simd.h"
 #include "fairmatch/geom/point.h"
@@ -270,39 +269,6 @@ TEST(SimdKernelTest, ScoreColumnsMatchesScalarBitExactly) {
                              count, want.data());
     for (int j = 0; j < count; ++j) {
       ASSERT_EQ(got[j], want[j]) << "iter " << iter << " col " << j;
-    }
-  }
-}
-
-// The double-column kernel (the reverse top-1 block scan's scorer) is
-// bit-identical to its scalar reference on every count, including the
-// ones that leave a sub-vector tail, and the reference equals a
-// function row summed in PrefFunction::Score's order.
-TEST(SimdKernelTest, ScoreColumnsF64MatchesScalarBitExactly) {
-  Rng rng(607);
-  for (int iter = 0; iter < 400; ++iter) {
-    const int dims = 1 + static_cast<int>(rng.UniformInt(0, kMaxDims - 1));
-    const int count = static_cast<int>(rng.UniformInt(0, 37));
-    const size_t stride = count + rng.UniformInt(0, 5);
-    std::vector<double> cols(dims * stride + 1, 0.0);
-    for (double& v : cols) v = rng.Uniform(0.0, 4.0);
-    Point p(dims);
-    double weights[kMaxDims];
-    for (int d = 0; d < dims; ++d) {
-      p[d] = static_cast<float>(rng.Uniform(0.0, 1.0));
-      weights[d] = p[d];
-    }
-    std::vector<double> got(count, -1.0), want(count, -2.0);
-    simd::ScoreColumnsF64(cols.data(), stride, dims, weights, count,
-                          got.data());
-    simd::ScoreColumnsF64Scalar(cols.data(), stride, dims, weights, count,
-                                want.data());
-    for (int j = 0; j < count; ++j) {
-      ASSERT_EQ(got[j], want[j]) << "iter " << iter << " col " << j;
-      PrefFunction f;
-      f.dims = dims;
-      for (int d = 0; d < dims; ++d) f.alpha[d] = cols[d * stride + j];
-      ASSERT_EQ(want[j], f.Score(p)) << "iter " << iter << " col " << j;
     }
   }
 }

@@ -167,20 +167,17 @@ TEST(ServeContractTest, PackedViewsServeIdenticalResultsInBothImageModes) {
     registry.Open("ds", problem, dopts);
     Server server(&registry);
 
-    for (const char* name : {"SB-Packed", "SB-alt-Packed"}) {
-      ExecContext ctx;
-      const Fingerprint direct = OfDirect(RunRegisteredMatcher(
-          name, problem, &ctx, /*force_disk_functions=*/false,
-          /*buffer_fraction=*/0.02, mmap_mode));
-      Request request;
-      request.dataset = "ds";
-      request.matcher = name;
-      const Response response = server.Execute(request);
-      ASSERT_TRUE(response.status.ok()) << name << " mmap=" << mmap_mode;
-      EXPECT_TRUE(OfResponse(response) == direct)
-          << name << " mmap=" << mmap_mode;
-      EXPECT_EQ(response.stats.io_accesses, 0) << name;
-    }
+    ExecContext ctx;
+    const Fingerprint direct = OfDirect(RunRegisteredMatcher(
+        "SB-Packed", problem, &ctx, /*force_disk_functions=*/false,
+        /*buffer_fraction=*/0.02, mmap_mode));
+    Request request;
+    request.dataset = "ds";
+    request.matcher = "SB-Packed";
+    const Response response = server.Execute(request);
+    ASSERT_TRUE(response.status.ok()) << "mmap=" << mmap_mode;
+    EXPECT_TRUE(OfResponse(response) == direct) << "mmap=" << mmap_mode;
+    EXPECT_EQ(response.stats.io_accesses, 0);
   }
 }
 
@@ -226,8 +223,8 @@ TEST(ServeConcurrencyTest, DeterministicAtOneTwoAndEightLanes) {
   };
   const std::vector<MixEntry> mix = {
       {"SB", false},     {"SB-Packed", false}, {"BruteForce", false},
-      {"SB-alt", false}, {"Chain", false},     {"SB-alt-Packed", false},
-      {"SB", true},      {"SB-TwoSkylines", false}};
+      {"SB-alt", false}, {"Chain", false},     {"SB", true},
+      {"SB-TwoSkylines", false}};
   const int kRequests = 24;
 
   // Both packed-image placements: lane count and the in-memory/mmap

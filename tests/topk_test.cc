@@ -1,5 +1,5 @@
-// Tests for BRS ranked search and the reverse top-1 search (block scan
-// and TA loops).
+// Tests for BRS ranked search and the reverse top-1 search (the
+// impact-ordered TA kernel and the generic TA loop).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -267,26 +267,6 @@ TEST(ReverseTop1Test, BiasedProbingProbesNoMoreThanRoundRobin) {
   EXPECT_LE(probes[0], probes[1]);
 }
 
-// The block scan prunes by block bound: a first search scores a small
-// fraction of F, not all of it.
-TEST(ReverseTop1Test, BlockScanScoresAFractionOfF) {
-  Rng rng(41);
-  FunctionSet fns = GenerateFunctions(2000, 4, &rng);
-  FunctionLists lists(&fns);
-  auto points = GeneratePoints(Distribution::kAntiCorrelated, 100, 4, &rng);
-  std::vector<uint8_t> assigned(fns.size(), 0);
-  ReverseTop1 rt1(&lists, ReverseTop1Options{});
-  for (const Point& p : points) {
-    ReverseTop1State state;
-    auto got = rt1.Best(&state, p, assigned);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->first, ReferenceBestFn(fns, p, assigned).first);
-  }
-  EXPECT_LT(rt1.probes(),
-            static_cast<int64_t>(points.size() * fns.size() / 2));
-  EXPECT_GT(rt1.probes(), 0);
-}
-
 TEST(FunctionListsTest, ListsSortedDescendingPerDimension) {
   Rng rng(51);
   FunctionSet fns = GenerateFunctions(500, 5, &rng);
@@ -351,12 +331,11 @@ TEST(DiskFunctionStoreTest, CountsIo) {
   EXPECT_EQ(static_cast<int>(page.size()), store.records_per_page());
 }
 
-// The memory-resident block scan (FunctionLists) against the generic
-// counted TA loop (DiskFunctionStore) under assignment churn: every
-// returned id and every score bit pattern agree. The two count
-// different work (scored functions vs list entries), so each side's
-// probe and restart totals are pinned by its own golden; the disk side's
-// are the TA loop's seed values.
+// The memory-resident lists (FunctionLists) against the counted-disk
+// lists (DiskFunctionStore), both through the generic TA loop, under
+// assignment churn: every returned id, every score bit pattern and,
+// round by round, both work counters agree. The final totals are the
+// TA loop's seed values.
 struct BackendParam {
   int dims;
   double omega;
@@ -364,10 +343,8 @@ struct BackendParam {
 };
 
 struct BackendGolden {
-  int64_t mem_probes;
-  int64_t mem_restarts;
-  int64_t disk_probes;
-  int64_t disk_restarts;
+  int64_t probes;
+  int64_t restarts;
 };
 
 void ExpectBackendsAgree(const FunctionSet& fns,
@@ -390,12 +367,12 @@ void ExpectBackendsAgree(const FunctionSet& fns,
       EXPECT_EQ(a->first, b->first) << "round " << round << " point " << i;
       EXPECT_EQ(Bits(a->second), Bits(b->second)) << "round " << round;
     }
+    ASSERT_EQ(mem_rt1.probes(), disk_rt1.probes()) << "round " << round;
+    ASSERT_EQ(mem_rt1.restarts(), disk_rt1.restarts()) << "round " << round;
     for (size_t f = round; f < fns.size(); f += 11) assigned[f] = 1;
   }
-  EXPECT_EQ(mem_rt1.probes(), golden.mem_probes);
-  EXPECT_EQ(mem_rt1.restarts(), golden.mem_restarts);
-  EXPECT_EQ(disk_rt1.probes(), golden.disk_probes);
-  EXPECT_EQ(disk_rt1.restarts(), golden.disk_restarts);
+  EXPECT_EQ(disk_rt1.probes(), golden.probes);
+  EXPECT_EQ(disk_rt1.restarts(), golden.restarts);
   EXPECT_GT(disk_lists.counters().io_accesses(), 0);
 }
 
@@ -421,41 +398,42 @@ TEST_P(KernelVsGenericTest, ChurnAgreesBitForBit) {
 INSTANTIATE_TEST_SUITE_P(
     DimsOmegaResume, KernelVsGenericTest,
     ::testing::Values(
-        BackendCase{{2, 0.025, true}, {4325, 0, 180, 0}},
-        BackendCase{{2, 0.025, false}, {41450, 0, 720, 0}},
-        BackendCase{{2, 0.006, true}, {6775, 30, 180, 0}},
-        BackendCase{{2, 0.006, false}, {41450, 0, 720, 0}},
-        BackendCase{{4, 0.025, true}, {14850, 8, 3624, 1}},
-        BackendCase{{4, 0.025, false}, {123250, 0, 20276, 0}},
-        BackendCase{{4, 0.006, true}, {20725, 38, 4572, 36}},
-        BackendCase{{4, 0.006, false}, {123250, 0, 20276, 0}},
-        BackendCase{{8, 0.025, true}, {26625, 7, 11357, 5}},
-        BackendCase{{8, 0.025, false}, {233775, 0, 72035, 0}},
-        BackendCase{{8, 0.006, true}, {42275, 48, 15289, 49}},
-        BackendCase{{8, 0.006, false}, {233775, 0, 72035, 0}}));
+        BackendCase{{2, 0.025, true}, {180, 0}},
+        BackendCase{{2, 0.025, false}, {720, 0}},
+        BackendCase{{2, 0.006, true}, {180, 0}},
+        BackendCase{{2, 0.006, false}, {720, 0}},
+        BackendCase{{4, 0.025, true}, {3624, 1}},
+        BackendCase{{4, 0.025, false}, {20276, 0}},
+        BackendCase{{4, 0.006, true}, {4572, 36}},
+        BackendCase{{4, 0.006, false}, {20276, 0}},
+        BackendCase{{8, 0.025, true}, {11357, 5}},
+        BackendCase{{8, 0.025, false}, {72035, 0}},
+        BackendCase{{8, 0.006, true}, {15289, 49}},
+        BackendCase{{8, 0.006, false}, {72035, 0}}));
 
 TEST(KernelVsGenericGridTest, TieHeavyGridAgreesBitForBit) {
   FunctionSet fns = GridFunctions(150, 3, 4, 21);
   auto points = GridPoints(60, 3, 4, 22);
-  ExpectBackendsAgree(fns, points, ReverseTop1Options{},
-                      {7741, 40, 2715, 38});
+  ExpectBackendsAgree(fns, points, ReverseTop1Options{}, {2715, 38});
 }
 
 // ---------------------------------------------------------------------------
-// Block scan against the exhaustive oracle
+// The impact-ordered kernel against the exhaustive oracle
 // ---------------------------------------------------------------------------
 
 // dims, omega, resume, max_gamma, tie-heavy grid functions and points.
-using ScanParam = std::tuple<int, double, bool, int, bool>;
+using OracleParam = std::tuple<int, double, bool, int, bool>;
 
-class BlockScanOracleTest : public ::testing::TestWithParam<ScanParam> {};
+class ImpactKernelOracleTest : public ::testing::TestWithParam<OracleParam> {
+};
 
-// Every call of the block scan returns the oracle's winner (id and score
-// bits) under churn that assigns both scattered functions and the
-// winners themselves (queue pops, Omega restarts at omega = 0.004,
-// where Omega is one candidate), and the packed store's default
-// traversal equals FunctionLists call for call and in its scan counts.
-TEST_P(BlockScanOracleTest, EveryCallMatchesExhaustive) {
+// Every call of the TA kernel over impact-ordered packed blocks (SB's
+// in-memory search) returns the oracle's winner (id and score bits)
+// under churn that assigns both scattered functions and the winners
+// themselves (queue pops, Omega restarts at omega = 0.004, where Omega
+// is one candidate). FunctionLists' generic loop answers every call
+// the same way.
+TEST_P(ImpactKernelOracleTest, EveryCallMatchesExhaustive) {
   const auto [dims, omega, resume, max_gamma, grid] = GetParam();
   Rng rng(900 + dims);
   FunctionSet fns = grid ? GridFunctions(300, dims, 3, 901 + dims)
@@ -468,10 +446,15 @@ TEST_P(BlockScanOracleTest, EveryCallMatchesExhaustive) {
   options.omega = omega;
   options.resume = resume;
   FunctionLists lists(&fns);
-  PackedFunctionStore packed(fns);
-  ReverseTop1 rt1(&lists, options);
-  ReverseTop1 packed_rt1(&packed, options);
+  // Small blocks, so a list spans many of them and the block frontier
+  // moves on every probe.
+  PackedStoreOptions packed_options;
+  packed_options.block_entries = 16;
+  PackedFunctionStore packed(fns, packed_options);
+  ReverseTop1 rt1(&packed, options);
+  ReverseTop1 lists_rt1(&lists, options);
   ASSERT_TRUE(rt1.concurrent());
+  ASSERT_FALSE(lists_rt1.concurrent());
   std::vector<uint8_t> assigned(fns.size(), 0);
   int64_t remaining = static_cast<int64_t>(fns.size());
   const auto assign = [&](FunctionId fid) {
@@ -480,24 +463,24 @@ TEST_P(BlockScanOracleTest, EveryCallMatchesExhaustive) {
     remaining--;
   };
   std::vector<ReverseTop1State> states(points.size());
-  std::vector<ReverseTop1State> packed_states(points.size());
+  std::vector<ReverseTop1State> lists_states(points.size());
   for (int round = 0; remaining > 0 && round < 40; ++round) {
     for (size_t i = 0; i < points.size(); ++i) {
       const auto want = ReferenceBestFn(fns, points[i], assigned);
       const auto got = rt1.Best(&states[i], points[i], assigned, remaining);
-      const auto got_packed = packed_rt1.Best(&packed_states[i], points[i],
-                                              assigned, remaining);
+      const auto got_lists = lists_rt1.Best(&lists_states[i], points[i],
+                                            assigned, remaining);
       if (want.first == kInvalidFunction) {
         EXPECT_FALSE(got.has_value());
-        EXPECT_FALSE(got_packed.has_value());
+        EXPECT_FALSE(got_lists.has_value());
         continue;
       }
       ASSERT_TRUE(got.has_value()) << "round " << round << " point " << i;
-      ASSERT_TRUE(got_packed.has_value());
+      ASSERT_TRUE(got_lists.has_value());
       ASSERT_EQ(got->first, want.first) << "round " << round << " point " << i;
       ASSERT_EQ(Bits(got->second), Bits(want.second)) << "round " << round;
-      ASSERT_EQ(got_packed->first, got->first);
-      ASSERT_EQ(Bits(got_packed->second), Bits(got->second));
+      ASSERT_EQ(got_lists->first, want.first);
+      ASSERT_EQ(Bits(got_lists->second), Bits(want.second));
       if (i % 3 == 0) assign(got->first);
     }
     for (size_t f = round; f < fns.size(); f += 13) {
@@ -505,21 +488,19 @@ TEST_P(BlockScanOracleTest, EveryCallMatchesExhaustive) {
     }
   }
   EXPECT_EQ(remaining, 0);
-  EXPECT_EQ(packed_rt1.probes(), rt1.probes());
-  EXPECT_EQ(packed_rt1.restarts(), rt1.restarts());
   if (resume && omega < 0.01) {
     EXPECT_GT(rt1.restarts(), 0);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Random, BlockScanOracleTest,
+    Random, ImpactKernelOracleTest,
     ::testing::Combine(::testing::Range(1, kMaxDims + 1),
                        ::testing::Values(0.025, 0.004), ::testing::Bool(),
                        ::testing::Values(1, 4), ::testing::Values(false)));
 
 INSTANTIATE_TEST_SUITE_P(
-    TieHeavyGrid, BlockScanOracleTest,
+    TieHeavyGrid, ImpactKernelOracleTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),
                        ::testing::Values(0.025, 0.004), ::testing::Bool(),
                        ::testing::Values(1), ::testing::Values(true)));
@@ -531,55 +512,49 @@ INSTANTIATE_TEST_SUITE_P(
 // Several threads call Best() at once on distinct states over one shared
 // ReverseTop1 (the SB fan-out contract): every result and the probe and
 // restart totals equal a one-thread run, round after round of churn.
-// Covers the block scan over FunctionLists and over a packed store, and
-// the TA kernel over impact-ordered packed blocks.
+// The TA kernel over impact-ordered packed blocks is the one concurrent
+// search.
 TEST(ReverseTop1ParallelTest, DistinctStatesShareOneSearcher) {
   constexpr int kThreads = 4;
   Rng rng(77);
   const FunctionSet fns = GenerateFunctions(1500, 5, &rng);
   const auto points =
       GeneratePoints(Distribution::kAntiCorrelated, 96, 5, &rng);
-  FunctionLists lists(&fns);
   PackedFunctionStore packed(fns);
-  for (const int layout : {0, 1, 2}) {
-    FunctionIndexBase* index = &packed;
-    if (layout == 0) index = &lists;
-    ReverseTop1Options options;
-    options.omega = 0.006;
-    options.impact_ordered = layout == 2;
-    ReverseTop1 shared(index, options);
-    ReverseTop1 serial(index, options);
-    ASSERT_TRUE(shared.concurrent()) << "layout " << layout;
-    std::vector<ReverseTop1State> shared_states(points.size());
-    std::vector<ReverseTop1State> serial_states(points.size());
-    std::vector<uint8_t> assigned(fns.size(), 0);
-    for (int round = 0; round < 8; ++round) {
-      std::vector<std::optional<std::pair<FunctionId, double>>> got(
-          points.size());
-      std::vector<std::thread> threads;
-      for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-          for (size_t i = t; i < points.size(); i += kThreads) {
-            got[i] = shared.Best(&shared_states[i], points[i], assigned);
-          }
-        });
-      }
-      for (std::thread& thread : threads) thread.join();
-      for (size_t i = 0; i < points.size(); ++i) {
-        const auto want = serial.Best(&serial_states[i], points[i], assigned);
-        ASSERT_EQ(got[i].has_value(), want.has_value());
-        if (!want.has_value()) continue;
-        ASSERT_EQ(got[i]->first, want->first)
-            << "layout " << layout << " round " << round << " point " << i;
-        ASSERT_EQ(Bits(got[i]->second), Bits(want->second));
-      }
-      EXPECT_EQ(shared.probes(), serial.probes()) << "layout " << layout;
-      EXPECT_EQ(shared.restarts(), serial.restarts()) << "layout " << layout;
-      for (size_t i = 0; i < points.size(); i += 2) {
-        if (got[i].has_value()) assigned[got[i]->first] = 1;
-      }
-      for (size_t f = round; f < fns.size(); f += 17) assigned[f] = 1;
+  ReverseTop1Options options;
+  options.omega = 0.006;
+  ReverseTop1 shared(&packed, options);
+  ReverseTop1 serial(&packed, options);
+  ASSERT_TRUE(shared.concurrent());
+  std::vector<ReverseTop1State> shared_states(points.size());
+  std::vector<ReverseTop1State> serial_states(points.size());
+  std::vector<uint8_t> assigned(fns.size(), 0);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<std::optional<std::pair<FunctionId, double>>> got(
+        points.size());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t i = t; i < points.size(); i += kThreads) {
+          got[i] = shared.Best(&shared_states[i], points[i], assigned);
+        }
+      });
     }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t i = 0; i < points.size(); ++i) {
+      const auto want = serial.Best(&serial_states[i], points[i], assigned);
+      ASSERT_EQ(got[i].has_value(), want.has_value());
+      if (!want.has_value()) continue;
+      ASSERT_EQ(got[i]->first, want->first)
+          << "round " << round << " point " << i;
+      ASSERT_EQ(Bits(got[i]->second), Bits(want->second));
+    }
+    EXPECT_EQ(shared.probes(), serial.probes()) << "round " << round;
+    EXPECT_EQ(shared.restarts(), serial.restarts()) << "round " << round;
+    for (size_t i = 0; i < points.size(); i += 2) {
+      if (got[i].has_value()) assigned[got[i]->first] = 1;
+    }
+    for (size_t f = round; f < fns.size(); f += 17) assigned[f] = 1;
   }
 }
 
