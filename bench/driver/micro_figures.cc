@@ -26,9 +26,10 @@
 //   micro_buffer_pool — the sharded open-addressing + intrusive-LRU
 //     pool on one seeded fetch sequence per hit/miss mix (every
 //     seventh fetch writes, so dirty frames copy-on-write and evict
-//     through a counted write); io = physical reads + writes, pairs =
-//     fetches, loops = buffer hits. cpu_ms is the frame-table, LRU and
-//     copy-on-write cost per fetch.
+//     through a counted write; the read-only `tiny` mix at 2 frames
+//     reuses a clean victim's frame on nearly every miss); io =
+//     physical reads + writes, pairs = fetches, loops = buffer hits.
+//     cpu_ms is the frame-table, LRU and copy-on-write cost per fetch.
 #include <algorithm>
 #include <cstring>
 #include <memory>
@@ -184,19 +185,20 @@ RunStats RunMicroSimdScore(const AssignmentProblem& problem,
   return stats;
 }
 
-// One seeded fetch sequence (uniform page picks, every seventh access
-// a dirty write) against a pool sized for the given hit mix.
-RunStats RunMicroBufferPool(double capacity_fraction) {
-  constexpr int kPages = 256;
+constexpr int kMicroPoolPages = 256;
+
+// One seeded fetch sequence (uniform page picks; with `writes`, every
+// seventh access a dirty write) against a pool of `capacity` frames.
+RunStats RunMicroBufferPool(size_t capacity, bool writes) {
   const int accesses = Scaled(400000, 2000);
-  const size_t capacity =
-      static_cast<size_t>(kPages * capacity_fraction + 0.5);
 
   DiskManager disk;
   PerfCounters counters;
   std::vector<PageId> pids;
-  pids.reserve(kPages);
-  for (int i = 0; i < kPages; ++i) pids.push_back(disk.AllocatePage());
+  pids.reserve(kMicroPoolPages);
+  for (int i = 0; i < kMicroPoolPages; ++i) {
+    pids.push_back(disk.AllocatePage());
+  }
 
   RunStats stats;
   stats.algorithm = "sharded";
@@ -205,8 +207,9 @@ RunStats RunMicroBufferPool(double capacity_fraction) {
   {
     BufferPool pool(&disk, capacity, &counters);
     for (int i = 0; i < accesses; ++i) {
-      PageHandle h = pool.FetchPage(pids[rng.UniformInt(0, kPages - 1)]);
-      if (i % 7 == 0) h.mutable_bytes()[0] = std::byte{1};
+      PageHandle h =
+          pool.FetchPage(pids[rng.UniformInt(0, kMicroPoolPages - 1)]);
+      if (writes && i % 7 == 0) h.mutable_bytes()[0] = std::byte{1};
     }
   }
   stats.cpu_ms = timer.ElapsedMs();
@@ -253,21 +256,30 @@ std::vector<FigureSection> MicroBufferPool() {
       "256-page disk, seeded uniform fetches, x = hit mix "
       "(io = physical reads+writes, loops = hits)";
   // Hit mixes: all-resident (pure hit cost), half-sized buffer
-  // (eviction churn), and the paper's 0% buffer (every fetch a miss).
-  const std::pair<const char*, double> mixes[] = {
-      {"hit", 1.0}, {"mix", 0.5}, {"miss", 0.0}};
-  for (const auto& [label, fraction] : mixes) {
+  // (eviction churn), the paper's 0% buffer (every fetch a miss, never
+  // a victim), and a read-only 2-frame buffer, the shape of
+  // assign_diskf's coefficient fetches, where nearly every miss reuses
+  // a clean victim's frame.
+  struct Mix {
+    const char* label;
+    size_t frames;
+    bool writes;
+  };
+  const Mix mixes[] = {{"hit", kMicroPoolPages, true},
+                       {"mix", kMicroPoolPages / 2, true},
+                       {"miss", 0, true},
+                       {"tiny", 2, false}};
+  for (const Mix& mix : mixes) {
     BenchConfig config;
     config.num_functions = 10;
     config.num_objects = 100;
     config = Scale(config);
     MeasuredRun run;
     run.algorithm = "sharded";
-    const double f = fraction;
-    run.runner = [f](const AssignmentProblem&, const BenchConfig&) {
-      return RunMicroBufferPool(f);
+    run.runner = [mix](const AssignmentProblem&, const BenchConfig&) {
+      return RunMicroBufferPool(mix.frames, mix.writes);
     };
-    s.cells.push_back({label, config, nullptr, {std::move(run)}});
+    s.cells.push_back({mix.label, config, nullptr, {std::move(run)}});
   }
   return {s};
 }

@@ -206,9 +206,23 @@ PageHandle BufferPool::FetchPage(PageId pid) {
   // Miss: physical read (before any eviction writeback, matching the
   // counted access order of the original pool).
   counters_->page_reads++;
-  frame = AllocFrame(pid);
+  const bool bad_ref = !disk_->IsLive(pid) && disk_->has_error_sink();
+  if (!bad_ref && resident_ >= capacity_ && lru_head_ != kNoFrame &&
+      !frames_[lru_head_].dirty) {
+    // A full pool with a clean LRU head: that head is the victim the
+    // eviction after the read would pick, and evicting a clean frame
+    // touches no disk, so its slot takes the new page in place. A dirty
+    // victim takes the path below, where its write-back follows the
+    // read.
+    frame = lru_head_;
+    LruRemove(frame);
+    Erase(frames_[frame].pid);
+    frames_[frame].pid = pid;
+  } else {
+    frame = AllocFrame(pid);
+  }
   Frame& f = frames_[frame];
-  if (!disk_->IsLive(pid) && disk_->has_error_sink()) {
+  if (bad_ref) {
     // A data-derived id (e.g. a child pointer decoded from a page that
     // was itself corrupt) pointing nowhere: typed error + a zeroed
     // frame instead of the liveness abort inside DiskManager::ReadPage.
@@ -302,16 +316,14 @@ void BufferPool::Unpin(int32_t frame) {
   }
 }
 
-void BufferPool::EvictIfNeeded() {
-  while (resident_ > capacity_ && lru_head_ != kNoFrame) {
-    const int32_t victim = lru_head_;
-    LruRemove(victim);
-    Frame& f = frames_[victim];
-    FAIRMATCH_CHECK(f.pin_count == 0);
-    FlushFrame(f);
-    Erase(f.pid);
-    FreeFrame(victim);
-  }
+void BufferPool::EvictLruHead() {
+  const int32_t victim = lru_head_;
+  LruRemove(victim);
+  Frame& f = frames_[victim];
+  FAIRMATCH_CHECK(f.pin_count == 0);
+  FlushFrame(f);
+  Erase(f.pid);
+  FreeFrame(victim);
 }
 
 void BufferPool::FlushFrame(Frame& frame) {

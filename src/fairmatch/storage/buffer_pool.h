@@ -7,6 +7,18 @@
 // buffer" configuration: pages stay resident only while pinned and every
 // fetch is a miss.
 //
+// Eviction. A miss evicts at most once: the least recently used
+// unpinned frame, and only when the pool is full. A clean victim's slot
+// is reused in place for the new page; a dirty victim is written back
+// after the miss's read, so a fault plan sees the read first. Unpinning
+// evicts only when the pool is over capacity, where only pinned frames
+// can hold it (more pinned pages than frames, or a set_capacity()
+// below the pinned count). FlushAll() writes dirty frames back in
+// frame-index order, and the index a page lands in depends on this
+// reuse, so the order of those writes is not part of the contract:
+// their set and count are, but which page a seeded write-fault plan
+// hits during a FlushAll() may change with it.
+//
 // Zero-copy clean frames. A miss stores whatever DiskManager::ReadPage
 // returns: with no fault injector attached that is a view of the disk's
 // own page, so reading one record off a missed page copies nothing.
@@ -181,7 +193,13 @@ class BufferPool {
   /// Copy-on-write: makes `frame` own its bytes and marks it dirty.
   std::byte* MakeWritable(int32_t frame);
   void Unpin(int32_t frame);
-  void EvictIfNeeded();
+  /// Evicts LRU frames while the pool is over capacity. Inline so the
+  /// usual case, nothing to evict, costs a compare and no call.
+  void EvictIfNeeded() {
+    while (resident_ > capacity_ && lru_head_ != kNoFrame) EvictLruHead();
+  }
+  /// Writes back (if dirty) and drops the least recently used frame.
+  void EvictLruHead();
   void FlushFrame(Frame& frame);
 
   DiskManager* disk_;

@@ -4,7 +4,10 @@
 // see the written-back bytes and cost exactly one physical read), the
 // pinned-overflow path at capacities 0, 1 and 2 (more pinned pages
 // than frames), and a randomized differential sweep against a
-// reference model of the documented LRU semantics. The zero-copy
+// reference model of the documented LRU semantics (whose read-mostly
+// phase drives the in-place reuse of a clean victim's frame thousands
+// of times, each a view of the disk's page). A frame that held a
+// private copy also serves a later clean view. The zero-copy
 // tests pin the view contract: a clean miss hands out the disk's own
 // page, a write copies it into the frame first and every pin sees the
 // copy, and an injector only ever acts on a private copy. General
@@ -76,15 +79,17 @@ TEST(BufferPoolTest, DirtyEvictThenRefetchAccountsExactly) {
     EXPECT_EQ(counters.page_reads, 1);
     EXPECT_EQ(counters.page_writes, 0);  // dirty but resident
 
-    // Fill the buffer past capacity: A (LRU) is evicted dirty.
+    // Fill the buffer past capacity: A (LRU) is evicted dirty, once.
     for (size_t i = 1; i < pids.size(); ++i) {
       PageHandle h = pool.FetchPage(pids[i]);
     }
     EXPECT_EQ(counters.page_writes, 1);
     EXPECT_EQ(DiskStamp(disk, a), 0xA1u);  // writeback completed
+    EXPECT_EQ(pool.resident_frames(), capacity);
 
     // Re-fetch after the dirty eviction: one physical read, the
     // written-back bytes, and no further write for the now-clean frame.
+    // Its victim is clean, so the miss reuses that frame in place.
     {
       PageHandle h = pool.FetchPage(a);
       EXPECT_EQ(ReadStamp(h), 0xA1u);
@@ -93,6 +98,7 @@ TEST(BufferPoolTest, DirtyEvictThenRefetchAccountsExactly) {
     EXPECT_EQ(counters.page_reads,
               static_cast<int64_t>(pids.size()) + 1);
     EXPECT_EQ(counters.page_writes, 1);
+    EXPECT_EQ(pool.resident_frames(), capacity);
 
     // Second dirty-evict cycle: exactly one more write.
     for (size_t i = 1; i < pids.size(); ++i) {
@@ -100,6 +106,7 @@ TEST(BufferPoolTest, DirtyEvictThenRefetchAccountsExactly) {
     }
     EXPECT_EQ(counters.page_writes, 2);
     EXPECT_EQ(DiskStamp(disk, a), 0xA2u);
+    EXPECT_EQ(pool.resident_frames(), capacity);
   }
 }
 
@@ -122,7 +129,9 @@ TEST(BufferPoolTest, PinnedOverflowAtCapacitiesZeroOneTwo) {
     pool.FlushAll();
     counters.Reset();
 
-    // Pin all pages at once (a path of pinned pages beyond capacity).
+    // Pin all pages at once (a path of pinned pages beyond capacity):
+    // with every frame pinned a miss has no victim and takes a fresh
+    // frame.
     std::vector<PageHandle> handles;
     for (size_t i = 0; i < overflow; ++i) {
       handles.push_back(pool.FetchPage(pids[i]));
@@ -139,7 +148,7 @@ TEST(BufferPoolTest, PinnedOverflowAtCapacitiesZeroOneTwo) {
     // eviction is one write) until the pool is back at capacity.
     for (PageHandle& h : handles) h.Release();
     handles.clear();
-    EXPECT_LE(pool.resident_frames(), capacity);
+    EXPECT_EQ(pool.resident_frames(), capacity);
     EXPECT_EQ(counters.page_writes,
               static_cast<int64_t>(overflow - capacity));
     for (size_t i = 0; i < overflow; ++i) {
@@ -155,6 +164,7 @@ TEST(BufferPoolTest, PinnedOverflowAtCapacitiesZeroOneTwo) {
       PageHandle h = pool.FetchPage(pids[i]);
       EXPECT_EQ(ReadStamp(h), 0xB0 + i) << i;
     }
+    EXPECT_EQ(pool.resident_frames(), capacity);
   }
 }
 
@@ -341,6 +351,10 @@ class ModelPool {
       if (it->second.pin == 0) LruErase(pid);
     } else {
       counters.page_reads++;
+      if (frames_.size() >= capacity_ && !lru_.empty() &&
+          !frames_.at(lru_.front()).dirty) {
+        clean_victim_misses++;
+      }
       frames_[pid] = Frame{disk_[pid], false, 0};
       it = frames_.find(pid);
     }
@@ -413,6 +427,9 @@ class ModelPool {
   bool OnDisk(PageId pid) const { return disk_.count(pid) > 0; }
 
   PerfCounters counters;
+  // Misses that found a full pool with a clean LRU head: the pool
+  // serves these by reusing the victim's frame in place.
+  int64_t clean_victim_misses = 0;
 
  private:
   struct Frame {
@@ -451,16 +468,71 @@ class ModelPool {
   PageId next_pid_ = 0;
 };
 
+// A frame that held a private copy (an injected corruption, then a
+// failed read) is reused for a later clean miss: the new pin gets a
+// view of the disk page with the right bytes, not the old copy.
+TEST(BufferPoolTest, FrameOfAPrivateCopyServesALaterCleanView) {
+  DiskManager disk;
+  PerfCounters counters;
+  BufferPool pool(&disk, 1, &counters);
+  const std::vector<PageId> pids = StampedPages(&disk, 3);
+  PageData scratch;
+  const auto stored = [&](PageId pid) {
+    return disk.ReadPage(pid, scratch.bytes).bytes;
+  };
+
+  FaultInjectorOptions corrupt_plan;
+  corrupt_plan.seed = 13;
+  corrupt_plan.corrupt_rate = 1.0;
+  FaultInjector corrupter(corrupt_plan);
+  disk.set_fault_injector(&corrupter);
+  {
+    PageHandle h = pool.FetchPage(pids[0]);
+    EXPECT_NE(h.bytes(), stored(pids[0]));  // a private, flipped copy
+  }
+  disk.set_fault_injector(nullptr);
+  {
+    PageHandle h = pool.FetchPage(pids[1]);  // reuses pids[0]'s frame
+    EXPECT_EQ(h.bytes(), stored(pids[1]));
+    EXPECT_EQ(ReadStamp(h), 0xD1u);
+    EXPECT_EQ(pool.resident_frames(), 1u);
+  }
+
+  FaultInjectorOptions fail_plan;
+  fail_plan.seed = 17;
+  fail_plan.read_fail_rate = 1.0;
+  FaultInjector failer(fail_plan);
+  ErrorSink sink;
+  disk.set_error_sink(&sink);
+  disk.set_fault_injector(&failer);
+  {
+    PageHandle h = pool.FetchPage(pids[2]);
+    EXPECT_EQ(ReadStamp(h), 0u);  // a failed read is zero-filled
+  }
+  EXPECT_TRUE(sink.failed());
+  disk.set_fault_injector(nullptr);
+  for (int i = 0; i < 3; ++i) {
+    PageHandle h = pool.FetchPage(pids[i]);
+    EXPECT_EQ(h.bytes(), stored(pids[i])) << i;
+    EXPECT_EQ(ReadStamp(h), 0xD0u + i) << i;
+    EXPECT_EQ(pool.resident_frames(), 1u);
+  }
+  EXPECT_EQ(counters.page_reads, 6);
+  EXPECT_EQ(counters.page_writes, 0);
+}
+
 // Randomized differential sweep: every operation's counters, residency
 // and page bytes must match the reference model exactly, across
 // capacity changes (including 0), pinned overflow, deletions and
-// flushes.
-TEST(BufferPoolTest, RandomizedOpsMatchReferenceModel) {
-  Rng rng(501);
+// flushes. A read-mostly phase at the starting capacity follows:
+// fetch-and-release over more pages than frames, so nearly every miss
+// finds a full pool with a clean victim and reuses its frame.
+void RunRandomizedOps(size_t capacity, uint64_t seed) {
+  Rng rng(seed);
   DiskManager disk;
   PerfCounters counters;
-  BufferPool pool(&disk, 2, &counters);
-  ModelPool model(2);
+  BufferPool pool(&disk, capacity, &counters);
+  ModelPool model(capacity);
 
   std::vector<PageId> pages;
   std::vector<std::pair<PageId, PageHandle>> open;
@@ -516,7 +588,7 @@ TEST(BufferPoolTest, RandomizedOpsMatchReferenceModel) {
     check();
   }
 
-  // Drain and do a final durability comparison through the disk.
+  // Drain and do a durability comparison through the disk.
   for (auto& [pid, handle] : open) {
     handle.Release();
     model.Release(pid);
@@ -527,6 +599,50 @@ TEST(BufferPoolTest, RandomizedOpsMatchReferenceModel) {
   check();
   for (PageId pid : pages) {
     EXPECT_EQ(DiskStamp(disk, pid), model.DiskStampOf(pid)) << pid;
+  }
+
+  // Read-mostly phase from the empty pool: no pin is held across
+  // operations and one fetch in ten writes. A miss hands out a view of
+  // the disk's own page, whichever frame it lands in.
+  pool.set_capacity(capacity);
+  model.SetCapacity(capacity);
+  const int64_t reuses_before = model.clean_victim_misses;
+  PageData scratch;
+  for (int op = 0; op < 8000; ++op) {
+    const PageId pid = pages[rng.UniformInt(0, pages.size() - 1)];
+    const bool write = rng.UniformInt(0, 9) == 0;
+    const uint64_t stamp = write ? next_stamp++ : 0;
+    {
+      const int64_t reads_before = counters.page_reads;
+      PageHandle h = pool.FetchPage(pid);
+      if (counters.page_reads > reads_before) {
+        ASSERT_EQ(h.bytes(), disk.ReadPage(pid, scratch.bytes).bytes) << op;
+      }
+      if (write) Stamp(&h, stamp);
+      model.Fetch(pid, write, stamp);
+      ASSERT_EQ(ReadStamp(h), model.StampOf(pid));
+    }
+    model.Release(pid);
+    check();
+    ASSERT_LE(pool.resident_frames(), capacity);
+  }
+  EXPECT_GT(model.clean_victim_misses - reuses_before, 5000);
+
+  // A final durability comparison after the phase's writes.
+  pool.FlushAll();
+  model.FlushAll();
+  check();
+  for (PageId pid : pages) {
+    EXPECT_EQ(DiskStamp(disk, pid), model.DiskStampOf(pid)) << pid;
+  }
+}
+
+TEST(BufferPoolTest, RandomizedOpsMatchReferenceModel) {
+  const std::pair<size_t, uint64_t> runs[] = {{2, 501}, {1, 502}, {3, 503}};
+  for (const auto& [capacity, seed] : runs) {
+    SCOPED_TRACE(capacity);
+    RunRandomizedOps(capacity, seed);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

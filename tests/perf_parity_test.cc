@@ -22,6 +22,8 @@
 namespace fairmatch {
 namespace {
 
+using fairmatch::testing::GridFunctions;
+using fairmatch::testing::GridPoints;
 using fairmatch::testing::MemTree;
 using fairmatch::testing::ProblemSpec;
 using fairmatch::testing::RandomProblem;
@@ -157,11 +159,23 @@ struct DiskGolden {
 const ProblemSpec kDiskSpecs[] = {
     ProblemSpec{200, 150, 3, Distribution::kAntiCorrelated, 8001},
     ProblemSpec{150, 120, 4, Distribution::kIndependent, 8002, 1, 1, 4},
+    // Capacitated and anti-correlated at the largest D the paper sweeps.
+    ProblemSpec{120, 160, 6, Distribution::kAntiCorrelated, 8003, 3},
 };
+
+// Disk spec `spec`: the kDiskSpecs entries, then one tie-heavy problem
+// on grid points and grid weights (duplicate points, tied scores).
+AssignmentProblem DiskProblem(size_t spec) {
+  if (spec < std::size(kDiskSpecs)) return RandomProblem(kDiskSpecs[spec]);
+  return MakeProblem(GridPoints(200, 4, 4, 8004),
+                     GridFunctions(150, 4, 3, 8005), /*object_capacity=*/1);
+}
 
 // Captured from the seed implementation with disk-resident function
 // lists (Section 7.6 setting); io_accesses counts the coefficient-list
 // traffic, so this pins the TA probe/threshold read sequence exactly.
+// The spec 2 and 3 rows pin SB-alt's fetch sequence on a capacitated
+// D=6 input and a tie-heavy one.
 const DiskGolden kDiskGoldens[] = {
     {0, "SB", 57939, 150, 37, 0x7766bce5c3287d68ull},
     {0, "SB-alt", 8441, 150, 37, 0x7766bce5c3287d68ull},
@@ -171,6 +185,8 @@ const DiskGolden kDiskGoldens[] = {
     {1, "SB-alt", 8220, 120, 34, 0xf82b6988b78178d5ull},
     {1, "BruteForce", 2168, 120, 512, 0x37d0be2ed2b25195ull},
     {1, "Chain", 4301, 120, 407, 0x6b4e477ff8e10795ull},
+    {2, "SB-alt", 9875, 160, 21, 0xed37a58a54d3517aull},
+    {3, "SB-alt", 7950, 150, 36, 0x82641ae2360e05c4ull},
 };
 
 TEST(PerfParityTest, DiskResidentIoSequenceMatchesSeed) {
@@ -179,7 +195,7 @@ TEST(PerfParityTest, DiskResidentIoSequenceMatchesSeed) {
   for (const DiskGolden& golden : kDiskGoldens) {
     if (golden.spec != spec_index) {
       spec_index = golden.spec;
-      problem = RandomProblem(kDiskSpecs[spec_index]);
+      problem = DiskProblem(spec_index);
     }
     ExecContext ctx;
     AssignResult got = RunRegisteredMatcher(golden.name, problem, &ctx,
