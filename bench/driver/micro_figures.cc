@@ -32,6 +32,7 @@
 //     cpu_ms is the frame-table, LRU and copy-on-write cost per fetch.
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,9 +125,11 @@ RunStats RunMicroBbs(const AssignmentProblem& problem,
 // member's best candidate with the engine's tie rule. The "scalar" row
 // is the old kernel — the member-major (row per member) loop SB-alt
 // ran before the SoA rewrite, which neither the compiler nor hardware
-// can vectorize across members; the "simd" row is the new dim-major
-// block kernel (common/simd.h, whatever backend this binary compiled
-// in — the scalar fallback in a FAIRMATCH_SIMD=OFF build). Scores are
+// can vectorize across members, scoring every member and then testing
+// it; the "simd" row is the fused score-and-compare block kernel SB-alt
+// runs now (common/simd.h, whatever backend this binary compiled in —
+// the scalar fallback in a FAIRMATCH_SIMD=OFF build), which hands back
+// only the members whose best a function may beat. Scores are
 // bit-identical (same per-member ascending-dimension accumulation), so
 // the deterministic columns (pairs = best updates) double as a
 // cross-backend parity check the report gate diffs between the SIMD
@@ -140,26 +143,45 @@ RunStats RunMicroSimdScore(const AssignmentProblem& problem,
   const int members =
       static_cast<int>(std::min<size_t>(256, problem.objects.size()));
   // Both layouts of the same block: rows for the old kernel, dim-major
-  // columns for the new one.
+  // columns padded to whole kernel blocks for the new one.
+  const size_t stride = simd::ScoreBlockStride(members);
   std::vector<float> rows(static_cast<size_t>(members) * dims);
-  std::vector<float> cols(static_cast<size_t>(dims) * members);
+  std::vector<float> cols(static_cast<size_t>(dims) * stride);
   for (int j = 0; j < members; ++j) {
     for (int d = 0; d < dims; ++d) {
       const float v = problem.objects[j].point[d];
       rows[static_cast<size_t>(j) * dims + d] = v;
-      cols[static_cast<size_t>(d) * members + j] = v;
+      cols[static_cast<size_t>(d) * stride + j] = v;
     }
   }
   std::vector<double> weights(dims);
-  std::vector<double> scores(members);
+  std::vector<double> scores(stride);  // the fused kernel writes whole blocks
   std::vector<FunctionId> best_f(members, kInvalidFunction);
   std::vector<double> best_s(members, 0.0);
+  // The fused kernel's bars: best_s, or -inf while a member has none.
+  std::vector<double> bars(stride, -std::numeric_limits<double>::infinity());
+  const auto offer = [&](int j, FunctionId fid, double s) {
+    if (best_f[j] == kInvalidFunction || s > best_s[j] ||
+        (s == best_s[j] && fid < best_f[j])) {
+      best_f[j] = fid;
+      best_s[j] = s;
+      bars[j] = s;
+      stats.pairs++;
+    }
+  };
   for (const PrefFunction& f : problem.functions) {
     stats.loops++;
     for (int d = 0; d < dims; ++d) weights[d] = f.eff(d);
     if (block_kernel) {
-      simd::ScoreColumns(cols.data(), members, dims, weights.data(),
-                         members, scores.data());
+      for (int j0 = 0; j0 < members; j0 += simd::kScoreBlock) {
+        uint32_t hits = simd::ScoreBlockAtLeast(
+            &cols[j0], stride, dims, weights.data(), &bars[j0], members - j0,
+            &scores[j0]);
+        for (; hits != 0; hits &= hits - 1) {
+          const int lane = __builtin_ctz(hits);
+          offer(j0 + lane, f.id, scores[j0 + lane]);
+        }
+      }
     } else {
       for (int j = 0; j < members; ++j) {
         const float* pt = &rows[static_cast<size_t>(j) * dims];
@@ -167,20 +189,14 @@ RunStats RunMicroSimdScore(const AssignmentProblem& problem,
         for (int d = 0; d < dims; ++d) s += weights[d] * pt[d];
         scores[j] = s;
       }
+      for (int j = 0; j < members; ++j) offer(j, f.id, scores[j]);
     }
     stats.io_accesses += members;
-    for (int j = 0; j < members; ++j) {
-      if (best_f[j] == kInvalidFunction || scores[j] > best_s[j] ||
-          (scores[j] == best_s[j] && f.id < best_f[j])) {
-        best_f[j] = f.id;
-        best_s[j] = scores[j];
-        stats.pairs++;
-      }
-    }
   }
   stats.cpu_ms = timer.ElapsedMs();
+  // Unpadded sizes, so both rows report the same footprint.
   stats.peak_memory_bytes =
-      (rows.size() + cols.size()) * sizeof(float) +
+      2 * static_cast<size_t>(members) * dims * sizeof(float) +
       members * (sizeof(double) * 2 + sizeof(FunctionId));
   return stats;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -42,10 +43,12 @@ double TightThreshold(const float* o, const int* dim_order, int dims,
 /// even an early pass costs a scan and a full batch; `witness[d]`, the
 /// member that last passed the probe for list d (-1: none yet this
 /// loop), is tried first to skip that. `act_cols` mirrors the active
-/// set as dim-major float columns (column j = member active[j]) so the
-/// per-fetch scoring loop runs through the vectorized block kernel
-/// (common/simd.h); `act_scores` receives one block of scores per
-/// fetched function.
+/// set as dim-major float columns (column j = member active[j], rows
+/// `act_stride` apart, padded to whole simd::kScoreBlock blocks) and
+/// `act_best` mirrors each active member's best score in the same order
+/// (-inf until it has a candidate), so the per-fetch pass runs through
+/// the fused score-and-compare kernel (common/simd.h) and only the
+/// members whose best the function may beat reach the update rule.
 struct BatchMemberBlocks {
   std::vector<const SkylineObject*> member;
   std::vector<float> pts;    // members x dims
@@ -54,11 +57,12 @@ struct BatchMemberBlocks {
   std::vector<double> best_s;
   std::vector<uint8_t> done;
   std::vector<int> active;
-  std::vector<float> act_cols;  // dims x m_count, column j = active[j]
-  std::vector<double> act_scores;
+  std::vector<float> act_cols;   // dims x act_stride, column j = active[j]
+  std::vector<double> act_best;  // act_stride, best_s of active[j] or -inf
   std::vector<std::vector<int>> by_dim;
   std::vector<int> witness;  // per list
   int m_count = 0;
+  size_t act_stride = 0;  // m_count rounded up to a whole kernel block
 
   /// (Re)fills every block from the current skyline members; best
   /// functions are recomputed from scratch each loop. Kept out of line,
@@ -87,14 +91,15 @@ struct BatchMemberBlocks {
     done.assign(m_count, 0);
     active.resize(m_count);
     std::iota(active.begin(), active.end(), 0);
-    act_cols.resize(static_cast<size_t>(dims) * m_count);
+    act_stride = simd::ScoreBlockStride(m_count);
+    act_cols.resize(static_cast<size_t>(dims) * act_stride);
     for (int d = 0; d < dims; ++d) {
-      float* col = &act_cols[static_cast<size_t>(d) * m_count];
+      float* col = &act_cols[static_cast<size_t>(d) * act_stride];
       for (int j = 0; j < m_count; ++j) {
         col[j] = pts[static_cast<size_t>(j) * dims + d];
       }
     }
-    act_scores.resize(m_count);
+    act_best.assign(act_stride, -std::numeric_limits<double>::infinity());
     // Member indices change every loop, so witnesses do not carry over.
     witness.assign(dims, -1);
     by_dim.resize(dims);
@@ -111,22 +116,30 @@ struct BatchMemberBlocks {
     }
   }
 
-  /// One vectorized scoring pass of function `fid` (coefficients `eff`,
-  /// `dims` doubles) over the active member columns (per member:
-  /// eff[k] * o[k] accumulated in ascending k, the exact scalar
-  /// sequence), then the best-function updates with the smallest-id tie
-  /// rule.
+  /// One fused pass of function `fid` (coefficients `eff`, `dims`
+  /// doubles) over the active member columns, a kernel block at a time:
+  /// per member eff[k] * o[k] accumulated in ascending k (the exact
+  /// scalar sequence) and tested against its `act_best` bar. Only the
+  /// hit members (score >= best, or no candidate yet) go through the
+  /// best-function update with the smallest-id tie rule, which a
+  /// non-hit member could never pass.
   void ScoreAgainst(FunctionId fid, const double* eff, int dims) {
     const int act_n = static_cast<int>(active.size());
-    simd::ScoreColumns(act_cols.data(), m_count, dims, eff, act_n,
-                       act_scores.data());
-    for (int j = 0; j < act_n; ++j) {
-      const int m = active[j];
-      const double s = act_scores[j];
-      if (best_f[m] == kInvalidFunction || s > best_s[m] ||
-          (s == best_s[m] && fid < best_f[m])) {
-        best_f[m] = fid;
-        best_s[m] = s;
+    double scores[simd::kScoreBlock];
+    for (int j0 = 0; j0 < act_n; j0 += simd::kScoreBlock) {
+      uint32_t hits = simd::ScoreBlockAtLeast(&act_cols[j0], act_stride, dims,
+                                              eff, &act_best[j0], act_n - j0,
+                                              scores);
+      for (; hits != 0; hits &= hits - 1) {
+        const int lane = __builtin_ctz(hits);
+        const int m = active[j0 + lane];
+        const double s = scores[lane];
+        if (best_f[m] == kInvalidFunction || s > best_s[m] ||
+            (s == best_s[m] && fid < best_f[m])) {
+          best_f[m] = fid;
+          best_s[m] = s;
+          act_best[j0 + lane] = s;
+        }
       }
     }
   }
@@ -149,12 +162,13 @@ struct BatchMemberBlocks {
           retired++;
           active[i] = active.back();
           active.pop_back();
-          // Mirror the swap-remove into the column block.
+          // Mirror the swap-remove into the column block and the bars.
           const size_t last = active.size();
           for (int d2 = 0; d2 < dims; ++d2) {
-            float* col = &act_cols[static_cast<size_t>(d2) * m_count];
+            float* col = &act_cols[static_cast<size_t>(d2) * act_stride];
             col[i] = col[last];
           }
+          act_best[i] = act_best[last];
           continue;
         }
       }

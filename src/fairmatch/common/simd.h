@@ -1,8 +1,10 @@
 // Portable vector kernels for the column-major (SoA) hot loops.
 //
 // Four kernels cover the vectorized inner loops: linear scoring of a
-// block of member columns (SB-alt's batch search), first-dominator
-// search over a block of skyline columns (SkylineSet::FindDominator),
+// block of member columns fused with a per-column bar test (SB-alt's
+// batch search scores a fetched function against every active member
+// and learns which members' bests it may beat), first-dominator search
+// over a block of skyline columns (SkylineSet::FindDominator),
 // fractional-knapsack score bounds over a batch of members (SB-alt's
 // fetch-worthiness probe), and fixed-width id decode (the packed
 // function-list block payloads). The first two operate on dim-major
@@ -22,8 +24,8 @@
 //  * scoring lanes accumulate per column in ascending-dimension order
 //    with separate IEEE mul and add (no FMA contraction, no horizontal
 //    reduction), exactly the scalar sequence;
-//  * dominance tests are float comparisons, which carry no rounding at
-//    all.
+//  * bar and dominance tests are comparisons, which carry no rounding
+//    at all.
 // tests/perf_util_test.cc checks every kernel against its reference
 // on randomized blocks, and the FAIRMATCH_SIMD=OFF CI leg re-runs the
 // full suite and smoke sweep on the scalar build.
@@ -71,115 +73,161 @@ inline constexpr bool kVectorized =
 #endif
 
 // ---------------------------------------------------------------------
-// Kernel 1 — block scoring: out[j] = sum_d weights[d] * cols[d*stride+j]
+// Kernel 1 — fused block scoring and bar test: for the kScoreBlock
+// columns of one block, score[j] = sum_d weights[d] * cols[d*stride+j];
+// returns the mask of lanes j < count whose score is >= bars[j] (bit j
+// for lane j) and leaves those lanes' scores in out[j] (`out` holds
+// kScoreBlock doubles). Callers pad `cols` (every dimension's row) and
+// `bars` to a whole block: the kernel reads all kScoreBlock lanes and
+// masks those at or beyond `count`, so there is no scalar tail.
 // ---------------------------------------------------------------------
 
-/// Scalar reference. Per column the products are accumulated in
-/// ascending-dimension order; every backend reproduces this sequence
-/// lane-for-lane.
-inline void ScoreColumnsScalar(const float* cols, size_t stride, int dims,
-                               const double* weights, int count,
-                               double* out) {
-  for (int j = 0; j < count; ++j) out[j] = 0.0;
-  for (int d = 0; d < dims; ++d) {
-    const float* col = cols + static_cast<size_t>(d) * stride;
-    const double w = weights[d];
-    for (int j = 0; j < count; ++j) {
-      out[j] += w * static_cast<double>(col[j]);
-    }
-  }
+/// Columns per Kernel 1 block: four vectors of double accumulators.
+inline constexpr int kScoreBlock =
+#if defined(FAIRMATCH_SIMD_AVX2)
+    16;
+#else
+    8;
+#endif
+
+/// `count` columns rounded up to whole Kernel 1 blocks: the padded
+/// stride of a column block that the kernel walks to its end.
+inline size_t ScoreBlockStride(size_t count) {
+  return (count + kScoreBlock - 1) / kScoreBlock * kScoreBlock;
 }
 
-/// Vector backends tile the columns into register blocks (a few
-/// vectors of accumulators held across the whole dimension loop), so
-/// the per-dimension pass touches memory once per column block instead
-/// of re-loading the accumulator array for every dimension. Each lane
-/// still accumulates its column's products in ascending-dimension
-/// order with separate mul + add — bit-identical to the reference.
-inline void ScoreColumns(const float* cols, size_t stride, int dims,
-                         const double* weights, int count, double* out) {
-#if defined(FAIRMATCH_SIMD_AVX2)
-  int j = 0;
-  for (; j + 16 <= count; j += 16) {
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
+/// Bits of the lanes below `count` in one block.
+inline uint32_t LiveLanes(int count) {
+  if (count <= 0) return 0;
+  if (count >= kScoreBlock) return (uint32_t{1} << kScoreBlock) - 1;
+  return (uint32_t{1} << count) - 1;
+}
+
+/// Scalar reference. Per column the products are accumulated in
+/// ascending-dimension order from 0.0 with separate IEEE mul and add;
+/// every backend reproduces this sequence lane-for-lane. Writes out[j]
+/// for the hit lanes only.
+inline uint32_t ScoreBlockAtLeastScalar(const float* cols, size_t stride,
+                                        int dims, const double* weights,
+                                        const double* bars, int count,
+                                        double* out) {
+  const int n = count < kScoreBlock ? count : kScoreBlock;
+  uint32_t mask = 0;
+  for (int j = 0; j < n; ++j) {
+    double s = 0.0;
     for (int d = 0; d < dims; ++d) {
-      const float* col = cols + static_cast<size_t>(d) * stride + j;
-      const __m256d w = _mm256_set1_pd(weights[d]);
-      a0 = _mm256_add_pd(
-          a0, _mm256_mul_pd(w, _mm256_cvtps_pd(_mm_loadu_ps(col))));
-      a1 = _mm256_add_pd(
-          a1, _mm256_mul_pd(w, _mm256_cvtps_pd(_mm_loadu_ps(col + 4))));
-      a2 = _mm256_add_pd(
-          a2, _mm256_mul_pd(w, _mm256_cvtps_pd(_mm_loadu_ps(col + 8))));
-      a3 = _mm256_add_pd(
-          a3, _mm256_mul_pd(w, _mm256_cvtps_pd(_mm_loadu_ps(col + 12))));
+      s += weights[d] * static_cast<double>(cols[static_cast<size_t>(d) *
+                                                     stride + j]);
     }
-    _mm256_storeu_pd(out + j, a0);
-    _mm256_storeu_pd(out + j + 4, a1);
-    _mm256_storeu_pd(out + j + 8, a2);
-    _mm256_storeu_pd(out + j + 12, a3);
+    if (s >= bars[j]) {
+      mask |= uint32_t{1} << j;
+      out[j] = s;
+    }
   }
-  if (j < count) {
-    ScoreColumnsScalar(cols + j, stride, dims, weights, count - j,
-                       out + j);
+  return mask;
+}
+
+/// Vector backends hold the block's accumulators in registers across
+/// the whole dimension loop, compare them with the bars in place and
+/// store them only when some live lane hits (nearly never on SB-alt's
+/// scan, where a fetched function rarely beats any member's best), so
+/// out[j] of a non-hit lane may hold anything.
+inline uint32_t ScoreBlockAtLeast(const float* cols, size_t stride, int dims,
+                                  const double* weights, const double* bars,
+                                  int count, double* out) {
+#if defined(FAIRMATCH_SIMD_AVX2)
+  __m256d a0 = _mm256_setzero_pd();
+  __m256d a1 = _mm256_setzero_pd();
+  __m256d a2 = _mm256_setzero_pd();
+  __m256d a3 = _mm256_setzero_pd();
+  for (int d = 0; d < dims; ++d) {
+    const float* col = cols + static_cast<size_t>(d) * stride;
+    const __m256d w = _mm256_set1_pd(weights[d]);
+    a0 = _mm256_add_pd(a0,
+                       _mm256_mul_pd(w, _mm256_cvtps_pd(_mm_loadu_ps(col))));
+    a1 = _mm256_add_pd(
+        a1, _mm256_mul_pd(w, _mm256_cvtps_pd(_mm_loadu_ps(col + 4))));
+    a2 = _mm256_add_pd(
+        a2, _mm256_mul_pd(w, _mm256_cvtps_pd(_mm_loadu_ps(col + 8))));
+    a3 = _mm256_add_pd(
+        a3, _mm256_mul_pd(w, _mm256_cvtps_pd(_mm_loadu_ps(col + 12))));
   }
+  const auto ge = [bars](__m256d a, int lane) {
+    return static_cast<uint32_t>(_mm256_movemask_pd(
+               _mm256_cmp_pd(a, _mm256_loadu_pd(bars + lane), _CMP_GE_OQ)))
+           << lane;
+  };
+  const uint32_t mask =
+      (ge(a0, 0) | ge(a1, 4) | ge(a2, 8) | ge(a3, 12)) & LiveLanes(count);
+  if (mask != 0) {
+    _mm256_storeu_pd(out, a0);
+    _mm256_storeu_pd(out + 4, a1);
+    _mm256_storeu_pd(out + 8, a2);
+    _mm256_storeu_pd(out + 12, a3);
+  }
+  return mask;
 #elif defined(FAIRMATCH_SIMD_SSE2)
   const auto load2 = [](const float* p) {
     return _mm_cvtps_pd(_mm_castsi128_ps(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
   };
-  int j = 0;
-  for (; j + 8 <= count; j += 8) {
-    __m128d a0 = _mm_setzero_pd();
-    __m128d a1 = _mm_setzero_pd();
-    __m128d a2 = _mm_setzero_pd();
-    __m128d a3 = _mm_setzero_pd();
-    for (int d = 0; d < dims; ++d) {
-      const float* col = cols + static_cast<size_t>(d) * stride + j;
-      const __m128d w = _mm_set1_pd(weights[d]);
-      a0 = _mm_add_pd(a0, _mm_mul_pd(w, load2(col)));
-      a1 = _mm_add_pd(a1, _mm_mul_pd(w, load2(col + 2)));
-      a2 = _mm_add_pd(a2, _mm_mul_pd(w, load2(col + 4)));
-      a3 = _mm_add_pd(a3, _mm_mul_pd(w, load2(col + 6)));
-    }
-    _mm_storeu_pd(out + j, a0);
-    _mm_storeu_pd(out + j + 2, a1);
-    _mm_storeu_pd(out + j + 4, a2);
-    _mm_storeu_pd(out + j + 6, a3);
+  __m128d a0 = _mm_setzero_pd();
+  __m128d a1 = _mm_setzero_pd();
+  __m128d a2 = _mm_setzero_pd();
+  __m128d a3 = _mm_setzero_pd();
+  for (int d = 0; d < dims; ++d) {
+    const float* col = cols + static_cast<size_t>(d) * stride;
+    const __m128d w = _mm_set1_pd(weights[d]);
+    a0 = _mm_add_pd(a0, _mm_mul_pd(w, load2(col)));
+    a1 = _mm_add_pd(a1, _mm_mul_pd(w, load2(col + 2)));
+    a2 = _mm_add_pd(a2, _mm_mul_pd(w, load2(col + 4)));
+    a3 = _mm_add_pd(a3, _mm_mul_pd(w, load2(col + 6)));
   }
-  if (j < count) {
-    ScoreColumnsScalar(cols + j, stride, dims, weights, count - j,
-                       out + j);
+  const auto ge = [bars](__m128d a, int lane) {
+    return static_cast<uint32_t>(
+               _mm_movemask_pd(_mm_cmpge_pd(a, _mm_loadu_pd(bars + lane))))
+           << lane;
+  };
+  const uint32_t mask =
+      (ge(a0, 0) | ge(a1, 2) | ge(a2, 4) | ge(a3, 6)) & LiveLanes(count);
+  if (mask != 0) {
+    _mm_storeu_pd(out, a0);
+    _mm_storeu_pd(out + 2, a1);
+    _mm_storeu_pd(out + 4, a2);
+    _mm_storeu_pd(out + 6, a3);
   }
+  return mask;
 #elif defined(FAIRMATCH_SIMD_NEON)
-  int j = 0;
-  for (; j + 8 <= count; j += 8) {
-    float64x2_t a0 = vdupq_n_f64(0.0);
-    float64x2_t a1 = vdupq_n_f64(0.0);
-    float64x2_t a2 = vdupq_n_f64(0.0);
-    float64x2_t a3 = vdupq_n_f64(0.0);
-    for (int d = 0; d < dims; ++d) {
-      const float* col = cols + static_cast<size_t>(d) * stride + j;
-      const float64x2_t w = vdupq_n_f64(weights[d]);
-      a0 = vaddq_f64(a0, vmulq_f64(w, vcvt_f64_f32(vld1_f32(col))));
-      a1 = vaddq_f64(a1, vmulq_f64(w, vcvt_f64_f32(vld1_f32(col + 2))));
-      a2 = vaddq_f64(a2, vmulq_f64(w, vcvt_f64_f32(vld1_f32(col + 4))));
-      a3 = vaddq_f64(a3, vmulq_f64(w, vcvt_f64_f32(vld1_f32(col + 6))));
-    }
-    vst1q_f64(out + j, a0);
-    vst1q_f64(out + j + 2, a1);
-    vst1q_f64(out + j + 4, a2);
-    vst1q_f64(out + j + 6, a3);
+  float64x2_t a0 = vdupq_n_f64(0.0);
+  float64x2_t a1 = vdupq_n_f64(0.0);
+  float64x2_t a2 = vdupq_n_f64(0.0);
+  float64x2_t a3 = vdupq_n_f64(0.0);
+  for (int d = 0; d < dims; ++d) {
+    const float* col = cols + static_cast<size_t>(d) * stride;
+    const float64x2_t w = vdupq_n_f64(weights[d]);
+    a0 = vaddq_f64(a0, vmulq_f64(w, vcvt_f64_f32(vld1_f32(col))));
+    a1 = vaddq_f64(a1, vmulq_f64(w, vcvt_f64_f32(vld1_f32(col + 2))));
+    a2 = vaddq_f64(a2, vmulq_f64(w, vcvt_f64_f32(vld1_f32(col + 4))));
+    a3 = vaddq_f64(a3, vmulq_f64(w, vcvt_f64_f32(vld1_f32(col + 6))));
   }
-  if (j < count) {
-    ScoreColumnsScalar(cols + j, stride, dims, weights, count - j,
-                       out + j);
+  const auto ge = [bars](float64x2_t a, int lane) {
+    const uint64x2_t hit = vcgeq_f64(a, vld1q_f64(bars + lane));
+    return static_cast<uint32_t>((vgetq_lane_u64(hit, 0) & 1) |
+                                 (vgetq_lane_u64(hit, 1) & 2))
+           << lane;
+  };
+  const uint32_t mask =
+      (ge(a0, 0) | ge(a1, 2) | ge(a2, 4) | ge(a3, 6)) & LiveLanes(count);
+  if (mask != 0) {
+    vst1q_f64(out, a0);
+    vst1q_f64(out + 2, a1);
+    vst1q_f64(out + 4, a2);
+    vst1q_f64(out + 6, a3);
   }
+  return mask;
 #else
-  ScoreColumnsScalar(cols, stride, dims, weights, count, out);
+  return ScoreBlockAtLeastScalar(cols, stride, dims, weights, bars, count,
+                                 out);
 #endif
 }
 

@@ -164,18 +164,25 @@ const ProblemSpec kDiskSpecs[] = {
 };
 
 // Disk spec `spec`: the kDiskSpecs entries, then one tie-heavy problem
-// on grid points and grid weights (duplicate points, tied scores).
+// on grid points and grid weights (duplicate points, tied scores), then
+// assign_diskf's shape (|F|=7000, |O|=700, D=4, anti-correlated).
 AssignmentProblem DiskProblem(size_t spec) {
   if (spec < std::size(kDiskSpecs)) return RandomProblem(kDiskSpecs[spec]);
-  return MakeProblem(GridPoints(200, 4, 4, 8004),
-                     GridFunctions(150, 4, 3, 8005), /*object_capacity=*/1);
+  if (spec == std::size(kDiskSpecs)) {
+    return MakeProblem(GridPoints(200, 4, 4, 8004),
+                       GridFunctions(150, 4, 3, 8005), /*object_capacity=*/1);
+  }
+  return RandomProblem(
+      ProblemSpec{7000, 700, 4, Distribution::kAntiCorrelated, 8006});
 }
 
 // Captured from the seed implementation with disk-resident function
 // lists (Section 7.6 setting); io_accesses counts the coefficient-list
 // traffic, so this pins the TA probe/threshold read sequence exactly.
 // The spec 2 and 3 rows pin SB-alt's fetch sequence on a capacitated
-// D=6 input and a tie-heavy one.
+// D=6 input and a tie-heavy one; the spec 4 row at the end-to-end
+// benchmark's assign_diskf shape, whose active sets span many kernel
+// blocks (skylines of up to ~256 members).
 const DiskGolden kDiskGoldens[] = {
     {0, "SB", 57939, 150, 37, 0x7766bce5c3287d68ull},
     {0, "SB-alt", 8441, 150, 37, 0x7766bce5c3287d68ull},
@@ -187,6 +194,7 @@ const DiskGolden kDiskGoldens[] = {
     {1, "Chain", 4301, 120, 407, 0x6b4e477ff8e10795ull},
     {2, "SB-alt", 9875, 160, 21, 0xed37a58a54d3517aull},
     {3, "SB-alt", 7950, 150, 36, 0x82641ae2360e05c4ull},
+    {4, "SB-alt", 636076, 700, 61, 0xc0bcfd8ca2a8316aull},
 };
 
 TEST(PerfParityTest, DiskResidentIoSequenceMatchesSeed) {

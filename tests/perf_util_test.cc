@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -247,28 +250,70 @@ TEST(SkyEntryArenaTest, RandomChurnAgainstModel) {
 
 // --- SIMD kernels (common/simd.h) ------------------------------------
 
-// The dispatching score kernel must be bit-identical to the scalar
-// reference on arbitrary blocks (counts straddling every vector-width
-// remainder, negative weights, subnormal-free random coords).
-TEST(SimdKernelTest, ScoreColumnsMatchesScalarBitExactly) {
+// The fused score-and-compare kernel must report exactly the scalar
+// reference's hit lanes with bit-identical scores, block by block over
+// counts 0..40 (every 8- and 16-wide remainder), with bars of -inf,
+// +inf, random values and the lane's own score (a tie is a hit), and
+// must never report a padding lane, even one whose bar is -inf.
+TEST(SimdKernelTest, ScoreBlockAtLeastMatchesScalarBitExactly) {
+  constexpr int kBlock = simd::kScoreBlock;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
   Rng rng(601);
-  for (int iter = 0; iter < 300; ++iter) {
-    const int dims = 1 + static_cast<int>(rng.UniformInt(0, kMaxDims - 1));
-    const int count = static_cast<int>(rng.UniformInt(0, 37));
-    const size_t stride = count + rng.UniformInt(0, 5);
-    std::vector<float> cols(dims * stride + 1, 0.0f);
-    for (float& v : cols) {
-      v = static_cast<float>(rng.Uniform(-2.0, 2.0));
-    }
-    std::vector<double> weights(dims);
-    for (double& w : weights) w = rng.Uniform(-1.0, 1.0);
-    std::vector<double> got(count, -1.0), want(count, -2.0);
-    simd::ScoreColumns(cols.data(), stride, dims, weights.data(), count,
-                       got.data());
-    simd::ScoreColumnsScalar(cols.data(), stride, dims, weights.data(),
-                             count, want.data());
-    for (int j = 0; j < count; ++j) {
-      ASSERT_EQ(got[j], want[j]) << "iter " << iter << " col " << j;
+  for (int count = 0; count <= 40; ++count) {
+    for (int iter = 0; iter < 12; ++iter) {
+      const int dims = 1 + static_cast<int>(rng.UniformInt(0, kMaxDims - 1));
+      const size_t stride =
+          simd::ScoreBlockStride(count) + rng.UniformInt(0, 1) * kBlock;
+      std::vector<float> cols(dims * stride);
+      for (float& v : cols) v = static_cast<float>(rng.Uniform(-2.0, 2.0));
+      std::vector<double> weights(dims);
+      for (double& w : weights) w = rng.Uniform(-1.0, 1.0);
+      for (int j0 = 0; j0 < count; j0 += kBlock) {
+        const float* block = &cols[j0];
+        // Every lane's score, live or padding: with -inf bars the
+        // reference reports them all.
+        std::vector<double> lows(kBlock, -kInf), scores(kBlock);
+        ASSERT_EQ(simd::ScoreBlockAtLeastScalar(block, stride, dims,
+                                                weights.data(), lows.data(),
+                                                kBlock, scores.data()),
+                  simd::LiveLanes(kBlock));
+        std::vector<double> bars(kBlock);
+        for (int lane = 0; lane < kBlock; ++lane) {
+          switch (rng.UniformInt(0, 3)) {
+            case 0: bars[lane] = -kInf; break;
+            case 1: bars[lane] = kInf; break;
+            case 2: bars[lane] = rng.Uniform(-3.0, 3.0); break;
+            default: bars[lane] = scores[lane]; break;
+          }
+          if (j0 + lane >= count) bars[lane] = -kInf;
+        }
+        std::vector<double> got(kBlock, -1.0), want(kBlock, -2.0);
+        const uint32_t got_mask =
+            simd::ScoreBlockAtLeast(block, stride, dims, weights.data(),
+                                    bars.data(), count - j0, got.data());
+        const uint32_t want_mask = simd::ScoreBlockAtLeastScalar(
+            block, stride, dims, weights.data(), bars.data(), count - j0,
+            want.data());
+        ASSERT_EQ(got_mask, want_mask) << "count " << count << " j0 " << j0;
+        ASSERT_EQ(got_mask & ~simd::LiveLanes(count - j0), 0u)
+            << "count " << count << " j0 " << j0 << ": padding lane hit";
+        for (int lane = 0; lane < kBlock; ++lane) {
+          const bool live = j0 + lane < count;
+          const bool hit = (got_mask >> lane & 1) != 0;
+          ASSERT_EQ(hit, live && scores[lane] >= bars[lane])
+              << "count " << count << " lane " << j0 + lane;
+          if (hit) {
+            ASSERT_EQ(bits(got[lane]), bits(scores[lane]))
+                << "count " << count << " lane " << j0 + lane;
+            ASSERT_EQ(bits(want[lane]), bits(scores[lane]));
+          }
+        }
+      }
     }
   }
 }
