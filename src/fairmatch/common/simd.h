@@ -382,6 +382,10 @@ inline void KnapsackBounds(const float* pts, const int* orders, size_t stride,
 #if defined(FAIRMATCH_SIMD_AVX2)
   int l = 0;
   const __m256d zero = _mm256_setzero_pd();
+  // The masked gather with a zero source and every lane enabled loads
+  // what _mm256_i32gather_pd does; the plain form's undefined
+  // pass-through operand makes GCC 12 warn -Wmaybe-uninitialized.
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   for (; l + 4 <= count; l += 4) {
     const __m128i mvec =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(members + l));
@@ -395,7 +399,8 @@ inline void KnapsackBounds(const float* pts, const int* orders, size_t stride,
     for (int j = 0; j < dims; ++j) {
       const __m128i k = _mm_i32gather_epi32(
           orders, _mm_add_epi32(base, _mm_set1_epi32(j)), 4);
-      const __m256d fr = _mm256_i32gather_pd(frontier, k, 8);
+      const __m256d fr =
+          _mm256_mask_i32gather_pd(zero, frontier, k, all_lanes, 8);
       __m256d beta = _mm256_max_pd(_mm256_min_pd(budget, fr), zero);
       const __m256d skip_mask = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(
           _mm_cmpeq_epi32(k, _mm_set1_epi32(skip_dim))));

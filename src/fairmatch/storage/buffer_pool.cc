@@ -1,7 +1,6 @@
 #include "fairmatch/storage/buffer_pool.h"
 
 #include <cstring>
-#include <utility>
 
 #include "fairmatch/common/check.h"
 
@@ -56,79 +55,14 @@ BufferPool::~BufferPool() {
   // that care about persistence call FlushAll() explicitly.
 }
 
-// --- frame table (sharded open addressing) ---------------------------
-
-int32_t BufferPool::Lookup(PageId pid) {
-  Shard& shard = ShardFor(pid);
-  if (shard.buckets.empty()) return kNoFrame;
-  const size_t mask = shard.buckets.size() - 1;
-  size_t i = Hash(pid) & mask;
-  while (true) {
-    const int32_t frame = shard.buckets[i];
-    if (frame == kNoFrame) return kNoFrame;
-    if (frames_[frame].pid == pid) return frame;
-    i = (i + 1) & mask;
-  }
-}
+// --- frame table -----------------------------------------------------
 
 void BufferPool::Insert(PageId pid, int32_t frame) {
-  Shard& shard = ShardFor(pid);
-  // Grow at ~0.7 load (amortized; the only allocating path besides
-  // frame-arena high-water growth).
-  if (shard.buckets.empty() ||
-      (shard.used + 1) * 10 >= shard.buckets.size() * 7) {
-    const size_t new_size =
-        shard.buckets.empty() ? 16 : shard.buckets.size() * 2;
-    std::vector<int32_t> old = std::move(shard.buckets);
-    shard.buckets.assign(new_size, kNoFrame);
-    const size_t mask = new_size - 1;
-    for (int32_t f : old) {
-      if (f == kNoFrame) continue;
-      size_t i = Hash(frames_[f].pid) & mask;
-      while (shard.buckets[i] != kNoFrame) i = (i + 1) & mask;
-      shard.buckets[i] = f;
-    }
+  if (pid < 0 || pid >= disk_->num_pages()) return;
+  if (static_cast<size_t>(pid) >= table_.size()) {
+    table_.resize(static_cast<size_t>(disk_->num_pages()), kNoFrame);
   }
-  const size_t mask = shard.buckets.size() - 1;
-  size_t i = Hash(pid) & mask;
-  while (shard.buckets[i] != kNoFrame) {
-    FAIRMATCH_DCHECK(frames_[shard.buckets[i]].pid != pid);
-    i = (i + 1) & mask;
-  }
-  shard.buckets[i] = frame;
-  shard.used++;
-}
-
-void BufferPool::Erase(PageId pid) {
-  Shard& shard = ShardFor(pid);
-  FAIRMATCH_CHECK(!shard.buckets.empty());
-  const size_t mask = shard.buckets.size() - 1;
-  size_t i = Hash(pid) & mask;
-  while (true) {
-    const int32_t frame = shard.buckets[i];
-    FAIRMATCH_CHECK(frame != kNoFrame);
-    if (frames_[frame].pid == pid) break;
-    i = (i + 1) & mask;
-  }
-  // Backward-shift deletion: refill the hole with any later entry of
-  // the probe chain whose ideal bucket is not cyclically inside
-  // (hole, entry].
-  size_t hole = i;
-  size_t j = i;
-  while (true) {
-    j = (j + 1) & mask;
-    const int32_t frame = shard.buckets[j];
-    if (frame == kNoFrame) break;
-    const size_t ideal = Hash(frames_[frame].pid) & mask;
-    const bool movable = hole <= j ? (ideal <= hole || ideal > j)
-                                   : (ideal <= hole && ideal > j);
-    if (movable) {
-      shard.buckets[hole] = frame;
-      hole = j;
-    }
-  }
-  shard.buckets[hole] = kNoFrame;
-  shard.used--;
+  table_[pid] = frame;
 }
 
 // --- frame arena and LRU ---------------------------------------------
@@ -148,7 +82,6 @@ int32_t BufferPool::AllocFrame(PageId pid) {
   f.bytes = f.data->bytes;
   f.pin_count = 0;
   f.dirty = false;
-  f.in_lru = false;
   f.lru_prev = kNoFrame;
   f.lru_next = kNoFrame;
   resident_++;
@@ -156,7 +89,7 @@ int32_t BufferPool::AllocFrame(PageId pid) {
 }
 
 void BufferPool::FreeFrame(int32_t frame) {
-  frames_[frame].pid = kInvalidPage;
+  frames_[frame].bytes = nullptr;
   free_frames_.push_back(frame);
   resident_--;
 }
@@ -165,7 +98,6 @@ void BufferPool::LruPushBack(int32_t frame) {
   Frame& f = frames_[frame];
   f.lru_prev = lru_tail_;
   f.lru_next = kNoFrame;
-  f.in_lru = true;
   if (lru_tail_ != kNoFrame) {
     frames_[lru_tail_].lru_next = frame;
   } else {
@@ -188,7 +120,6 @@ void BufferPool::LruRemove(int32_t frame) {
   }
   f.lru_prev = kNoFrame;
   f.lru_next = kNoFrame;
-  f.in_lru = false;
 }
 
 // --- pool operations -------------------------------------------------
@@ -199,7 +130,7 @@ PageHandle BufferPool::FetchPage(PageId pid) {
   if (frame != kNoFrame) {
     counters_->buffer_hits++;
     Frame& f = frames_[frame];
-    if (f.in_lru) LruRemove(frame);
+    if (f.pin_count == 0) LruRemove(frame);
     f.pin_count++;
     return PageHandle(this, pid, frame);
   }
@@ -216,7 +147,7 @@ PageHandle BufferPool::FetchPage(PageId pid) {
     // read.
     frame = lru_head_;
     LruRemove(frame);
-    Erase(frames_[frame].pid);
+    Erase(frames_[frame].pid, frame);
     frames_[frame].pid = pid;
   } else {
     frame = AllocFrame(pid);
@@ -227,7 +158,9 @@ PageHandle BufferPool::FetchPage(PageId pid) {
     // was itself corrupt) pointing nowhere: typed error + a zeroed
     // frame instead of the liveness abort inside DiskManager::ReadPage.
     // Without a sink (no run to report to) the abort below stands —
-    // that is a programmer error, not data loss.
+    // that is a programmer error, not data loss. An id outside
+    // [0, num_pages()) is never entered in the frame table, so a
+    // repeat fetch of it misses (and reports) again.
     disk_->ReportBadPageRef(pid, "BufferPool::FetchPage");
     std::memset(f.data->bytes, 0, kPageSize);
   } else {
@@ -262,8 +195,8 @@ void BufferPool::DeletePage(PageId pid) {
   if (frame != kNoFrame) {
     Frame& f = frames_[frame];
     FAIRMATCH_CHECK(f.pin_count == 0);
-    if (f.in_lru) LruRemove(frame);
-    Erase(pid);
+    LruRemove(frame);
+    Erase(pid, frame);
     FreeFrame(frame);
   }
   if (!disk_->IsLive(pid) && disk_->has_error_sink()) {
@@ -281,11 +214,11 @@ void BufferPool::FlushAll() {
   for (int32_t frame = 0; frame < static_cast<int32_t>(frames_.size());
        ++frame) {
     Frame& f = frames_[frame];
-    if (f.pid == kInvalidPage) continue;
+    if (f.bytes == nullptr) continue;
     FAIRMATCH_CHECK(f.pin_count == 0);
     FlushFrame(f);
-    if (f.in_lru) LruRemove(frame);
-    Erase(f.pid);
+    LruRemove(frame);
+    Erase(f.pid, frame);
     FreeFrame(frame);
   }
 }
@@ -322,7 +255,7 @@ void BufferPool::EvictLruHead() {
   Frame& f = frames_[victim];
   FAIRMATCH_CHECK(f.pin_count == 0);
   FlushFrame(f);
-  Erase(f.pid);
+  Erase(f.pid, victim);
   FreeFrame(victim);
 }
 

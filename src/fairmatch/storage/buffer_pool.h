@@ -34,12 +34,16 @@
 // drops the frame before freeing the page, and a pool must be destroyed
 // before its disk is Recycle()d or destroyed.
 //
-// The frame table is a sharded open-addressing hash (linear probing,
-// backward-shift deletion) over a recycling frame arena, and the LRU is
-// an intrusive doubly-linked list threaded through the frames. Fetch,
-// pin and unpin are O(1) with no allocation on the steady-state path:
-// frame slots and their 4 KB page blocks are recycled through a
-// freelist, so eviction churn never touches the general allocator.
+// The frame table is a flat vector indexed by page id: DiskManager
+// hands out dense ids in [0, num_pages()) and reuses freed ones, so a
+// lookup is a bounds check and a load, and the table costs 4 bytes per
+// allocated page. It grows on demand, never past num_pages(): a
+// data-derived id outside that range (see FetchPage) gets a frame that
+// is never entered in the table. The LRU is an intrusive doubly-linked
+// list threaded through the unpinned frames. Fetch, pin and unpin are
+// O(1) with no allocation on the steady-state path: frame slots and
+// their 4 KB page blocks are recycled through a freelist, so eviction
+// churn never touches the general allocator.
 #ifndef FAIRMATCH_STORAGE_BUFFER_POOL_H_
 #define FAIRMATCH_STORAGE_BUFFER_POOL_H_
 
@@ -99,9 +103,7 @@ class PageHandle {
 /// DiskManager and PerfCounters it is wired to) belongs to exactly one
 /// execution lane; the serving core (serve/server.h) isolates lanes by
 /// giving each its own storage stack rather than locking here,
-/// which also keeps per-lane I/O counts deterministic. (The shards
-/// below are a cache-footprint measure — smaller probe tables — not a
-/// locking domain.)
+/// which also keeps per-lane I/O counts deterministic.
 class BufferPool {
  public:
   /// `capacity_frames` may be 0 (no caching). `counters` must outlive
@@ -141,18 +143,16 @@ class BufferPool {
   friend class PageHandle;
 
   static constexpr int32_t kNoFrame = -1;
-  static constexpr int kShardBits = 3;
-  static constexpr int kNumShards = 1 << kShardBits;
 
   struct Frame {
-    PageId pid = kInvalidPage;  // kInvalidPage marks a free slot
-    int32_t pin_count = 0;
+    PageId pid = kInvalidPage;
+    int32_t pin_count = 0;  // a resident frame is in the LRU iff 0
     bool dirty = false;
-    bool in_lru = false;
     int32_t lru_prev = kNoFrame;
     int32_t lru_next = kNoFrame;
     // What every pin reads: `data->bytes`, or the disk's own page for a
     // clean frame read without an injector. Dirty frames own theirs.
+    // nullptr marks a free slot (a bad-ref frame's pid may be -1).
     const std::byte* bytes = nullptr;
     // The frame's own page buffer, stable across frame-arena growth;
     // recycled with the slot so steady-state eviction/fetch churn never
@@ -160,27 +160,19 @@ class BufferPool {
     std::unique_ptr<PageData> data;
   };
 
-  /// One open-addressing shard: power-of-two bucket array of frame
-  /// indices, linear probing, backward-shift deletion.
-  struct Shard {
-    std::vector<int32_t> buckets;  // kNoFrame = empty
-    size_t used = 0;
-  };
-
-  static uint64_t Hash(PageId pid) {
-    return static_cast<uint64_t>(static_cast<uint32_t>(pid)) *
-           0x9E3779B97F4A7C15ull;
-  }
-  Shard& ShardFor(PageId pid) {
-    return shards_[Hash(pid) >> (64 - kShardBits)];
-  }
-
   /// Frame index of `pid`, or kNoFrame.
-  int32_t Lookup(PageId pid);
-  /// Maps `pid` to `frame` (must not be present). May grow the shard.
+  int32_t Lookup(PageId pid) const {
+    return static_cast<uint32_t>(pid) < table_.size() ? table_[pid]
+                                                      : kNoFrame;
+  }
+  /// Maps `pid` to `frame`, growing the table up to the disk's
+  /// num_pages(). An id the disk never allocated stays unmapped.
   void Insert(PageId pid, int32_t frame);
-  /// Unmaps `pid` (must be present).
-  void Erase(PageId pid);
+  /// Unmaps `pid` if it maps to `frame`. A no-op for a bad-ref frame
+  /// that was never mapped, or whose freed id a newer page now maps.
+  void Erase(PageId pid, int32_t frame) {
+    if (Lookup(pid) == frame) table_[pid] = kNoFrame;
+  }
 
   /// Takes a frame slot (recycled or fresh) with a ready data block.
   int32_t AllocFrame(PageId pid);
@@ -209,7 +201,7 @@ class BufferPool {
   std::vector<Frame> frames_;         // arena; slots recycled
   std::vector<int32_t> free_frames_;  // freelist of arena slots
   size_t resident_ = 0;
-  Shard shards_[kNumShards];
+  std::vector<int32_t> table_;  // page id -> frame, kNoFrame if absent
   // Intrusive LRU over unpinned frames (head = least recently used).
   int32_t lru_head_ = kNoFrame;
   int32_t lru_tail_ = kNoFrame;

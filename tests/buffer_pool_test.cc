@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -333,6 +334,107 @@ TEST(BufferPoolTest, DroppedWriteAfterCopyOnWriteLeavesDiskUnchanged) {
   EXPECT_EQ(DiskStamp(disk, pid), 0xD0u);
   PageHandle h = pool.FetchPage(pid);
   EXPECT_EQ(ReadStamp(h), 0xD0u);
+}
+
+// Data-derived ids that name no live page, with an error sink attached:
+// negative, huge, the allocation frontier, and a freed id inside it.
+// Every fetch and delete reports kDataLoss instead of aborting, and
+// every fetch hands back a zeroed page. A freed id inside
+// [0, num_pages()) is cached like any page: a repeat fetch while it is
+// resident is a hit (no new report) and DeletePage drops its frame. An
+// id outside that range is never entered in the frame table: a repeat
+// fetch is a reported miss with a frame of its own, DeletePage leaves
+// both frames, and LRU eviction and FlushAll() reclaim them.
+TEST(BufferPoolTest, BadPageRefsReportDataLossAndReadZeroes) {
+  DiskManager disk;
+  const std::vector<PageId> pids = StampedPages(&disk, 3);
+  {
+    PerfCounters counters;
+    BufferPool pool(&disk, 2, &counters);
+    pool.DeletePage(pids[1]);  // a freed id inside [0, num_pages())
+  }
+  ErrorSink sink;
+  disk.set_error_sink(&sink);
+  const PageId frontier = static_cast<PageId>(disk.num_pages());
+  const std::pair<PageId, bool> cases[] = {
+      {-1, false},
+      {std::numeric_limits<PageId>::max(), false},
+      {frontier, false},
+      {pids[1], true}};
+  PageData zeroes{};
+  for (const auto& [pid, mapped] : cases) {
+    SCOPED_TRACE(pid);
+    PerfCounters counters;
+    BufferPool pool(&disk, 2, &counters);
+    sink.Reset();
+    {
+      PageHandle first = pool.FetchPage(pid);
+      EXPECT_EQ(sink.reports(), 1);
+      EXPECT_EQ(sink.status().code, ErrorCode::kDataLoss);
+      EXPECT_EQ(std::memcmp(first.bytes(), zeroes.bytes, kPageSize), 0);
+      PageHandle second = pool.FetchPage(pid);
+      EXPECT_EQ(std::memcmp(second.bytes(), zeroes.bytes, kPageSize), 0);
+      EXPECT_EQ(counters.logical_reads, 2);
+      if (mapped) {
+        EXPECT_EQ(second.bytes(), first.bytes());
+        EXPECT_EQ(counters.page_reads, 1);
+        EXPECT_EQ(counters.buffer_hits, 1);
+        EXPECT_EQ(sink.reports(), 1);
+        EXPECT_EQ(pool.resident_frames(), 1u);
+      } else {
+        EXPECT_EQ(counters.page_reads, 2);
+        EXPECT_EQ(counters.buffer_hits, 0);
+        EXPECT_EQ(sink.reports(), 2);
+        EXPECT_EQ(pool.resident_frames(), 2u);
+      }
+    }
+    const int64_t fetch_reports = sink.reports();
+    pool.DeletePage(pid);
+    EXPECT_EQ(sink.reports(), fetch_reports + 1);
+    EXPECT_EQ(sink.status().code, ErrorCode::kDataLoss);
+    EXPECT_EQ(pool.resident_frames(), mapped ? 0u : 2u);
+
+    // A live page still reads right; on the full pool it takes the
+    // least recently used bad frame.
+    EXPECT_EQ(ReadStamp(pool.FetchPage(pids[0])), 0xD0u);
+    EXPECT_EQ(pool.resident_frames(), mapped ? 1u : 2u);
+    pool.FlushAll();
+    EXPECT_EQ(pool.resident_frames(), 0u);
+    EXPECT_EQ(counters.page_writes, 0);
+    EXPECT_EQ(sink.reports(), fetch_reports + 1);
+  }
+  EXPECT_EQ(disk.num_pages(), frontier);
+  EXPECT_FALSE(disk.IsLive(pids[1]));
+  EXPECT_EQ(DiskStamp(disk, pids[0]), 0xD0u);
+}
+
+// A bad-ref frame for a freed id stays resident after NewPage() hands
+// that id out again. Reusing the stale frame for another page must not
+// unmap the new page's frame: the next fetch of the id is a hit on the
+// new page's dirty bytes, not a miss that reads the stale disk page.
+TEST(BufferPoolTest, StaleBadRefFrameLeavesTheReusedIdMapped) {
+  DiskManager disk;
+  const std::vector<PageId> pids = StampedPages(&disk, 2);
+  PerfCounters counters;
+  BufferPool pool(&disk, 2, &counters);
+  pool.DeletePage(pids[1]);
+  ErrorSink sink;
+  disk.set_error_sink(&sink);
+  pool.FetchPage(pids[1]);  // reported; a zeroed frame, unpinned
+  EXPECT_EQ(sink.reports(), 1);
+  {
+    PageHandle h = pool.NewPage();
+    ASSERT_EQ(h.page_id(), pids[1]);
+    Stamp(&h, 0xE1);
+  }
+  EXPECT_EQ(pool.resident_frames(), 2u);
+  // The stale frame is the clean LRU head, so this miss takes it.
+  EXPECT_EQ(ReadStamp(pool.FetchPage(pids[0])), 0xD0u);
+  counters.Reset();
+  EXPECT_EQ(ReadStamp(pool.FetchPage(pids[1])), 0xE1u);
+  EXPECT_EQ(counters.buffer_hits, 1);
+  EXPECT_EQ(counters.page_reads, 0);
+  EXPECT_EQ(sink.reports(), 1);
 }
 
 /// Reference model of the documented pool semantics: global LRU over

@@ -19,6 +19,9 @@
 // A third pins SB's result to its function index: SB over its own
 // packed image, over a supplied PackedFunctionStore and over
 // FunctionLists (the generic TA loop) must produce the same matching.
+//
+// A fourth runs SB-alt against the oracle on instances whose active
+// sets span several SIMD score blocks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,6 +34,7 @@
 #include "fairmatch/assign/naive_matcher.h"
 #include "fairmatch/assign/sb.h"
 #include "fairmatch/assign/verifier.h"
+#include "fairmatch/common/simd.h"
 #include "fairmatch/common/thread_pool.h"
 #include "fairmatch/engine/exec_context.h"
 #include "fairmatch/engine/registry.h"
@@ -271,6 +275,62 @@ TEST_P(SBIndexAgreementTest, SameMatchingOverEveryIndex) {
 
 INSTANTIATE_TEST_SUITE_P(Instances, SBIndexAgreementTest,
                          ::testing::Range(0, 14));
+
+// --- SB-alt over active sets of several score blocks -----------------
+
+/// Anti-correlated shapes whose first skylines span several
+/// simd::kScoreBlock blocks and whose function sets are large enough
+/// that members retire while the scan still has functions to score
+/// (one with priorities and function capacities, one with priorities).
+ProblemSpec MultiBlockSpec(int index) {
+  struct Shape {
+    int objects, functions, dims, max_gamma, function_capacity;
+    uint64_t seed;
+  };
+  static constexpr Shape kShapes[] = {{726, 286, 4, 1, 1, 9382},
+                                      {593, 271, 3, 3, 2, 9370},
+                                      {470, 293, 3, 3, 1, 9414}};
+  const Shape& shape = kShapes[index];
+  ProblemSpec spec;
+  spec.distribution = Distribution::kAntiCorrelated;
+  spec.num_objects = shape.objects;
+  spec.num_functions = shape.functions;
+  spec.dims = shape.dims;
+  spec.max_gamma = shape.max_gamma;
+  spec.function_capacity = shape.function_capacity;
+  spec.seed = shape.seed;
+  return spec;
+}
+
+class SBAltMultiBlockTest : public ::testing::TestWithParam<int> {};
+
+// SB-alt's batch search keeps its active members' columns and bars
+// (each member's best score so far) in whole simd::kScoreBlock blocks
+// and swap-removes a retired member from both. A bar left behind by a
+// retired member makes the member moved into its slot skip functions
+// that beat its own best, so its candidate, and then the matching,
+// drift from the oracle's. The random shapes above are too small for
+// that to show.
+TEST_P(SBAltMultiBlockTest, MatchesOracle) {
+  const AssignmentProblem problem = RandomProblem(MultiBlockSpec(GetParam()));
+  {
+    MemTree mem(problem);
+    SkylineManager sky(&mem.tree);
+    sky.ComputeInitial();
+    ASSERT_GT(sky.skyline().size(), size_t{2} * simd::kScoreBlock);
+  }
+  const Matching want = NaiveStableMatching(problem);
+  const AssignResult got = RunRegisteredMatcher("SB-alt", problem);
+  ASSERT_TRUE(got.status.ok());
+  EXPECT_TRUE(VerifyStableMatching(problem, got.matching).ok);
+  EXPECT_TRUE(SameMatching(got.matching, want))
+      << "|want|=" << want.size() << ", |got|=" << got.matching.size();
+  EXPECT_DOUBLE_EQ(CanonicalObjective(got.matching),
+                   CanonicalObjective(want));
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, SBAltMultiBlockTest,
+                         ::testing::Range(0, 3));
 
 }  // namespace
 }  // namespace fairmatch
