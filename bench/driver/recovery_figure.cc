@@ -163,7 +163,7 @@ RecoveryExperiment RunRecoveryExperiment(const AssignmentProblem& problem,
   serve::DatasetRegistry registry;
   serve::DatasetHandle base = registry.Open("bench", problem);
   std::unique_ptr<recover::DurableBuilder> builder;
-  serve::ServeStatus status =
+  Status status =
       recover::DurableBuilder::Bootstrap(base, options, &builder);
   FAIRMATCH_CHECK(status.ok());
 

@@ -262,9 +262,9 @@ OverloadResult RunOverloadExperiment(const AssignmentProblem& problem) {
     const serve::Response& response = future.Wait();
     if (response.status.ok()) {
       ++result.ok;
-    } else if (response.status.code == serve::ServeCode::kOverloaded) {
+    } else if (response.status.code == ErrorCode::kOverloaded) {
       ++result.rejected;
-    } else if (response.status.code == serve::ServeCode::kDeadlineExceeded) {
+    } else if (response.status.code == ErrorCode::kDeadlineExceeded) {
       ++result.deadline;
     }
   }

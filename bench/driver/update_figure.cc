@@ -130,7 +130,7 @@ UpdateExperiment RunUpdateExperiment(const AssignmentProblem& problem,
         batch.delete_objects.size() + batch.insert_objects.size());
     update::UpdateStats stats;
     Timer timer;
-    serve::ServeStatus status = builder.Apply(batch, &stats);
+    Status status = builder.Apply(batch, &stats);
     result.apply_ms += timer.ElapsedMs();
     FAIRMATCH_CHECK(status.ok());
     result.updates_applied += updates;

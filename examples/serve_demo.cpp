@@ -108,7 +108,7 @@ int main() {
     const Response& response = future.Wait();
     if (response.status.ok()) {
       ++ok;
-    } else if (response.status.code == ServeCode::kOverloaded) {
+    } else if (response.status.code == ErrorCode::kOverloaded) {
       ++overloaded;
     }
   }

@@ -39,7 +39,7 @@ struct PerfCounters {
 /// Tracks the current and peak number of bytes held by an algorithm's
 /// search structures. Algorithms report gross structure sizes at loop
 /// boundaries via Set(); transient allocations inside one loop are
-/// approximated by their peak via Add/Sub where convenient.
+/// approximated by their peak via Add where convenient.
 class MemoryTracker {
  public:
   /// Replaces the current usage estimate with `bytes`.
@@ -51,12 +51,8 @@ class MemoryTracker {
   /// Adds `bytes` to the current estimate.
   void Add(size_t bytes) { Set(current_ + bytes); }
 
-  /// Subtracts `bytes` (clamped at zero).
-  void Sub(size_t bytes) { current_ = bytes > current_ ? 0 : current_ - bytes; }
-
   size_t current() const { return current_; }
   size_t peak() const { return peak_; }
-  double peak_mb() const { return static_cast<double>(peak_) / (1024.0 * 1024.0); }
 
   void Reset() {
     current_ = 0;

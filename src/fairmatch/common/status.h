@@ -1,4 +1,5 @@
-// Recoverable, typed error propagation for the storage/engine stack.
+// Recoverable, typed error propagation, from the storage layer up to
+// the serving layer's responses.
 //
 // The library's CHECK macros (common/check.h) stay the answer for
 // programmer error: a violated invariant aborts. Data-dependent
@@ -28,25 +29,41 @@
 
 namespace fairmatch {
 
-/// Failure classes of a run, canonical-status style. Everything here is
-/// recoverable at the request boundary; none of these abort.
+/// Failure classes of a run or a request, canonical-status style.
+/// Everything here is recoverable at the request boundary; none of
+/// these abort. The one vocabulary for the whole stack: storage and the
+/// engine report into an ErrorSink, and the serving, update and
+/// recovery layers return the same Status to their clients unchanged.
+///
+/// The numeric values are part of the contract: the fault_recovery
+/// bench figure digests them into its deterministic `loops` column, so
+/// do not renumber.
 enum class ErrorCode {
   kOk = 0,
+  /// An unknown dataset, matcher or file.
+  kNotFound = 1,
+  /// The request contradicts itself or the matcher's contract (e.g. a
+  /// buffer fraction outside [0, 1]).
+  kInvalidArgument = 2,
+  /// The caller violated a stateful contract (e.g. Matcher::Run()
+  /// invoked twice on one instance, or a *-Packed matcher against a
+  /// dataset opened without a packed image). Retrying the same call
+  /// cannot succeed; the caller must rebuild the violated state.
+  kFailedPrecondition = 3,
+  /// Admission control rejected the request: the bounded queue is full
+  /// or the in-flight cap is reached. Retry later.
+  kOverloaded = 4,
+  /// A transient storage failure (an injected or real read/write
+  /// error), or a server that is draining or shedding a dataset's load.
+  /// Retrying the whole run is the expected recovery.
+  kUnavailable = 5,
+  /// The deadline expired before the run completed (while queued, or
+  /// mid-run at an engine cancellation point).
+  kDeadlineExceeded = 6,
   /// A page or record was lost or failed verification (read returned a
   /// checksum mismatch, a decoded id was out of range, a node was
   /// malformed). Retrying may help only if the damage was in transfer.
-  kDataLoss,
-  /// A transient storage failure (an injected or real read/write error).
-  /// Retrying the whole run is the expected recovery.
-  kUnavailable,
-  /// A resource budget was exhausted mid-run.
-  kResourceExhausted,
-  /// The run's deadline expired before it completed.
-  kDeadlineExceeded,
-  /// The caller violated a stateful contract (e.g. Matcher::Run()
-  /// invoked twice on one instance). Retrying the same call cannot
-  /// succeed; the caller must rebuild the violated state.
-  kFailedPrecondition,
+  kDataLoss = 7,
 };
 
 /// Stable identifier for logs/tests ("OK", "DATA_LOSS", ...).
@@ -54,16 +71,20 @@ inline const char* ErrorCodeName(ErrorCode code) {
   switch (code) {
     case ErrorCode::kOk:
       return "OK";
-    case ErrorCode::kDataLoss:
-      return "DATA_LOSS";
-    case ErrorCode::kUnavailable:
-      return "UNAVAILABLE";
-    case ErrorCode::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
-    case ErrorCode::kDeadlineExceeded:
-      return "DEADLINE_EXCEEDED";
+    case ErrorCode::kNotFound:
+      return "NOT_FOUND";
+    case ErrorCode::kInvalidArgument:
+      return "INVALID_ARGUMENT";
     case ErrorCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
+    case ErrorCode::kOverloaded:
+      return "OVERLOADED";
+    case ErrorCode::kUnavailable:
+      return "UNAVAILABLE";
+    case ErrorCode::kDeadlineExceeded:
+      return "DEADLINE_EXCEEDED";
+    case ErrorCode::kDataLoss:
+      return "DATA_LOSS";
   }
   return "UNKNOWN";
 }
@@ -76,20 +97,26 @@ struct Status {
   bool ok() const { return code == ErrorCode::kOk; }
 
   static Status Ok() { return {}; }
-  static Status DataLoss(std::string message) {
-    return {ErrorCode::kDataLoss, std::move(message)};
+  static Status NotFound(std::string message) {
+    return {ErrorCode::kNotFound, std::move(message)};
+  }
+  static Status InvalidArgument(std::string message) {
+    return {ErrorCode::kInvalidArgument, std::move(message)};
+  }
+  static Status FailedPrecondition(std::string message) {
+    return {ErrorCode::kFailedPrecondition, std::move(message)};
+  }
+  static Status Overloaded(std::string message) {
+    return {ErrorCode::kOverloaded, std::move(message)};
   }
   static Status Unavailable(std::string message) {
     return {ErrorCode::kUnavailable, std::move(message)};
   }
-  static Status ResourceExhausted(std::string message) {
-    return {ErrorCode::kResourceExhausted, std::move(message)};
-  }
   static Status DeadlineExceeded(std::string message) {
     return {ErrorCode::kDeadlineExceeded, std::move(message)};
   }
-  static Status FailedPrecondition(std::string message) {
-    return {ErrorCode::kFailedPrecondition, std::move(message)};
+  static Status DataLoss(std::string message) {
+    return {ErrorCode::kDataLoss, std::move(message)};
   }
 };
 

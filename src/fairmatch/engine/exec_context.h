@@ -91,16 +91,6 @@ class ExecContext {
     return false;
   }
 
-  /// Which function-index backend the run's environment was assembled
-  /// with: "lists" (in-memory, the default), "disk"
-  /// (DiskFunctionStore), "packed" or "packed-mmap"
-  /// (PackedFunctionStore). Purely descriptive — set by whoever builds
-  /// the MatcherEnv, read by bench report rows and diagnostics.
-  void set_function_backend(const char* backend) {
-    function_backend_ = backend;
-  }
-  const char* function_backend() const { return function_backend_; }
-
   /// Whether the run may fan work out over the process-wide helper pool
   /// (ThreadPool::Shared): SB runs each loop's reverse top-1 searches
   /// there. On by default. Callers that already spread their own work
@@ -141,7 +131,6 @@ class ExecContext {
   ErrorSink errors_;
   std::chrono::steady_clock::time_point deadline_;
   bool deadline_armed_ = false;
-  const char* function_backend_ = "lists";
   bool parallel_ = true;
 };
 

@@ -29,8 +29,6 @@ class MBR {
 
   /// Best corner under the larger-is-better convention.
   const Point& best_corner() const { return hi_; }
-  /// Worst corner.
-  const Point& worst_corner() const { return lo_; }
 
   bool is_empty() const { return empty_; }
 

@@ -4,12 +4,6 @@
 
 namespace fairmatch {
 
-Point Point::FromVector(const std::vector<float>& coords) {
-  Point p(static_cast<int>(coords.size()));
-  for (int i = 0; i < p.dims(); ++i) p[i] = coords[i];
-  return p;
-}
-
 bool Point::Dominates(const Point& other) const {
   FAIRMATCH_DCHECK(dims_ == other.dims_);
   bool strict = false;

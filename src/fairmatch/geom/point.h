@@ -8,7 +8,6 @@
 
 #include <array>
 #include <string>
-#include <vector>
 
 #include "fairmatch/common/check.h"
 #include "fairmatch/common/types.h"
@@ -26,9 +25,6 @@ class Point {
     v_.fill(0.0f);
     for (int i = 0; i < dims_; ++i) v_[i] = value;
   }
-
-  /// Builds a point from a coordinate vector.
-  static Point FromVector(const std::vector<float>& coords);
 
   int dims() const { return dims_; }
 

@@ -50,12 +50,12 @@ void AppendDetail(std::string* detail, const std::string& piece) {
 
 }  // namespace
 
-serve::ServeStatus DurableBuilder::Bootstrap(
+Status DurableBuilder::Bootstrap(
     serve::DatasetHandle base, const DurableOptions& options,
     std::unique_ptr<DurableBuilder>* out) {
   const std::string manifest_path = ManifestPath(options.dir);
   if (FileExists(manifest_path)) {
-    return serve::ServeStatus::FailedPrecondition(
+    return Status::FailedPrecondition(
         "bootstrap into " + options.dir +
         ": a manifest already exists (Recover() owns this directory)");
   }
@@ -65,7 +65,7 @@ serve::ServeStatus DurableBuilder::Bootstrap(
   builder->delta_ =
       std::make_unique<update::DeltaBuilder>(std::move(base), options.delta);
 
-  serve::ServeStatus status =
+  Status status =
       ManifestWriter::Open(manifest_path, options.injector,
                            &builder->manifest_);
   if (!status.ok()) return status;
@@ -90,12 +90,12 @@ serve::ServeStatus DurableBuilder::Bootstrap(
 
   builder->committed_ = record;
   *out = std::move(builder);
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus DurableBuilder::Recover(const DurableOptions& options,
-                                           std::unique_ptr<DurableBuilder>* out,
-                                           RecoveryStats* stats) {
+Status DurableBuilder::Recover(const DurableOptions& options,
+                               std::unique_ptr<DurableBuilder>* out,
+                               RecoveryStats* stats) {
   RecoveryStats local;
   if (stats == nullptr) stats = &local;
   *stats = RecoveryStats{};
@@ -103,7 +103,7 @@ serve::ServeStatus DurableBuilder::Recover(const DurableOptions& options,
 
   std::vector<ManifestRecord> candidates;
   ManifestReadStats mstats;
-  serve::ServeStatus status =
+  Status status =
       ReadManifest(ManifestPath(options.dir), &candidates, &mstats);
   stats->manifest_slots_corrupt = mstats.slots_corrupt;
   if (!mstats.detail.empty()) AppendDetail(&stats->detail, mstats.detail);
@@ -187,10 +187,10 @@ serve::ServeStatus DurableBuilder::Recover(const DurableOptions& options,
         slot_ok = false;
         break;
       }
-      const serve::ServeStatus apply = delta->Apply(batch);
+      const Status apply = delta->Apply(batch);
       if (apply.ok()) {
         ++replayed;
-      } else if (apply.code == serve::ServeCode::kInvalidArgument) {
+      } else if (apply.code == ErrorCode::kInvalidArgument) {
         // The live path logged this batch and then rejected it without
         // advancing the epoch; replay rejects it identically.
         ++rejected;
@@ -234,22 +234,22 @@ serve::ServeStatus DurableBuilder::Recover(const DurableOptions& options,
     stats->replay_ms = replay_ms;
     stats->total_ms = MsSince(t0);
     *out = std::move(builder);
-    return serve::ServeStatus::Ok();
+    return Status::Ok();
   }
 
   stats->total_ms = MsSince(t0);
-  return serve::ServeStatus::DataLoss(
+  return Status::DataLoss(
       "no manifest slot of " + options.dir +
       " leads to a servable epoch (" + stats->detail + ")");
 }
 
-serve::ServeStatus DurableBuilder::Apply(const update::UpdateBatch& batch,
-                                         update::UpdateStats* stats) {
+Status DurableBuilder::Apply(const update::UpdateBatch& batch,
+                             update::UpdateStats* stats) {
   // WAL first: the record must be durable before any in-memory state
   // moves. Its fsync is the commit point.
   std::string payload;
   EncodeBatch(batch, delta_->current()->problem().dims, &payload);
-  serve::ServeStatus status =
+  Status status =
       wal_.Append(delta_->epoch() + 1, payload, options_.injector);
   if (!status.ok()) return status;
   ++records_since_snapshot_;
@@ -260,16 +260,16 @@ serve::ServeStatus DurableBuilder::Apply(const update::UpdateBatch& batch,
   if (records_since_snapshot_ >= options_.snapshot_threshold) {
     return Checkpoint();
   }
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus DurableBuilder::Checkpoint() {
+Status DurableBuilder::Checkpoint() {
   const int64_t epoch = delta_->epoch();
   if (epoch <= committed_.epoch) {
     // Every record since the last checkpoint was rejected; there is no
     // new epoch to bind and re-snapshotting the committed one would
     // rotate away nothing but rejected records. Skip.
-    return serve::ServeStatus::Ok();
+    return Status::Ok();
   }
 
   ManifestRecord next;
@@ -282,7 +282,7 @@ serve::ServeStatus DurableBuilder::Checkpoint() {
   // Order matters: snapshot, fresh WAL, manifest commit. A crash at
   // any boundary before the commit's fsync leaves the old slot bound
   // to the old snapshot + old WAL — both still on disk and complete.
-  serve::ServeStatus status =
+  Status status =
       WriteSnapshot(Join(options_.dir, next.snapshot_file),
                     *delta_->current(), options_.injector);
   if (!status.ok()) return status;
@@ -305,21 +305,21 @@ serve::ServeStatus DurableBuilder::Checkpoint() {
   if (old.wal_file != next.wal_file) {
     std::remove(Join(options_.dir, old.wal_file).c_str());
   }
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus RecoverAndPublish(
+Status RecoverAndPublish(
     const DurableOptions& options, serve::DatasetRegistry* registry,
     serve::DatasetHandle* out, RecoveryStats* stats,
     std::unique_ptr<DurableBuilder>* builder_out) {
   std::unique_ptr<DurableBuilder> builder;
-  serve::ServeStatus status = DurableBuilder::Recover(options, &builder, stats);
+  Status status = DurableBuilder::Recover(options, &builder, stats);
   if (!status.ok()) return status;
   status = registry->PublishRecovered(builder->current());
   if (!status.ok()) return status;
   if (out != nullptr) *out = builder->current();
   if (builder_out != nullptr) *builder_out = std::move(builder);
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
 }  // namespace fairmatch::recover

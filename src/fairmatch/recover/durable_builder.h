@@ -43,10 +43,10 @@
 #include <memory>
 #include <string>
 
+#include "fairmatch/common/status.h"
 #include "fairmatch/recover/manifest.h"
 #include "fairmatch/recover/wal.h"
 #include "fairmatch/serve/dataset_registry.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/update/delta_builder.h"
 
 namespace fairmatch::recover {
@@ -103,25 +103,25 @@ class DurableBuilder {
   /// Starts a durable log in options.dir from `base` (epoch 1 or any
   /// later epoch): writes its snapshot, a fresh WAL and the first
   /// manifest commit. The directory must not already hold a manifest.
-  static serve::ServeStatus Bootstrap(serve::DatasetHandle base,
-                                      const DurableOptions& options,
-                                      std::unique_ptr<DurableBuilder>* out);
+  static Status Bootstrap(serve::DatasetHandle base,
+                          const DurableOptions& options,
+                          std::unique_ptr<DurableBuilder>* out);
 
   /// Recovers the newest intact epoch from options.dir (see file
   /// comment). kNotFound = nothing was ever committed; kDataLoss = a
   /// manifest exists but no slot leads to a servable epoch (the detail
   /// carries the per-slot trail).
-  static serve::ServeStatus Recover(const DurableOptions& options,
-                                    std::unique_ptr<DurableBuilder>* out,
-                                    RecoveryStats* stats = nullptr);
+  static Status Recover(const DurableOptions& options,
+                        std::unique_ptr<DurableBuilder>* out,
+                        RecoveryStats* stats = nullptr);
 
   DurableBuilder(const DurableBuilder&) = delete;
   DurableBuilder& operator=(const DurableBuilder&) = delete;
 
   /// WAL-first apply (see file comment). Statuses are DeltaBuilder's,
   /// plus kUnavailable for a durable-write failure.
-  serve::ServeStatus Apply(const update::UpdateBatch& batch,
-                           update::UpdateStats* stats = nullptr);
+  Status Apply(const update::UpdateBatch& batch,
+               update::UpdateStats* stats = nullptr);
 
   const serve::DatasetHandle& current() const { return delta_->current(); }
   int64_t epoch() const { return delta_->epoch(); }
@@ -138,7 +138,7 @@ class DurableBuilder {
 
   /// Snapshot current(), rotate the WAL, commit the manifest, prune
   /// superseded files.
-  serve::ServeStatus Checkpoint();
+  Status Checkpoint();
 
   DurableOptions options_;
   std::unique_ptr<update::DeltaBuilder> delta_;
@@ -151,11 +151,11 @@ class DurableBuilder {
 /// Boot-from-manifest: Recover() + DatasetRegistry::PublishRecovered.
 /// `out`/`stats`/`builder_out` may be null; on success the registry
 /// serves the recovered epoch and recoveries() ticked.
-serve::ServeStatus RecoverAndPublish(const DurableOptions& options,
-                                     serve::DatasetRegistry* registry,
-                                     serve::DatasetHandle* out = nullptr,
-                                     RecoveryStats* stats = nullptr,
-                                     std::unique_ptr<DurableBuilder>*
+Status RecoverAndPublish(const DurableOptions& options,
+                         serve::DatasetRegistry* registry,
+                         serve::DatasetHandle* out = nullptr,
+                         RecoveryStats* stats = nullptr,
+                         std::unique_ptr<DurableBuilder>*
                                          builder_out = nullptr);
 
 }  // namespace fairmatch::recover

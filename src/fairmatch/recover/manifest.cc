@@ -89,29 +89,29 @@ bool FileExists(const std::string& path) {
 
 }  // namespace
 
-serve::ServeStatus ManifestWriter::Open(const std::string& path,
-                                        FaultInjector* injector,
-                                        ManifestWriter* out) {
+Status ManifestWriter::Open(const std::string& path,
+                            FaultInjector* injector,
+                            ManifestWriter* out) {
   std::string error;
   const bool fresh = !FileExists(path);
   DurableFile file = DurableFile::OpenRw(path, &error);
   if (!file.valid()) {
-    return serve::ServeStatus::Unavailable("manifest open: " + error);
+    return Status::Unavailable("manifest open: " + error);
   }
   if (fresh) {
     const std::string zeros(2 * kSlotSize, '\0');
     if (!file.WriteAt(zeros.data(), zeros.size(), 0, injector,
                       "manifest format write", &error) ||
         !file.Sync(injector, "manifest format sync", &error)) {
-      return serve::ServeStatus::Unavailable("manifest format: " + error);
+      return Status::Unavailable("manifest format: " + error);
     }
   }
   out->file_ = std::move(file);
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus ManifestWriter::Commit(const ManifestRecord& record,
-                                          FaultInjector* injector) {
+Status ManifestWriter::Commit(const ManifestRecord& record,
+                              FaultInjector* injector) {
   const std::string slot = EncodeSlot(record);
   const long long offset =
       static_cast<long long>((record.seq % 2) * kSlotSize);
@@ -119,23 +119,23 @@ serve::ServeStatus ManifestWriter::Commit(const ManifestRecord& record,
   if (!file_.WriteAt(slot.data(), slot.size(), offset, injector,
                      "manifest slot write", &error) ||
       !file_.Sync(injector, "manifest slot sync", &error)) {
-    return serve::ServeStatus::Unavailable("manifest commit: " + error);
+    return Status::Unavailable("manifest commit: " + error);
   }
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus ReadManifest(const std::string& path,
-                                std::vector<ManifestRecord>* records,
-                                ManifestReadStats* stats) {
+Status ReadManifest(const std::string& path,
+                    std::vector<ManifestRecord>* records,
+                    ManifestReadStats* stats) {
   records->clear();
   *stats = ManifestReadStats{};
   if (!FileExists(path)) {
-    return serve::ServeStatus::NotFound("manifest missing: " + path);
+    return Status::NotFound("manifest missing: " + path);
   }
   std::string bytes;
   std::string error;
   if (!ReadFileBytes(path, &bytes, &error)) {
-    return serve::ServeStatus::DataLoss("manifest unreadable: " + error);
+    return Status::DataLoss("manifest unreadable: " + error);
   }
   bytes.resize(2 * kSlotSize, '\0');  // a short file reads as empty slots
   for (int slot = 0; slot < 2; ++slot) {
@@ -159,13 +159,12 @@ serve::ServeStatus ReadManifest(const std::string& path,
   if (records->size() == 2 && (*records)[0].seq < (*records)[1].seq) {
     std::swap((*records)[0], (*records)[1]);
   }
-  if (!records->empty()) return serve::ServeStatus::Ok();
+  if (!records->empty()) return Status::Ok();
   if (stats->slots_corrupt > 0) {
-    return serve::ServeStatus::DataLoss(
+    return Status::DataLoss(
         "manifest " + path + " has no intact slot (" + stats->detail + ")");
   }
-  return serve::ServeStatus::NotFound("manifest " + path +
-                                      " was never committed");
+  return Status::NotFound("manifest " + path + " was never committed");
 }
 
 }  // namespace fairmatch::recover

@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "fairmatch/serve/status.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/storage/durable_file.h"
 
 namespace fairmatch {
@@ -65,9 +65,9 @@ class ManifestWriter {
   /// Opens (creating + zero-filling if absent) the manifest at `path`.
   /// Creation durably writes the 512 zero bytes (one write + one sync
   /// boundary) so slot writes never extend the file.
-  static serve::ServeStatus Open(const std::string& path,
-                                 FaultInjector* injector,
-                                 ManifestWriter* out);
+  static Status Open(const std::string& path,
+                     FaultInjector* injector,
+                     ManifestWriter* out);
 
   ManifestWriter() = default;
   ManifestWriter(ManifestWriter&&) = default;
@@ -78,8 +78,7 @@ class ManifestWriter {
   /// Durably commits `record` into slot (record.seq % 2): one torn-able
   /// positioned write boundary + one sync boundary. record.seq must
   /// advance the last committed seq.
-  serve::ServeStatus Commit(const ManifestRecord& record,
-                            FaultInjector* injector);
+  Status Commit(const ManifestRecord& record, FaultInjector* injector);
 
  private:
   DurableFile file_;
@@ -91,9 +90,9 @@ class ManifestWriter {
 /// corrupt one is the torn-write failover case). No valid slot at all
 /// -> kNotFound when both are empty (nothing ever committed), typed
 /// kDataLoss when anything was corrupt.
-serve::ServeStatus ReadManifest(const std::string& path,
-                                std::vector<ManifestRecord>* records,
-                                ManifestReadStats* stats);
+Status ReadManifest(const std::string& path,
+                    std::vector<ManifestRecord>* records,
+                    ManifestReadStats* stats);
 
 }  // namespace fairmatch::recover
 

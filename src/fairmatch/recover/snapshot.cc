@@ -27,9 +27,9 @@ bool FileExists(const std::string& path) {
 
 }  // namespace
 
-serve::ServeStatus WriteSnapshot(const std::string& path,
-                                 const serve::ResidentDataset& dataset,
-                                 FaultInjector* injector) {
+Status WriteSnapshot(const std::string& path,
+                     const serve::ResidentDataset& dataset,
+                     FaultInjector* injector) {
   const AssignmentProblem& problem = dataset.problem();
   const MemNodeStore& store = dataset.node_store();
   const int dims = problem.dims;
@@ -85,44 +85,42 @@ serve::ServeStatus WriteSnapshot(const std::string& path,
   std::string error;
   if (!DurableWriteFile(path, buffer.data(), buffer.size(), injector,
                         "snapshot", &error)) {
-    return serve::ServeStatus::Unavailable("snapshot write: " + error);
+    return Status::Unavailable("snapshot write: " + error);
   }
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus LoadSnapshot(const std::string& path,
-                                const serve::DatasetOptions& options,
-                                serve::DatasetHandle* out) {
+Status LoadSnapshot(const std::string& path,
+                    const serve::DatasetOptions& options,
+                    serve::DatasetHandle* out) {
   if (!FileExists(path)) {
-    return serve::ServeStatus::NotFound("snapshot missing: " + path);
+    return Status::NotFound("snapshot missing: " + path);
   }
   std::string bytes;
   std::string error;
   if (!ReadFileBytes(path, &bytes, &error)) {
-    return serve::ServeStatus::DataLoss("snapshot unreadable: " + error);
+    return Status::DataLoss("snapshot unreadable: " + error);
   }
   if (bytes.size() < sizeof(kSnapMagic) + 4 ||
       std::memcmp(bytes.data(), kSnapMagic, sizeof(kSnapMagic)) != 0) {
-    return serve::ServeStatus::DataLoss("snapshot magic mismatch: " + path);
+    return Status::DataLoss("snapshot magic mismatch: " + path);
   }
   uint32_t stored_crc;
   std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
   if (Crc32Of(bytes.data(), bytes.size() - 4) != stored_crc) {
-    return serve::ServeStatus::DataLoss("snapshot checksum mismatch: " +
-                                        path);
+    return Status::DataLoss("snapshot checksum mismatch: " + path);
   }
 
   WireReader r(bytes.data() + sizeof(kSnapMagic),
                bytes.size() - sizeof(kSnapMagic) - 4);
   if (r.GetU32() != kSnapVersion) {
-    return serve::ServeStatus::DataLoss("snapshot version unsupported: " +
-                                        path);
+    return Status::DataLoss("snapshot version unsupported: " + path);
   }
   const int dims = static_cast<int>(r.GetU32());
   const int64_t epoch = r.GetI64();
   const std::string name = r.GetBytes(r.ok() ? r.GetU32() : 0);
   if (!r.ok() || dims < 1 || dims > kMaxDims) {
-    return serve::ServeStatus::DataLoss("snapshot header malformed: " + path);
+    return Status::DataLoss("snapshot header malformed: " + path);
   }
 
   AssignmentProblem problem;
@@ -156,8 +154,7 @@ serve::ServeStatus LoadSnapshot(const std::string& path,
   const uint32_t live = r.GetU32();
   if (!r.ok() || num_slots < 0 ||
       static_cast<int64_t>(live) > num_slots) {
-    return serve::ServeStatus::DataLoss("snapshot tree header malformed: " +
-                                        path);
+    return Status::DataLoss("snapshot tree header malformed: " + path);
   }
   MemNodeStore store(dims);
   store.RestoreInit(num_slots);
@@ -165,8 +162,7 @@ serve::ServeStatus LoadSnapshot(const std::string& path,
     const PageId pid = r.GetI64();
     if (!r.ok() || pid < 0 || pid >= num_slots ||
         r.remaining() < kPageSize) {
-      return serve::ServeStatus::DataLoss("snapshot page table malformed: " +
-                                          path);
+      return Status::DataLoss("snapshot page table malformed: " + path);
     }
     const std::string page = r.GetBytes(kPageSize);
     std::memcpy(store.RestorePage(pid), page.data(), kPageSize);
@@ -190,7 +186,7 @@ serve::ServeStatus LoadSnapshot(const std::string& path,
     skyline.push_back(m);
   }
   if (!r.ok() || r.remaining() != 0) {
-    return serve::ServeStatus::DataLoss("snapshot payload malformed: " + path);
+    return Status::DataLoss("snapshot payload malformed: " + path);
   }
 
   // The packed image is derived state: rebuild it from the restored
@@ -200,7 +196,7 @@ serve::ServeStatus LoadSnapshot(const std::string& path,
   *out = std::make_shared<const serve::ResidentDataset>(
       name, std::move(problem), &store, root, root_level, tree_size,
       std::move(packed), std::move(skyline), epoch);
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
 }  // namespace fairmatch::recover

@@ -34,17 +34,17 @@ namespace fairmatch::recover {
 
 /// Durably writes a snapshot of `dataset` to `path` (three crash-point
 /// boundaries: write, sync, rename).
-serve::ServeStatus WriteSnapshot(const std::string& path,
-                                 const serve::ResidentDataset& dataset,
-                                 FaultInjector* injector);
+Status WriteSnapshot(const std::string& path,
+                     const serve::ResidentDataset& dataset,
+                     FaultInjector* injector);
 
 /// Loads a snapshot into a fresh ResidentDataset (name and epoch from
 /// the file, packed image rebuilt per `options`). Corruption — bad
 /// magic, failed CRC, malformed payload — comes back kDataLoss with
 /// the failing check in the detail; a missing file is kNotFound.
-serve::ServeStatus LoadSnapshot(const std::string& path,
-                                const serve::DatasetOptions& options,
-                                serve::DatasetHandle* out);
+Status LoadSnapshot(const std::string& path,
+                    const serve::DatasetOptions& options,
+                    serve::DatasetHandle* out);
 
 }  // namespace fairmatch::recover
 

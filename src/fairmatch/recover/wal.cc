@@ -31,45 +31,45 @@ bool FileExists(const std::string& path) {
 
 }  // namespace
 
-serve::ServeStatus WalWriter::Create(const std::string& path,
-                                     FaultInjector* injector,
-                                     WalWriter* out) {
+Status WalWriter::Create(const std::string& path,
+                         FaultInjector* injector,
+                         WalWriter* out) {
   std::string error;
   DurableFile file = DurableFile::Create(path, &error);
   if (!file.valid()) {
-    return serve::ServeStatus::Unavailable("wal create: " + error);
+    return Status::Unavailable("wal create: " + error);
   }
   if (!file.Append(kWalMagic, sizeof(kWalMagic), injector, "wal header write",
                    &error) ||
       !file.Sync(injector, "wal header sync", &error)) {
-    return serve::ServeStatus::Unavailable("wal create: " + error);
+    return Status::Unavailable("wal create: " + error);
   }
   out->file_ = std::move(file);
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus WalWriter::OpenForAppend(const std::string& path,
-                                            int64_t intact_bytes,
-                                            FaultInjector* injector,
-                                            WalWriter* out) {
+Status WalWriter::OpenForAppend(const std::string& path,
+                                int64_t intact_bytes,
+                                FaultInjector* injector,
+                                WalWriter* out) {
   (void)injector;
   std::string error;
   // Cut the torn tail first: appending after torn residue would hide
   // every later record behind an unreadable one.
   if (!TruncateFile(path, intact_bytes, &error)) {
-    return serve::ServeStatus::Unavailable("wal reopen: " + error);
+    return Status::Unavailable("wal reopen: " + error);
   }
   DurableFile file = DurableFile::OpenAppend(path, &error);
   if (!file.valid()) {
-    return serve::ServeStatus::Unavailable("wal reopen: " + error);
+    return Status::Unavailable("wal reopen: " + error);
   }
   out->file_ = std::move(file);
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus WalWriter::Append(int64_t epoch,
-                                     const std::string& payload,
-                                     FaultInjector* injector) {
+Status WalWriter::Append(int64_t epoch,
+                         const std::string& payload,
+                         FaultInjector* injector) {
   std::string record;
   record.reserve(kRecordHeader + payload.size());
   PutI64(&record, epoch);
@@ -80,28 +80,28 @@ serve::ServeStatus WalWriter::Append(int64_t epoch,
   if (!file_.Append(record.data(), record.size(), injector,
                     "wal record write", &error) ||
       !file_.Sync(injector, "wal record sync", &error)) {
-    return serve::ServeStatus::Unavailable("wal append: " + error);
+    return Status::Unavailable("wal append: " + error);
   }
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
-serve::ServeStatus ReadWal(const std::string& path,
-                           std::vector<WalRecord>* records,
-                           WalReadStats* stats) {
+Status ReadWal(const std::string& path,
+               std::vector<WalRecord>* records,
+               WalReadStats* stats) {
   records->clear();
   *stats = WalReadStats{};
   if (!FileExists(path)) {
-    return serve::ServeStatus::NotFound("wal missing: " + path);
+    return Status::NotFound("wal missing: " + path);
   }
   std::string bytes;
   std::string error;
   if (!ReadFileBytes(path, &bytes, &error)) {
-    return serve::ServeStatus::DataLoss("wal unreadable: " + error);
+    return Status::DataLoss("wal unreadable: " + error);
   }
   stats->bytes_total = static_cast<int64_t>(bytes.size());
   if (bytes.size() < sizeof(kWalMagic) ||
       std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    return serve::ServeStatus::DataLoss("wal header corrupt: " + path);
+    return Status::DataLoss("wal header corrupt: " + path);
   }
   size_t pos = sizeof(kWalMagic);
   while (pos < bytes.size()) {
@@ -119,7 +119,7 @@ serve::ServeStatus ReadWal(const std::string& path,
     if (bytes.size() - pos - kRecordHeader < len) break;
     std::string payload = bytes.substr(pos + kRecordHeader, len);
     if (RecordCrc(epoch, payload) != crc) {
-      return serve::ServeStatus::DataLoss(
+      return Status::DataLoss(
           "wal record " + std::to_string(stats->records) +
           " checksum mismatch in " + path +
           " (committed history unreadable)");
@@ -131,7 +131,7 @@ serve::ServeStatus ReadWal(const std::string& path,
   stats->bytes_used = static_cast<int64_t>(pos);
   stats->torn_bytes = stats->bytes_total - stats->bytes_used;
   stats->torn_tail = stats->torn_bytes > 0;
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
 }  // namespace fairmatch::recover

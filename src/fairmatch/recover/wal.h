@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "fairmatch/serve/status.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/storage/durable_file.h"
 
 namespace fairmatch {
@@ -65,17 +65,17 @@ class WalWriter {
   /// Creates/truncates `path` and durably writes the file header (one
   /// write + one sync boundary). `injector` may be null; when armed
   /// its crash schedule fires at those boundaries.
-  static serve::ServeStatus Create(const std::string& path,
-                                   FaultInjector* injector, WalWriter* out);
+  static Status Create(const std::string& path,
+                       FaultInjector* injector, WalWriter* out);
 
   /// Opens an existing log for appending after its intact prefix was
   /// replayed. `intact_bytes` (from WalReadStats::bytes_used) becomes
   /// the append position: the file is first truncated there, so a torn
   /// tail record never has garbage appended after it.
-  static serve::ServeStatus OpenForAppend(const std::string& path,
-                                          int64_t intact_bytes,
-                                          FaultInjector* injector,
-                                          WalWriter* out);
+  static Status OpenForAppend(const std::string& path,
+                              int64_t intact_bytes,
+                              FaultInjector* injector,
+                              WalWriter* out);
 
   WalWriter() = default;
   WalWriter(WalWriter&&) = default;
@@ -86,8 +86,8 @@ class WalWriter {
 
   /// Durably appends one record: one (torn-able) write boundary with
   /// the full record bytes, one sync boundary. OK means committed.
-  serve::ServeStatus Append(int64_t epoch, const std::string& payload,
-                            FaultInjector* injector);
+  Status Append(int64_t epoch, const std::string& payload,
+                FaultInjector* injector);
 
  private:
   DurableFile file_;
@@ -97,9 +97,9 @@ class WalWriter {
 /// CRC-failing tail record truncates (OK + stats.torn_tail); a missing
 /// file is kNotFound; a bad header or unreadable committed prefix is
 /// kDataLoss.
-serve::ServeStatus ReadWal(const std::string& path,
-                           std::vector<WalRecord>* records,
-                           WalReadStats* stats);
+Status ReadWal(const std::string& path,
+               std::vector<WalRecord>* records,
+               WalReadStats* stats);
 
 }  // namespace fairmatch::recover
 

@@ -13,7 +13,6 @@ std::unique_ptr<PackedFunctionStore> BuildPackedImage(
   if (!options.build_packed || fns.empty()) return nullptr;
   PackedStoreOptions popts;
   popts.use_mmap = options.packed_mmap;
-  popts.block_entries = options.packed_block_entries;
   return std::make_unique<PackedFunctionStore>(fns, popts);
 }
 
@@ -93,14 +92,14 @@ DatasetHandle DatasetRegistry::Open(const std::string& name,
   return it->second;
 }
 
-ServeStatus DatasetRegistry::OpenOrError(const std::string& name,
-                                         const AssignmentProblem& problem,
-                                         const DatasetOptions& options,
-                                         DatasetHandle* out) {
+Status DatasetRegistry::OpenOrError(const std::string& name,
+                                    const AssignmentProblem& problem,
+                                    const DatasetOptions& options,
+                                    DatasetHandle* out) {
   if (options.packed_image_path.empty()) {
     DatasetHandle handle = Open(name, problem, options);
     if (out != nullptr) *out = std::move(handle);
-    return ServeStatus::Ok();
+    return Status::Ok();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -108,25 +107,22 @@ ServeStatus DatasetRegistry::OpenOrError(const std::string& name,
     if (it != datasets_.end()) {
       ++warm_opens_;
       if (out != nullptr) *out = it->second;
-      return ServeStatus::Ok();
+      return Status::Ok();
     }
   }
   // Attach (and fully verify) the image outside the lock, like Open()'s
   // cold build.
-  std::string error;
-  PackedOpenError code = PackedOpenError::kNone;
+  Status status;
   std::unique_ptr<PackedFunctionStore> packed =
-      PackedFunctionStore::Open(options.packed_image_path, &error, &code);
+      PackedFunctionStore::Open(options.packed_image_path, &status);
   if (packed == nullptr) {
-    const std::string detail = "packed image '" + options.packed_image_path +
-                               "': " + PackedOpenErrorName(code) + ": " +
-                               error;
-    return code == PackedOpenError::kIoError ? ServeStatus::NotFound(detail)
-                                             : ServeStatus::DataLoss(detail);
+    status.message =
+        "packed image '" + options.packed_image_path + "': " + status.message;
+    return status;
   }
   if (packed->dims() != problem.dims ||
       packed->size() != static_cast<int>(problem.functions.size())) {
-    return ServeStatus::FailedPrecondition(
+    return Status::FailedPrecondition(
         "packed image '" + options.packed_image_path + "' has " +
         std::to_string(packed->size()) + " functions x " +
         std::to_string(packed->dims()) + " dims, problem has " +
@@ -144,7 +140,7 @@ ServeStatus DatasetRegistry::OpenOrError(const std::string& name,
     ++warm_opens_;
   }
   if (out != nullptr) *out = it->second;
-  return ServeStatus::Ok();
+  return Status::Ok();
 }
 
 DatasetHandle DatasetRegistry::Find(const std::string& name) const {
@@ -155,7 +151,7 @@ DatasetHandle DatasetRegistry::Find(const std::string& name) const {
 
 DatasetHandle DatasetRegistry::Publish(DatasetHandle handle) {
   DatasetHandle replaced;
-  const ServeStatus status = PublishOrError(std::move(handle), &replaced);
+  const Status status = PublishOrError(std::move(handle), &replaced);
   if (!status.ok()) {
     std::fprintf(stderr, "DatasetRegistry::Publish: %s\n",
                  status.message.c_str());
@@ -164,15 +160,15 @@ DatasetHandle DatasetRegistry::Publish(DatasetHandle handle) {
   return replaced;
 }
 
-ServeStatus DatasetRegistry::PublishOrError(DatasetHandle handle,
-                                            DatasetHandle* replaced,
-                                            ErrorSink* sink) {
+Status DatasetRegistry::PublishOrError(DatasetHandle handle,
+                                       DatasetHandle* replaced,
+                                       ErrorSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = datasets_.find(handle->name());
   if (it == datasets_.end()) {
     datasets_.emplace(handle->name(), std::move(handle));
     if (replaced != nullptr) replaced->reset();
-    return ServeStatus::Ok();
+    return Status::Ok();
   }
   if (handle->epoch() <= it->second->epoch()) {
     const std::string detail =
@@ -180,19 +176,19 @@ ServeStatus DatasetRegistry::PublishOrError(DatasetHandle handle,
         std::to_string(handle->epoch()) + " does not advance live epoch " +
         std::to_string(it->second->epoch());
     if (sink != nullptr) sink->Report(ErrorCode::kFailedPrecondition, detail);
-    return ServeStatus::FailedPrecondition(detail);
+    return Status::FailedPrecondition(detail);
   }
   DatasetHandle previous = std::move(it->second);
   it->second = std::move(handle);
   ++republishes_;
   if (replaced != nullptr) *replaced = std::move(previous);
-  return ServeStatus::Ok();
+  return Status::Ok();
 }
 
-ServeStatus DatasetRegistry::PublishRecovered(DatasetHandle handle,
-                                              DatasetHandle* replaced,
-                                              ErrorSink* sink) {
-  const ServeStatus status =
+Status DatasetRegistry::PublishRecovered(DatasetHandle handle,
+                                         DatasetHandle* replaced,
+                                         ErrorSink* sink) {
+  const Status status =
       PublishOrError(std::move(handle), replaced, sink);
   if (status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -211,14 +207,14 @@ int64_t DatasetRegistry::recoveries() const {
   return recoveries_;
 }
 
-ServeStatus DatasetRegistry::Close(const std::string& name) {
+Status DatasetRegistry::Close(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = datasets_.find(name);
   if (it == datasets_.end()) {
-    return ServeStatus::NotFound("dataset '" + name + "' is not resident");
+    return Status::NotFound("dataset '" + name + "' is not resident");
   }
   datasets_.erase(it);  // outstanding handles keep the dataset alive
-  return ServeStatus::Ok();
+  return Status::Ok();
 }
 
 std::vector<std::string> DatasetRegistry::Names() const {

@@ -34,10 +34,13 @@
 #include "fairmatch/common/status.h"
 #include "fairmatch/rtree/node_store.h"
 #include "fairmatch/rtree/rtree.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/topk/packed_function_lists.h"
 
 namespace fairmatch::serve {
+
+// The frozen bench/suite/ sources still spell Status by its old
+// serving-layer name; the next change to the benchmark drops this alias.
+using ServeStatus = Status;
 
 /// Build knobs for one resident dataset.
 struct DatasetOptions {
@@ -49,9 +52,6 @@ struct DatasetOptions {
   /// Route the packed image through a file + read-only mapping instead
   /// of the in-memory buffer (PackedStoreOptions::use_mmap).
   bool packed_mmap = false;
-
-  /// Entries per packed block (PackedStoreOptions::block_entries).
-  int packed_block_entries = 128;
 
   /// When non-empty, attach the resident packed store from this
   /// pre-built image file (PackedFunctionStore::Open: full structural
@@ -65,7 +65,7 @@ struct DatasetOptions {
 };
 
 /// Builds the flat packed function image of `fns` per `options`
-/// (block size, in-memory or mmap-backed), or nullptr when
+/// (in-memory or mmap-backed), or nullptr when
 /// `options.build_packed` is off or `fns` is empty. The image is a pure
 /// function of the function set: Open(), snapshot recovery
 /// (recover/snapshot.h) and every update epoch (update/delta_builder.h)
@@ -168,14 +168,15 @@ class DatasetRegistry {
   /// Open() with typed failure reporting. The fallible build step is
   /// attaching a pre-built packed image (options.packed_image_path): an
   /// unreadable file comes back kNotFound, a malformed/corrupt one
-  /// kDataLoss — both with the PackedOpenError class in the detail —
-  /// and an image that does not match `problem`'s shape
-  /// kFailedPrecondition. On success fills `out` (when non-null) and
-  /// returns OK. Without a packed_image_path this is exactly Open().
-  ServeStatus OpenOrError(const std::string& name,
-                          const AssignmentProblem& problem,
-                          const DatasetOptions& options,
-                          DatasetHandle* out = nullptr);
+  /// kDataLoss — both as PackedFunctionStore::Open() reports them,
+  /// prefixed with the image path — and an image that does not match
+  /// `problem`'s shape kFailedPrecondition. On success fills `out`
+  /// (when non-null) and returns OK. Without a packed_image_path this is
+  /// exactly Open().
+  Status OpenOrError(const std::string& name,
+                     const AssignmentProblem& problem,
+                     const DatasetOptions& options,
+                     DatasetHandle* out = nullptr);
 
   /// The resident dataset `name`, or nullptr. Shares (refcount++ for
   /// the caller) without ever building.
@@ -202,16 +203,16 @@ class DatasetRegistry {
   /// when non-null) carries both epochs, the registry is untouched. On
   /// success `*replaced` (when non-null) receives what Publish() would
   /// have returned.
-  ServeStatus PublishOrError(DatasetHandle handle,
-                             DatasetHandle* replaced = nullptr,
-                             ErrorSink* sink = nullptr);
+  Status PublishOrError(DatasetHandle handle,
+                        DatasetHandle* replaced = nullptr,
+                        ErrorSink* sink = nullptr);
 
   /// PublishOrError() for an epoch restored by crash recovery
   /// (recover/durable_builder.h) — same swap/install and the same
   /// monotonicity contract, counted separately in recoveries().
-  ServeStatus PublishRecovered(DatasetHandle handle,
-                               DatasetHandle* replaced = nullptr,
-                               ErrorSink* sink = nullptr);
+  Status PublishRecovered(DatasetHandle handle,
+                          DatasetHandle* replaced = nullptr,
+                          ErrorSink* sink = nullptr);
 
   /// Total Publish() calls that replaced an existing dataset.
   int64_t republishes() const;
@@ -223,7 +224,7 @@ class DatasetRegistry {
   /// requests) keep the dataset alive; a later Open() of the same name
   /// builds fresh structures. Returns NotFound if `name` is not
   /// resident.
-  ServeStatus Close(const std::string& name);
+  Status Close(const std::string& name);
 
   /// Names of the resident datasets, sorted.
   std::vector<std::string> Names() const;

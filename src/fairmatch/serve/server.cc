@@ -15,31 +15,11 @@ namespace fairmatch::serve {
 
 namespace {
 
-/// Engine-status → request-status mapping. The engine's typed codes
-/// (common/status.h) are a storage/runtime vocabulary; the serve codes
-/// are the client-facing one.
-ServeStatus MapEngineStatus(const Status& status) {
-  switch (status.code) {
-    case ErrorCode::kOk:
-      return ServeStatus::Ok();
-    case ErrorCode::kDataLoss:
-      return ServeStatus::DataLoss(status.message);
-    case ErrorCode::kDeadlineExceeded:
-      return ServeStatus::DeadlineExceeded(status.message);
-    case ErrorCode::kFailedPrecondition:
-      return ServeStatus::FailedPrecondition(status.message);
-    case ErrorCode::kUnavailable:
-    case ErrorCode::kResourceExhausted:
-      return ServeStatus::Unavailable(status.message);
-  }
-  return ServeStatus::Unavailable(status.message);
-}
-
 /// Transient = a fresh attempt can plausibly succeed (the fault model
 /// is transfer-level). Deadline expiry is terminal: retrying cannot
 /// recover time already spent.
-bool IsTransient(ServeCode code) {
-  return code == ServeCode::kUnavailable || code == ServeCode::kDataLoss;
+bool IsTransient(ErrorCode code) {
+  return code == ErrorCode::kUnavailable || code == ErrorCode::kDataLoss;
 }
 
 }  // namespace
@@ -110,45 +90,45 @@ Server::Server(DatasetRegistry* registry, ServerOptions options)
 
 Server::~Server() { Close(); }
 
-ServeStatus Server::AdmissionStatus() const {
+Status Server::AdmissionStatus() const {
   if (draining_) {
-    return ServeStatus::Unavailable("server is draining");
+    return Status::Unavailable("server is draining");
   }
   if (queue_.size() >= options_.max_queue) {
-    return ServeStatus::Overloaded("admission queue is full (" +
-                                   std::to_string(options_.max_queue) +
-                                   " queued)");
+    return Status::Overloaded("admission queue is full (" +
+                              std::to_string(options_.max_queue) +
+                              " queued)");
   }
   if (inflight_ >= options_.max_inflight) {
-    return ServeStatus::Overloaded("in-flight cap reached (" +
-                                   std::to_string(options_.max_inflight) +
-                                   " accepted)");
+    return Status::Overloaded("in-flight cap reached (" +
+                              std::to_string(options_.max_inflight) +
+                              " accepted)");
   }
-  return ServeStatus::Ok();
+  return Status::Ok();
 }
 
-ServeStatus Server::Validate(const Request& request,
-                             DatasetHandle* dataset) const {
+Status Server::Validate(const Request& request,
+                        DatasetHandle* dataset) const {
   const MatcherInfo* info = MatcherRegistry::Global().Find(request.matcher);
   if (info == nullptr) {
-    return ServeStatus::NotFound("unknown matcher '" + request.matcher + "'");
+    return Status::NotFound("unknown matcher '" + request.matcher + "'");
   }
-  if (request.buffer_fraction < 0.0 || request.buffer_fraction > 1.0) {
-    return ServeStatus::InvalidArgument(
+  // Written so that NaN fails too: every comparison with NaN is false.
+  if (!(request.buffer_fraction >= 0.0 && request.buffer_fraction <= 1.0)) {
+    return Status::InvalidArgument(
         "buffer_fraction must be in [0, 1], got " +
         std::to_string(request.buffer_fraction));
   }
   *dataset = registry_->Find(request.dataset);
   if (*dataset == nullptr) {
-    return ServeStatus::NotFound("unknown dataset '" + request.dataset +
-                                 "'");
+    return Status::NotFound("unknown dataset '" + request.dataset + "'");
   }
   if (info->needs_packed_functions && (*dataset)->packed() == nullptr) {
-    return ServeStatus::FailedPrecondition(
+    return Status::FailedPrecondition(
         "matcher '" + request.matcher + "' needs a packed image, but "
         "dataset '" + request.dataset + "' was opened without one");
   }
-  return ServeStatus::Ok();
+  return Status::Ok();
 }
 
 ResponseFuture Server::Submit(Request request) {
@@ -156,7 +136,7 @@ ResponseFuture Server::Submit(Request request) {
 
   // Reject with a completed future: the caller never blocks to learn
   // that a request was not admitted.
-  auto reject = [&state](ServeStatus status) {
+  auto reject = [&state](Status status) {
     Response response;
     response.status = std::move(status);
     state->Complete(std::move(response));
@@ -164,7 +144,7 @@ ResponseFuture Server::Submit(Request request) {
   };
 
   DatasetHandle dataset;
-  ServeStatus status = Validate(request, &dataset);
+  Status status = Validate(request, &dataset);
   if (!status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.rejected;
@@ -184,7 +164,7 @@ ResponseFuture Server::Submit(Request request) {
           it->second >= options_.health_threshold) {
         ++counters_.rejected;
         ++counters_.shed;
-        return reject(ServeStatus::Unavailable(
+        return reject(Status::Unavailable(
             "dataset '" + request.dataset + "' is shedding load after " +
             std::to_string(it->second) +
             " consecutive data-loss failures"));
@@ -235,17 +215,17 @@ void Server::ResetHealth(const std::string& dataset) {
 }
 
 void Server::RecordOutcome(const std::string& dataset,
-                           const ServeStatus& status) {
+                           const Status& status) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (status.code == ServeCode::kDeadlineExceeded) {
+  if (status.code == ErrorCode::kDeadlineExceeded) {
     ++counters_.deadline_exceeded;
-  } else if (status.code == ServeCode::kDataLoss) {
+  } else if (status.code == ErrorCode::kDataLoss) {
     ++counters_.data_loss;
   }
   if (options_.health_threshold <= 0) return;
   if (status.ok()) {
     consecutive_data_loss_.erase(dataset);
-  } else if (status.code == ServeCode::kDataLoss) {
+  } else if (status.code == ErrorCode::kDataLoss) {
     ++consecutive_data_loss_[dataset];
   }
 }
@@ -283,13 +263,13 @@ void Server::Process(Pending* pending, DiskManager* disk) {
   if (info == nullptr) {
     // The matcher disappeared between Submit and pickup (only possible
     // through test re-registration); typed error, not a CHECK.
-    response.status = ServeStatus::NotFound("matcher '" + request.matcher +
-                                            "' is no longer registered");
+    response.status = Status::NotFound("matcher '" + request.matcher +
+                                       "' is no longer registered");
   } else if (request.deadline_ms > 0.0 &&
              response.queue_ms >= request.deadline_ms) {
     // Expired while queued: fail fast instead of burning a lane on a
     // request whose client has already given up.
-    response.status = ServeStatus::DeadlineExceeded(
+    response.status = Status::DeadlineExceeded(
         "deadline of " + std::to_string(request.deadline_ms) +
         " ms expired after " + std::to_string(response.queue_ms) +
         " ms in queue");
@@ -307,7 +287,7 @@ void Server::Process(Pending* pending, DiskManager* disk) {
       if (request.deadline_ms > 0.0 &&
           pending->since_submit.ElapsedMs() + options_.retry_backoff_ms >=
               request.deadline_ms) {
-        response.status = ServeStatus::DeadlineExceeded(
+        response.status = Status::DeadlineExceeded(
             "deadline of " + std::to_string(request.deadline_ms) +
             " ms leaves no room to retry after: " + response.status.message);
         break;
@@ -329,9 +309,9 @@ void Server::Process(Pending* pending, DiskManager* disk) {
   pending->state->Complete(std::move(response));
 }
 
-ServeStatus Server::RunAttempt(Pending* pending, DiskManager* disk,
-                               const MatcherInfo* info, int attempt,
-                               Response* response) {
+Status Server::RunAttempt(Pending* pending, DiskManager* disk,
+                          const MatcherInfo* info, int attempt,
+                          Response* response) {
   const Request& request = pending->request;
   const ResidentDataset& dataset = *pending->dataset;
 
@@ -395,18 +375,15 @@ ServeStatus Server::RunAttempt(Pending* pending, DiskManager* disk,
     fstore.emplace(dataset.problem().functions, request.buffer_fraction,
                    &ctx.counters(), disk);
     env.fn_store = &*fstore;
-    ctx.set_function_backend("disk");
   }
 
   std::unique_ptr<PackedFunctionStore> packed_view;
   if (info->needs_packed_functions) {
     packed_view = PackedFunctionStore::NewSharedView(*dataset.packed());
     env.packed_fns = packed_view.get();
-    ctx.set_function_backend(dataset.packed()->mapped() ? "packed-mmap"
-                                                        : "packed");
   }
 
-  ServeStatus status;
+  Status status;
   std::unique_ptr<Matcher> matcher =
       MatcherRegistry::Global().Create(request.matcher, env);
   if (matcher == nullptr) {
@@ -414,12 +391,12 @@ ServeStatus Server::RunAttempt(Pending* pending, DiskManager* disk,
     // unreachable today; kept as a typed error so a future
     // requirement added to Create degrades to a rejected request
     // instead of a crashed service.
-    status = ServeStatus::FailedPrecondition(
+    status = Status::FailedPrecondition(
         "matcher '" + request.matcher + "' cannot run against dataset '" +
         request.dataset + "'");
   } else {
     AssignResult result = matcher->Run();
-    status = MapEngineStatus(result.status);
+    status = std::move(result.status);
     if (status.ok()) {
       response->matching = std::move(result.matching);
       response->stats = std::move(result.stats);

@@ -48,7 +48,8 @@
 // attempt of every request runs against a FaultInjector seeded from
 // (plan seed, request id, attempt) on the lane's disk, with
 // per-page CRC verification on. Storage faults surface as typed
-// engine statuses (common/status.h), never a crash. Transient failures
+// statuses, never a crash: the response carries the engine's Status
+// (common/status.h) as the run reported it. Transient failures
 // (kUnavailable, kDataLoss) are retried up to max_attempts with a
 // fixed backoff; each attempt is a fresh isolated run on a recycled
 // lane disk, so a successful retry is byte-identical to a fault-free
@@ -78,8 +79,8 @@
 #include <vector>
 
 #include "fairmatch/assign/problem.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/serve/dataset_registry.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/storage/disk_manager.h"
 #include "fairmatch/storage/fault_injector.h"
 
@@ -148,7 +149,7 @@ struct Request {
 /// What the client gets back. On a non-OK status, matching/stats are
 /// empty and only the timings are meaningful.
 struct Response {
-  ServeStatus status;
+  Status status;
   Matching matching;
   RunStats stats;
 
@@ -253,11 +254,11 @@ class Server {
   struct Pending;
 
   /// Admission check under mu_. Empty message = admit.
-  ServeStatus AdmissionStatus() const;
+  Status AdmissionStatus() const;
 
   /// Static validation (names, matcher requirements) against the
   /// registry; fills `dataset` on success.
-  ServeStatus Validate(const Request& request, DatasetHandle* dataset) const;
+  Status Validate(const Request& request, DatasetHandle* dataset) const;
 
   void LaneLoop(DiskManager* disk);
 
@@ -270,13 +271,13 @@ class Server {
   /// One isolated execution attempt on the lane's `disk`; fills
   /// response matching/stats on success and returns the mapped request
   /// status.
-  ServeStatus RunAttempt(Pending* pending, DiskManager* disk,
-                         const MatcherInfo* info, int attempt,
-                         Response* response);
+  Status RunAttempt(Pending* pending, DiskManager* disk,
+                    const MatcherInfo* info, int attempt,
+                    Response* response);
 
   /// Records the final status of a run against `dataset` (consecutive
   /// data-loss tracking) and bumps the outcome counters.
-  void RecordOutcome(const std::string& dataset, const ServeStatus& status);
+  void RecordOutcome(const std::string& dataset, const Status& status);
 
   DatasetRegistry* registry_;
   ServerOptions options_;

@@ -47,12 +47,6 @@ class SkylineManager {
   /// heap (the paper's memory-usage metric).
   size_t memory_bytes() const;
 
-  /// High-water mark of the entry arena, in bytes (perf diagnostics;
-  /// reported through MemoryTracker via memory_bytes()).
-  size_t arena_high_water_bytes() const {
-    return arena_.high_water_bytes();
-  }
-
   int64_t nodes_read() const { return nodes_read_; }
 
   /// When enabled, records every node page read (Theorem 1 tests).

@@ -75,8 +75,6 @@ class SkyEntryArena {
   /// Largest live() ever observed (the paper's memory-usage metric).
   size_t high_water() const { return high_water_; }
   size_t high_water_bytes() const { return high_water_ * sizeof(Node); }
-  /// Bytes actually reserved by the pool.
-  size_t reserved_bytes() const { return nodes_.capacity() * sizeof(Node); }
 
  private:
   struct Node {

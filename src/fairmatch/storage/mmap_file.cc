@@ -183,7 +183,7 @@ void MmapFile::Reset() {
 }
 
 bool MmapFile::Write(const std::string& path, const void* bytes, size_t size,
-                     std::string* error, bool durable) {
+                     std::string* error) {
   // Temp-and-rename: readers of `path` only ever see the previous
   // complete image or the new complete image, never a torn hybrid.
   const std::string tmp = path + ".tmp";
@@ -192,13 +192,7 @@ bool MmapFile::Write(const std::string& path, const void* bytes, size_t size,
     SetError(error, "fopen failed for " + tmp);
     return false;
   }
-  bool ok = size == 0 || std::fwrite(bytes, 1, size, f) == size;
-  if (ok && durable) {
-    ok = std::fflush(f) == 0;
-#if defined(FAIRMATCH_HAVE_MMAP)
-    if (ok) ok = ::fsync(::fileno(f)) == 0;
-#endif
-  }
+  const bool ok = size == 0 || std::fwrite(bytes, 1, size, f) == size;
   const bool closed = std::fclose(f) == 0;
   if (!ok || !closed) {
     SetError(error, "short write to " + tmp);

@@ -90,12 +90,12 @@ class MmapFile {
 
   /// Writes `size` bytes to `path` via a temp file + atomic rename: a
   /// crash mid-write leaves either the old file or the new one, never a
-  /// torn hybrid. With `durable` the bytes are fsynced before the
-  /// rename (the write-ahead-log discipline; off for scratch images
-  /// where the extra sync is pure cost). Returns false and fills
-  /// `error` on failure.
+  /// torn hybrid. The bytes are not fsynced: the images written here
+  /// are rebuildable (the recovery path's durable writes go through
+  /// storage/durable_file.h). Returns false and fills `error` on
+  /// failure.
   static bool Write(const std::string& path, const void* bytes, size_t size,
-                    std::string* error = nullptr, bool durable = false);
+                    std::string* error = nullptr);
 
  private:
   void MoveFrom(MmapFile* other) {

@@ -56,11 +56,6 @@ void PagedFile::Read(int64_t index, void* dst) const {
   std::memcpy(dst, handle.bytes() + slot * record_size_, record_size_);
 }
 
-PageId PagedFile::PageOf(int64_t index) const {
-  FAIRMATCH_CHECK(index >= 0 && index < num_records_);
-  return pages_[index / records_per_page_];
-}
-
 int PagedFile::ReadPage(int64_t page_index, void* dst) const {
   FAIRMATCH_CHECK(sealed_);
   FAIRMATCH_CHECK(page_index >= 0 && page_index < num_pages());

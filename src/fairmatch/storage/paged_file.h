@@ -29,9 +29,6 @@ class PagedFile {
   /// Reads record `index` into `dst` (counted I/O via buffer pool).
   void Read(int64_t index, void* dst) const;
 
-  /// Page that holds record `index` (for locality-aware readers).
-  PageId PageOf(int64_t index) const;
-
   /// Sequential reader support: reads all records in page `page_index`
   /// (0-based within this file) appending them to `dst`.
   /// Returns the number of records read.

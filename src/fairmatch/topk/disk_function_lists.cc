@@ -17,12 +17,8 @@ DiskFunctionStore::DiskFunctionStore(const FunctionSet& fns,
   FAIRMATCH_CHECK(!fns.empty());
   dims_ = fns[0].dims;
   num_functions_ = static_cast<int>(fns.size());
-  gamma_.reserve(fns.size());
-  capacity_.reserve(fns.size());
   for (const PrefFunction& f : fns) {
     FAIRMATCH_CHECK(f.dims == dims_);
-    gamma_.push_back(f.gamma);
-    capacity_.push_back(f.capacity);
     max_gamma_ = std::max(max_gamma_, f.gamma);
   }
 

@@ -83,17 +83,6 @@ class DiskFunctionStore : public FunctionIndexBase {
   int64_t pages_per_list() const { return lists_[0]->num_pages(); }
   int records_per_page() const { return lists_[0]->records_per_page(); }
 
-  /// Capacity/priority metadata (in-memory). Ids are clamped: an id a
-  /// caller obtained from a corrupt record degrades to neutral metadata
-  /// instead of indexing out of bounds (the decode path already
-  /// reported the data loss).
-  double gamma_of(FunctionId fid) const {
-    return fid >= 0 && fid < num_functions_ ? gamma_[fid] : 0.0;
-  }
-  int capacity_of(FunctionId fid) const {
-    return fid >= 0 && fid < num_functions_ ? capacity_[fid] : 0;
-  }
-
   PerfCounters& counters() { return *counters_; }
   void ResetCounters();
   void SetBufferFraction(double fraction);
@@ -112,8 +101,6 @@ class DiskFunctionStore : public FunctionIndexBase {
   std::vector<std::unique_ptr<PagedFile>> lists_;
   // pos_[dim][fid] = index of fid's record in list `dim`.
   std::vector<std::vector<int32_t>> pos_;
-  std::vector<double> gamma_;
-  std::vector<int> capacity_;
   int dims_ = 0;
   int num_functions_ = 0;
   double max_gamma_ = 1.0;

@@ -242,16 +242,14 @@ PackedFunctionStore::PackedFunctionStore(const FunctionSet& fns,
         file_.Map(path, &error)) {
       if (opts.path.empty() || !opts.keep_file) owned_path_ = path;
       FAIRMATCH_CHECK(
-          Attach(file_.data(), file_.size(), /*verify_checksums=*/false,
-                 &error));
+          Attach(file_.data(), file_.size(), /*verify_checksums=*/false));
       return;
     }
     // In-memory fallback: the freshly built image is still in hand.
     file_.Reset();
   }
   buffer_ = std::move(image);
-  FAIRMATCH_CHECK(
-      Attach(buffer_.get(), size, /*verify_checksums=*/false, &error));
+  FAIRMATCH_CHECK(Attach(buffer_.get(), size, /*verify_checksums=*/false));
 }
 
 PackedFunctionStore::~PackedFunctionStore() {
@@ -262,18 +260,18 @@ PackedFunctionStore::~PackedFunctionStore() {
 }
 
 std::unique_ptr<PackedFunctionStore> PackedFunctionStore::Open(
-    const std::string& path, std::string* error,
-    PackedOpenError* error_code) {
-  if (error_code != nullptr) *error_code = PackedOpenError::kNone;
+    const std::string& path, Status* status) {
   std::unique_ptr<PackedFunctionStore> store(new PackedFunctionStore());
-  if (!store->file_.Map(path, error)) {
-    if (error_code != nullptr) *error_code = PackedOpenError::kIoError;
+  std::string error;
+  if (!store->file_.Map(path, &error)) {
+    if (status != nullptr) *status = Status::NotFound("IO_ERROR: " + error);
     return nullptr;
   }
   if (!store->Attach(store->file_.data(), store->file_.size(),
-                     /*verify_checksums=*/true, error, error_code)) {
+                     /*verify_checksums=*/true, status)) {
     return nullptr;
   }
+  if (status != nullptr) *status = Status::Ok();
   return store;
 }
 
@@ -294,45 +292,41 @@ std::unique_ptr<PackedFunctionStore> PackedFunctionStore::NewSharedView(
   // The base already validated the image (constructor or Open); the
   // view only re-derives its pointers and allocates private caches.
   // Neither buffer_ nor file_ is populated: the view borrows the bytes.
-  std::string error;
   FAIRMATCH_CHECK(view->Attach(base.data_, base.image_size_,
-                               /*verify_checksums=*/false, &error));
+                               /*verify_checksums=*/false));
   return view;
 }
 
 bool PackedFunctionStore::Attach(const std::byte* data, size_t size,
-                                 bool verify_checksums, std::string* error,
-                                 PackedOpenError* error_code) {
-  const auto fail = [error, error_code](PackedOpenError code,
-                                        const char* what) {
-    if (error != nullptr) *error = what;
-    if (error_code != nullptr) *error_code = code;
+                                 bool verify_checksums, Status* status) {
+  // `what` is "<failure class>: <detail>" (see Open()).
+  const auto fail = [status](const char* what) {
+    if (status != nullptr) *status = Status::DataLoss(what);
     return false;
   };
   if (size < sizeof(FileHeaderRaw)) {
-    return fail(PackedOpenError::kTruncated, "image smaller than header");
+    return fail("TRUNCATED: image smaller than header");
   }
   FileHeaderRaw h;
   std::memcpy(&h, data, sizeof(h));
-  if (h.magic != kMagic) return fail(PackedOpenError::kBadMagic, "bad magic");
+  if (h.magic != kMagic) return fail("BAD_MAGIC: bad magic");
   if (h.version != kVersion) {
-    return fail(PackedOpenError::kBadHeader, "unsupported version");
+    return fail("BAD_HEADER: unsupported version");
   }
   if (h.dims < 1 || h.dims > static_cast<uint32_t>(kMaxDims)) {
-    return fail(PackedOpenError::kBadHeader, "dims out of range");
+    return fail("BAD_HEADER: dims out of range");
   }
   if (h.num_functions < 1 || h.num_functions > (1u << 30)) {
-    return fail(PackedOpenError::kBadHeader, "function count out of range");
+    return fail("BAD_HEADER: function count out of range");
   }
   if (h.block_entries < 1 || h.block_entries > h.num_functions) {
-    return fail(PackedOpenError::kBadHeader, "block_entries out of range");
+    return fail("BAD_HEADER: block_entries out of range");
   }
   if (h.file_size > size) {
-    return fail(PackedOpenError::kTruncated,
-                "file size mismatch (truncated?)");
+    return fail("TRUNCATED: file size mismatch (truncated?)");
   }
   if (h.file_size != size) {
-    return fail(PackedOpenError::kBadHeader, "file size mismatch");
+    return fail("BAD_HEADER: file size mismatch");
   }
 
   const int dims = static_cast<int>(h.dims);
@@ -350,8 +344,7 @@ bool PackedFunctionStore::Attach(const std::byte* data, size_t size,
   // a header that disagrees is rejected rather than trusted.
   if (h.eff_offset != eff_offset || h.dir_offset != dir_offset ||
       h.blocks_offset != blocks_offset || size < blocks_offset) {
-    return fail(PackedOpenError::kBadHeader,
-                "region offsets inconsistent with header");
+    return fail("BAD_HEADER: region offsets inconsistent with header");
   }
 
   data_ = data;
@@ -381,42 +374,37 @@ bool PackedFunctionStore::Attach(const std::byte* data, size_t size,
     for (int b = 0; b < num_blocks; ++b) {
       const size_t off = BlockOffset(d, b);
       if (off + sizeof(BlockHeaderRaw) > blocks_size_) {
-        return fail(PackedOpenError::kBadDirectory,
-                    "block header out of bounds");
+        return fail("BAD_DIRECTORY: block header out of bounds");
       }
       BlockHeaderRaw bh;
       std::memcpy(&bh, blocks_ + off, sizeof(bh));
       const int expect =
           std::min(block_entries, n - b * block_entries);
       if (bh.count != static_cast<uint32_t>(expect)) {
-        return fail(PackedOpenError::kBadBlock, "block count mismatch");
+        return fail("BAD_BLOCK: block count mismatch");
       }
       if (bh.id_bytes != 1 && bh.id_bytes != 2 && bh.id_bytes != 4) {
-        return fail(PackedOpenError::kBadBlock, "unsupported id width");
+        return fail("BAD_BLOCK: unsupported id width");
       }
       const size_t payload = static_cast<size_t>(bh.count) * bh.id_bytes;
       if (off + sizeof(BlockHeaderRaw) + payload > blocks_size_) {
-        return fail(PackedOpenError::kBadBlock,
-                    "block payload out of bounds");
+        return fail("BAD_BLOCK: block payload out of bounds");
       }
       if (b > 0 && bh.max_impact > prev_impact) {
-        return fail(PackedOpenError::kBadBlock,
-                    "block impacts not descending");
+        return fail("BAD_BLOCK: block impacts not descending");
       }
       prev_impact = bh.max_impact;
       if (verify_checksums) {
         const std::byte* bytes = blocks_ + off + sizeof(BlockHeaderRaw);
         if (BlockChecksum(bh, bytes, payload) != bh.checksum) {
-          return fail(PackedOpenError::kBadChecksum,
-                      "block checksum mismatch");
+          return fail("BAD_CHECKSUM: block checksum mismatch");
         }
         simd::UnpackIds(reinterpret_cast<const unsigned char*>(bytes),
                         bh.id_bytes, bh.base_fid,
                         static_cast<int>(bh.count), scratch.data());
         for (uint32_t i = 0; i < bh.count; ++i) {
           if (scratch[i] < 0 || scratch[i] >= n) {
-            return fail(PackedOpenError::kBadBlock,
-                        "decoded function id out of range");
+            return fail("BAD_BLOCK: decoded function id out of range");
           }
         }
       }

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "fairmatch/common/preference.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/storage/mmap_file.h"
 #include "fairmatch/topk/function_lists.h"
 
@@ -79,52 +80,6 @@ struct PackedStoreOptions {
   bool keep_file = false;
 };
 
-/// Why an Open()/Attach failed, machine-readable. The string `error`
-/// out-params stay the human-readable detail; this enum is what the
-/// serving layer surfaces in a typed ServeStatus so clients can
-/// distinguish "file missing" from "file corrupt".
-enum class PackedOpenError {
-  kNone = 0,
-  /// The file could not be read or mapped at all.
-  kIoError,
-  /// The image is shorter than its header claims (or than the header
-  /// itself).
-  kTruncated,
-  /// The leading magic is not a packed function-list image.
-  kBadMagic,
-  /// A header field is out of range or self-inconsistent.
-  kBadHeader,
-  /// A directory offset points outside the blocks region.
-  kBadDirectory,
-  /// A block header or payload is structurally invalid.
-  kBadBlock,
-  /// A block's CRC32 does not match its bytes.
-  kBadChecksum,
-};
-
-/// Stable identifier for logs/statuses ("NONE", "IO_ERROR", ...).
-inline const char* PackedOpenErrorName(PackedOpenError error) {
-  switch (error) {
-    case PackedOpenError::kNone:
-      return "NONE";
-    case PackedOpenError::kIoError:
-      return "IO_ERROR";
-    case PackedOpenError::kTruncated:
-      return "TRUNCATED";
-    case PackedOpenError::kBadMagic:
-      return "BAD_MAGIC";
-    case PackedOpenError::kBadHeader:
-      return "BAD_HEADER";
-    case PackedOpenError::kBadDirectory:
-      return "BAD_DIRECTORY";
-    case PackedOpenError::kBadBlock:
-      return "BAD_BLOCK";
-    case PackedOpenError::kBadChecksum:
-      return "BAD_CHECKSUM";
-  }
-  return "UNKNOWN";
-}
-
 /// Immutable packed function-list index over one function set.
 ///
 /// Thread safety: same single-lane rule as the other backends —
@@ -140,12 +95,14 @@ class PackedFunctionStore : public FunctionIndexBase {
                                PackedStoreOptions opts = {});
 
   /// Opens an existing packed file, verifying structure and per-block
-  /// checksums. Returns nullptr (with a one-line `error` and, when
-  /// `error_code` is non-null, the failure class) on any malformed,
-  /// truncated or corrupt image.
-  static std::unique_ptr<PackedFunctionStore> Open(
-      const std::string& path, std::string* error = nullptr,
-      PackedOpenError* error_code = nullptr);
+  /// checksums. Returns nullptr on failure and, when `status` is
+  /// non-null, says why: kNotFound for a file that cannot be read or
+  /// mapped, kDataLoss for a malformed, truncated or corrupt image. The
+  /// message starts with the failure class (IO_ERROR, TRUNCATED,
+  /// BAD_MAGIC, BAD_HEADER, BAD_DIRECTORY, BAD_BLOCK or BAD_CHECKSUM)
+  /// followed by a one-line detail.
+  static std::unique_ptr<PackedFunctionStore> Open(const std::string& path,
+                                                   Status* status = nullptr);
 
   /// Builds the image from `fns` and writes it to `path` without
   /// constructing a queryable store.
@@ -225,9 +182,9 @@ class PackedFunctionStore : public FunctionIndexBase {
 
   /// Points the accessors into `data` and re-derives the directory;
   /// `verify_checksums` additionally walks every block (Open()). On
-  /// failure fills `error` and, when non-null, `error_code`.
+  /// failure fills `status` (when non-null) with kDataLoss, as Open().
   bool Attach(const std::byte* data, size_t size, bool verify_checksums,
-              std::string* error, PackedOpenError* error_code = nullptr);
+              Status* status = nullptr);
 
   /// Offset of block `block` of list `dim` inside the blocks region.
   size_t BlockOffset(int dim, int block) const;

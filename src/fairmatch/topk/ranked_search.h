@@ -48,9 +48,6 @@ class RankedSearch {
   /// the Brute Force baseline).
   std::optional<RankedHit> Next(const std::vector<uint8_t>* alive = nullptr);
 
-  /// Entries currently queued (for the memory-usage metric).
-  size_t heap_size() const { return heap_.size(); }
-
   /// Approximate bytes held by this search's queue.
   size_t memory_bytes() const { return heap_.size() * sizeof(HeapEntry); }
 

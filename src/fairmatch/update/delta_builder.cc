@@ -42,24 +42,24 @@ std::vector<ObjectRecord> SortedSkyline(const SkylineSet& sky) {
 /// sorted DESCENDING — the order both swap-with-last phases process, so
 /// a mover (always the current last slot) is never itself a pending
 /// delete target.
-serve::ServeStatus SortedDeletes(const std::vector<int32_t>& ids, int limit,
-                                 const char* what,
-                                 std::vector<int32_t>* out) {
+Status SortedDeletes(const std::vector<int32_t>& ids, int limit,
+                     const char* what,
+                     std::vector<int32_t>* out) {
   *out = ids;
   std::sort(out->begin(), out->end(), std::greater<int32_t>());
   for (size_t i = 0; i < out->size(); ++i) {
     if ((*out)[i] < 0 || (*out)[i] >= limit) {
-      return serve::ServeStatus::InvalidArgument(
+      return Status::InvalidArgument(
           std::string(what) + " id " + std::to_string((*out)[i]) +
           " out of range [0, " + std::to_string(limit) + ")");
     }
     if (i > 0 && (*out)[i] == (*out)[i - 1]) {
-      return serve::ServeStatus::InvalidArgument(
+      return Status::InvalidArgument(
           "duplicate " + std::string(what) + " id " +
           std::to_string((*out)[i]));
     }
   }
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
 }  // namespace
@@ -81,8 +81,8 @@ DeltaBuilder::DeltaBuilder(serve::DatasetHandle base, DeltaOptions options)
   }
 }
 
-serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
-                                       UpdateStats* stats_out) {
+Status DeltaBuilder::Apply(const UpdateBatch& batch,
+                           UpdateStats* stats_out) {
   Timer timer;
   const AssignmentProblem& base_problem = current_->problem();
   const int dims = base_problem.dims;
@@ -91,8 +91,8 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
 
   // ---- validate (every failure leaves current() untouched) ----------
   std::vector<ObjectId> del_objects;
-  serve::ServeStatus status = SortedDeletes(batch.delete_objects, old_objects,
-                                            "delete_objects", &del_objects);
+  Status status = SortedDeletes(batch.delete_objects, old_objects,
+                                "delete_objects", &del_objects);
   if (!status.ok()) return status;
   std::vector<FunctionId> del_functions;
   status = SortedDeletes(batch.delete_functions, old_functions,
@@ -100,24 +100,24 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
   if (!status.ok()) return status;
   for (const ObjectItem& o : batch.insert_objects) {
     if (o.point.dims() != dims) {
-      return serve::ServeStatus::InvalidArgument(
+      return Status::InvalidArgument(
           "insert_objects point has " + std::to_string(o.point.dims()) +
           " dims, dataset has " + std::to_string(dims));
     }
     if (o.capacity < 1) {
-      return serve::ServeStatus::InvalidArgument(
+      return Status::InvalidArgument(
           "insert_objects capacity must be >= 1, got " +
           std::to_string(o.capacity));
     }
   }
   for (const PrefFunction& f : batch.insert_functions) {
     if (f.dims != dims) {
-      return serve::ServeStatus::InvalidArgument(
+      return Status::InvalidArgument(
           "insert_functions entry has " + std::to_string(f.dims) +
           " dims, dataset has " + std::to_string(dims));
     }
     if (f.capacity < 1) {
-      return serve::ServeStatus::InvalidArgument(
+      return Status::InvalidArgument(
           "insert_functions capacity must be >= 1, got " +
           std::to_string(f.capacity));
     }
@@ -125,14 +125,12 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
   if (old_functions - static_cast<int>(del_functions.size()) +
           static_cast<int>(batch.insert_functions.size()) <=
       0) {
-    return serve::ServeStatus::InvalidArgument(
-        "batch would empty the function set");
+    return Status::InvalidArgument("batch would empty the function set");
   }
   if (old_objects - static_cast<int>(del_objects.size()) +
           static_cast<int>(batch.insert_objects.size()) <=
       0) {
-    return serve::ServeStatus::InvalidArgument(
-        "batch would empty the object set");
+    return Status::InvalidArgument("batch would empty the object set");
   }
 
   // ---- function phase (pure vectors; ids stay dense by
@@ -182,10 +180,10 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
         std::this_thread::sleep_for(std::chrono::microseconds(spike_us));
       }
       if (!s.ok()) {
-        return serve::ServeStatus::Unavailable("epoch clone: " + s.message);
+        return Status::Unavailable("epoch clone: " + s.message);
       }
       if (!NodeView(work_store.raw_page(pid), dims, false).IsWellFormed()) {
-        return serve::ServeStatus::DataLoss(
+        return Status::DataLoss(
             "epoch clone: page " + std::to_string(pid) +
             " structurally damaged");
       }
@@ -195,7 +193,7 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
              current_->tree()->root_level(), current_->tree()->size());
 
   int64_t tree_ops = 0;
-  auto tree_op = [&](const std::function<void()>& op) -> serve::ServeStatus {
+  auto tree_op = [&](const std::function<void()>& op) -> Status {
     if (injector != nullptr) {
       int spike_us = 0;
       Status s =
@@ -204,13 +202,13 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
         std::this_thread::sleep_for(std::chrono::microseconds(spike_us));
       }
       if (!s.ok()) {
-        return serve::ServeStatus::Unavailable(
+        return Status::Unavailable(
             "tree edit " + std::to_string(tree_ops) + ": " + s.message);
       }
     }
     ++tree_ops;
     op();
-    return serve::ServeStatus::Ok();
+    return Status::Ok();
   };
 
   // ---- object phase ---------------------------------------------------
@@ -287,8 +285,7 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
     Status s = injector->OnMap(
         "epoch-" + std::to_string(current_->epoch() + 1) + "-packed");
     if (!s.ok()) {
-      return serve::ServeStatus::Unavailable("packed image map: " +
-                                             s.message);
+      return Status::Unavailable("packed image map: " + s.message);
     }
   }
   std::unique_ptr<PackedFunctionStore> packed =
@@ -328,7 +325,7 @@ serve::ServeStatus DeltaBuilder::Apply(const UpdateBatch& batch,
     stats_out->inserted_object_ids = std::move(inserted_oids);
     stats_out->inserted_function_ids = std::move(inserted_fids);
   }
-  return serve::ServeStatus::Ok();
+  return Status::Ok();
 }
 
 AssignResult RunOnDataset(const serve::ResidentDataset& dataset,

@@ -37,7 +37,7 @@
 // constructs the next epoch only after the last fallible step
 // succeeded. Any failure — invalid batch, injected storage fault
 // (DeltaOptions::injector), structural damage detected in a cloned
-// page — returns a typed ServeStatus and leaves the builder on the old
+// page — returns a typed Status and leaves the builder on the old
 // epoch, which was never touched. There is no partially-applied state
 // to roll back, by construction.
 #ifndef FAIRMATCH_UPDATE_DELTA_BUILDER_H_
@@ -48,8 +48,8 @@
 #include <vector>
 
 #include "fairmatch/assign/problem.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/serve/dataset_registry.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/storage/fault_injector.h"
 
 namespace fairmatch::update {
@@ -100,8 +100,8 @@ struct UpdateStats {
 /// Apply knobs.
 struct DeltaOptions {
   /// Packed-image placement for epochs this builder produces
-  /// (build_packed / packed_mmap / packed_block_entries; the
-  /// packed_image_path attach knob is ignored).
+  /// (build_packed / packed_mmap; the packed_image_path attach knob is
+  /// ignored).
   serve::DatasetOptions dataset;
 
   /// When non-null, consulted per fallible step of every Apply(): one
@@ -133,8 +133,7 @@ class DeltaBuilder {
   /// would empty the object or function set), kUnavailable (injected
   /// read/write/map failure) or kDataLoss (cloned page structurally
   /// damaged) — and current() still names the old epoch, untouched.
-  serve::ServeStatus Apply(const UpdateBatch& batch,
-                           UpdateStats* stats = nullptr);
+  Status Apply(const UpdateBatch& batch, UpdateStats* stats = nullptr);
 
   /// The newest epoch. The caller publishes it
   /// (DatasetRegistry::Publish) when it should start serving.

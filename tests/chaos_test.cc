@@ -21,7 +21,7 @@
 #include "fairmatch/topk/disk_function_lists.h"
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/serve/server.h"
-#include "fairmatch/serve/status.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/common/rng.h"
 #include "fairmatch/storage/disk_manager.h"
 #include "fairmatch/storage/fault_injector.h"
@@ -265,7 +265,7 @@ constexpr int kSweepRounds = 2;
 
 /// Per-request outcome facts that must be lane-invariant.
 struct ChaosRecord {
-  ServeCode code = ServeCode::kOk;
+  ErrorCode code = ErrorCode::kOk;
   int attempts = 0;
   int64_t faults = 0;
   Fingerprint fp{0, 0, 0, 0};
@@ -350,21 +350,21 @@ TEST(ChaosSweepTest, TypedStatusesLaneInvarianceAndByteIdenticalSuccesses) {
       const ChaosRecord& record = lane1.records[i];
 
       // Typed, always: a fault class the layer above can act on.
-      EXPECT_TRUE(record.code == ServeCode::kOk ||
-                  record.code == ServeCode::kUnavailable ||
-                  record.code == ServeCode::kDataLoss)
+      EXPECT_TRUE(record.code == ErrorCode::kOk ||
+                  record.code == ErrorCode::kUnavailable ||
+                  record.code == ErrorCode::kDataLoss)
           << name << " at rate " << rate << ": "
-          << ServeCodeName(record.code);
+          << ErrorCodeName(record.code);
 
       // A success — first try or retried — is byte-identical to the
       // fault-free direct run.
-      if (record.code == ServeCode::kOk) {
+      if (record.code == ErrorCode::kOk) {
         EXPECT_TRUE(record.fp == oracle[name])
             << name << " at rate " << rate
             << ": OK response diverged from the fault-free oracle";
       }
       if (rate == 0.0) {
-        EXPECT_EQ(record.code, ServeCode::kOk) << name;
+        EXPECT_EQ(record.code, ErrorCode::kOk) << name;
         EXPECT_EQ(record.attempts, 1) << name;
         EXPECT_EQ(record.faults, 0) << name;
       }
@@ -572,7 +572,7 @@ TEST(ChaosHealthTest, ConsecutiveDataLossShedsUntilResetOrSuccess) {
   memory_only.matcher = "SB";  // no disk access: cannot fault
 
   const Response first = server.Execute(faulted);
-  EXPECT_EQ(first.status.code, ServeCode::kDataLoss);
+  EXPECT_EQ(first.status.code, ErrorCode::kDataLoss);
   EXPECT_EQ(first.attempts, 2) << "both attempts should be burned";
   EXPECT_GT(first.injected_faults, 0);
   EXPECT_TRUE(first.matching.empty());
@@ -581,12 +581,12 @@ TEST(ChaosHealthTest, ConsecutiveDataLossShedsUntilResetOrSuccess) {
   EXPECT_TRUE(server.Execute(memory_only).status.ok());
 
   // ...so the threshold needs two fresh consecutive data losses.
-  EXPECT_EQ(server.Execute(faulted).status.code, ServeCode::kDataLoss);
-  EXPECT_EQ(server.Execute(faulted).status.code, ServeCode::kDataLoss);
+  EXPECT_EQ(server.Execute(faulted).status.code, ErrorCode::kDataLoss);
+  EXPECT_EQ(server.Execute(faulted).status.code, ErrorCode::kDataLoss);
 
   // Shedding applies to the dataset, healthy requests included.
   const Response shed = server.Execute(memory_only);
-  EXPECT_EQ(shed.status.code, ServeCode::kUnavailable);
+  EXPECT_EQ(shed.status.code, ErrorCode::kUnavailable);
   EXPECT_NE(shed.status.message.find("shedding"), std::string::npos)
       << shed.status.message;
   EXPECT_EQ(shed.attempts, 0);
@@ -678,12 +678,12 @@ TEST(ChaosDeadlineTest, DeadlinesTripMidRunAndInQueue) {
   ResponseFuture queued = server.Submit(quick);
 
   const Response& mid_run = running.Wait();
-  EXPECT_EQ(mid_run.status.code, ServeCode::kDeadlineExceeded);
+  EXPECT_EQ(mid_run.status.code, ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(mid_run.attempts, 1) << "it ran, and was cancelled mid-run";
   EXPECT_TRUE(mid_run.matching.empty());
 
   const Response& expired = queued.Wait();
-  EXPECT_EQ(expired.status.code, ServeCode::kDeadlineExceeded);
+  EXPECT_EQ(expired.status.code, ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(expired.attempts, 0) << "it must never have run";
   EXPECT_GE(expired.queue_ms, 1.0);
   EXPECT_TRUE(expired.matching.empty());
@@ -709,7 +709,7 @@ TEST(ChaosDeadlineTest, DeadlineIsTerminalEvenWithRetriesConfigured) {
   slow.matcher = "Sleeper";
   slow.deadline_ms = 50.0;
   const Response response = server.Execute(slow);
-  EXPECT_EQ(response.status.code, ServeCode::kDeadlineExceeded);
+  EXPECT_EQ(response.status.code, ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(response.attempts, 1)
       << "an expired deadline must not be retried";
 }
@@ -788,7 +788,7 @@ void SweepApplyUnderFaults(uint64_t seed, double rate, bool packed_mmap,
     const uint64_t before_packed_hash =
         MatchingHash(update::RunOnDataset(*before, "SB-Packed").matching);
 
-    const ServeStatus status =
+    const Status status =
         builder.Apply(ChaosBatch(before->problem(), &rng), nullptr);
     if (status.ok()) {
       ++counts->committed;
@@ -803,8 +803,8 @@ void SweepApplyUnderFaults(uint64_t seed, double rate, bool packed_mmap,
       continue;
     }
     ++counts->rejected;
-    EXPECT_TRUE(status.code == ServeCode::kUnavailable ||
-                status.code == ServeCode::kDataLoss)
+    EXPECT_TRUE(status.code == ErrorCode::kUnavailable ||
+                status.code == ErrorCode::kDataLoss)
         << status.message;
     // Atomicity leg: the builder still names the identical epoch
     // object, and the old epoch is byte-for-byte untouched.
@@ -872,11 +872,11 @@ TEST(ChaosUpdateTest, RefusedImageMapIsTypedUnavailable) {
     update::DeltaBuilder builder(base, options);
 
     Rng rng(seed);
-    const ServeStatus status =
+    const Status status =
         builder.Apply(ChaosBatch(base->problem(), &rng), nullptr);
     if (status.message.rfind("packed image map:", 0) != 0) continue;
     found = true;
-    EXPECT_EQ(status.code, ServeCode::kUnavailable) << status.message;
+    EXPECT_EQ(status.code, ErrorCode::kUnavailable) << status.message;
     EXPECT_EQ(builder.current().get(), base.get())
         << "a refused image map must not advance the epoch";
   }
@@ -916,8 +916,8 @@ TEST(ChaosUpdateTest, DamagedClonePageIsTypedDataLoss) {
 
     update::UpdateBatch batch;
     batch.delete_functions.push_back(0);
-    const ServeStatus status = builder.Apply(batch, nullptr);
-    if (status.code == ServeCode::kDataLoss) {
+    const Status status = builder.Apply(batch, nullptr);
+    if (status.code == ErrorCode::kDataLoss) {
       found = true;
       EXPECT_EQ(builder.current().get(), base.get())
           << "a detected damaged clone must not advance the epoch";

@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "fairmatch/common/float_util.h"
 #include "fairmatch/common/preference.h"
 #include "fairmatch/common/rng.h"
 #include "fairmatch/common/stats.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/common/timer.h"
 
 namespace fairmatch {
@@ -94,6 +97,38 @@ TEST(MemoryTrackerTest, TracksPeak) {
   EXPECT_EQ(tracker.peak(), 250u);
   tracker.Reset();
   EXPECT_EQ(tracker.peak(), 0u);
+}
+
+// One status vocabulary runs from the disk to the serving layer's
+// responses, so every code must print under its own stable name. The
+// numeric values are pinned too: the fault_recovery figure digests
+// them into its deterministic `loops` column.
+TEST(StatusTest, EveryErrorCodeHasADistinctName) {
+  const struct {
+    ErrorCode code;
+    int value;
+    const char* name;
+  } kTable[] = {
+      {ErrorCode::kOk, 0, "OK"},
+      {ErrorCode::kNotFound, 1, "NOT_FOUND"},
+      {ErrorCode::kInvalidArgument, 2, "INVALID_ARGUMENT"},
+      {ErrorCode::kFailedPrecondition, 3, "FAILED_PRECONDITION"},
+      {ErrorCode::kOverloaded, 4, "OVERLOADED"},
+      {ErrorCode::kUnavailable, 5, "UNAVAILABLE"},
+      {ErrorCode::kDeadlineExceeded, 6, "DEADLINE_EXCEEDED"},
+      {ErrorCode::kDataLoss, 7, "DATA_LOSS"},
+  };
+  std::set<std::string> names;
+  for (const auto& row : kTable) {
+    EXPECT_EQ(static_cast<int>(row.code), row.value) << row.name;
+    EXPECT_STREQ(ErrorCodeName(row.code), row.name);
+    names.insert(ErrorCodeName(row.code));
+  }
+  EXPECT_EQ(names.size(), std::size(kTable));
+  EXPECT_TRUE(Status::Ok().ok());
+  EXPECT_EQ(Status::NotFound("x").code, ErrorCode::kNotFound);
+  EXPECT_EQ(Status::InvalidArgument("x").code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(Status::Overloaded("x").code, ErrorCode::kOverloaded);
 }
 
 TEST(FloatUpTest, NeverBelowInput) {

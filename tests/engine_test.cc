@@ -285,16 +285,16 @@ TEST(DatasetRegistryTest, NonMonotonicPublishAbortsAndTypesPrecondition) {
   // itself) is rejected without touching what is being served.
   ErrorSink sink;
   serve::DatasetHandle replaced;
-  const serve::ServeStatus stale =
+  const Status stale =
       registry.PublishOrError(base, &replaced, &sink);
-  EXPECT_EQ(stale.code, serve::ServeCode::kFailedPrecondition);
+  EXPECT_EQ(stale.code, ErrorCode::kFailedPrecondition);
   EXPECT_NE(stale.message.find("non-monotonic"), std::string::npos)
       << stale.message;
   EXPECT_EQ(sink.status().code, ErrorCode::kFailedPrecondition);
   EXPECT_EQ(replaced, nullptr);
-  const serve::ServeStatus same =
+  const Status same =
       registry.PublishOrError(builder.current());
-  EXPECT_EQ(same.code, serve::ServeCode::kFailedPrecondition);
+  EXPECT_EQ(same.code, ErrorCode::kFailedPrecondition);
   serve::DatasetHandle live = registry.Find("epochs");
   ASSERT_NE(live, nullptr);
   EXPECT_EQ(live->epoch(), builder.epoch());

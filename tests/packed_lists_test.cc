@@ -281,9 +281,9 @@ class PackedFileTest : public ::testing::Test {
 };
 
 TEST_F(PackedFileTest, OpenRoundTripsAndVerifies) {
-  std::string error;
-  auto store = PackedFunctionStore::Open(path_, &error);
-  ASSERT_NE(store, nullptr) << error;
+  Status status;
+  auto store = PackedFunctionStore::Open(path_, &status);
+  ASSERT_NE(store, nullptr) << status.message;
   EXPECT_TRUE(store->mapped());
   FunctionLists lists(&problem_.functions);
   for (int d = 0; d < lists.dims(); ++d) {
@@ -300,9 +300,9 @@ TEST_F(PackedFileTest, CorruptBlockPayloadIsRejected) {
   // First payload byte of the first block (24-byte block header).
   bytes[blocks_offset + 24] ^= 0x01;
   WriteAll(path_, bytes);
-  std::string error;
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error), nullptr);
-  EXPECT_FALSE(error.empty());
+  Status status;
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_FALSE(status.message.empty());
 }
 
 TEST_F(PackedFileTest, CorruptBlockHeaderIsRejected) {
@@ -311,8 +311,8 @@ TEST_F(PackedFileTest, CorruptBlockHeaderIsRejected) {
   std::memcpy(&blocks_offset, bytes.data() + 48, sizeof(blocks_offset));
   bytes[blocks_offset + 2] ^= 0x40;  // inside the max_impact double
   WriteAll(path_, bytes);
-  std::string error;
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error), nullptr);
+  Status status;
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
 }
 
 TEST_F(PackedFileTest, BadMagicIsRejected) {
@@ -329,47 +329,52 @@ TEST_F(PackedFileTest, TruncatedFileIsRejected) {
   for (const size_t keep : {bytes.size() - 16, size_t{10}}) {
     WriteAll(path_, std::vector<unsigned char>(bytes.begin(),
                                                bytes.begin() + keep));
-    std::string error;
-    EXPECT_EQ(PackedFunctionStore::Open(path_, &error), nullptr)
+    Status status;
+    EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr)
         << "kept " << keep;
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(status.message.empty());
   }
 }
 
-// Open() classifies every rejection (PackedOpenError) so callers — the
-// serving registry in particular — can distinguish a missing file from
-// a damaged image without parsing message strings.
+// Open() classifies every rejection so callers — the serving registry
+// in particular — can distinguish a missing file (kNotFound) from a
+// damaged image (kDataLoss) without parsing message strings; the
+// message leads with the failure class.
 TEST_F(PackedFileTest, OpenReportsTypedErrorCodes) {
   const std::vector<unsigned char> bytes = ReadAll(path_);
-  std::string error;
-  PackedOpenError code = PackedOpenError::kBadBlock;  // must be reset
+  const auto starts_with = [](const std::string& s, const char* prefix) {
+    return s.rfind(prefix, 0) == 0;
+  };
+  Status status = Status::DataLoss("stale");  // must be reset
 
-  ASSERT_NE(PackedFunctionStore::Open(path_, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kNone);
+  ASSERT_NE(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_TRUE(status.ok()) << status.message;
 
-  EXPECT_EQ(PackedFunctionStore::Open(path_ + ".missing", &error, &code),
-            nullptr);
-  EXPECT_EQ(code, PackedOpenError::kIoError);
+  EXPECT_EQ(PackedFunctionStore::Open(path_ + ".missing", &status), nullptr);
+  EXPECT_EQ(status.code, ErrorCode::kNotFound);
+  EXPECT_TRUE(starts_with(status.message, "IO_ERROR: ")) << status.message;
 
   std::vector<unsigned char> damaged = bytes;
   damaged[0] ^= 0xff;
   WriteAll(path_, damaged);
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kBadMagic);
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
+  EXPECT_TRUE(starts_with(status.message, "BAD_MAGIC: ")) << status.message;
 
   WriteAll(path_, std::vector<unsigned char>(bytes.begin(),
                                              bytes.end() - 16));
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kTruncated);
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
+  EXPECT_TRUE(starts_with(status.message, "TRUNCATED: ")) << status.message;
 
   damaged = bytes;
   uint64_t blocks_offset = 0;
   std::memcpy(&blocks_offset, damaged.data() + 48, sizeof(blocks_offset));
   damaged[blocks_offset + 24] ^= 0x01;  // first payload byte
   WriteAll(path_, damaged);
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kBadChecksum);
-  EXPECT_STREQ(PackedOpenErrorName(code), "BAD_CHECKSUM");
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
+  EXPECT_EQ(status.message, "BAD_CHECKSUM: block checksum mismatch");
 }
 
 // --- the mapping seam under edge cases -------------------------------

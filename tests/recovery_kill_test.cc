@@ -85,7 +85,7 @@ int64_t ReadAck(const std::string& dir) {
   serve::DatasetRegistry registry;
   serve::DatasetHandle base = registry.Open("trace", oracle.problem, {});
   std::unique_ptr<DurableBuilder> builder;
-  const serve::ServeStatus boot = DurableBuilder::Bootstrap(
+  const Status boot = DurableBuilder::Bootstrap(
       base, MakeDurableOptions(dir, snapshot_threshold, &injector), &builder);
   if (!boot.ok()) _exit(3);
   WriteAck(dir, builder->epoch());
@@ -131,7 +131,7 @@ TEST(KillSweepTest, SigkillAtEveryDurableBoundaryRecoversByteIdentical) {
       const int64_t acked = ReadAck(dir);
       std::unique_ptr<DurableBuilder> builder;
       RecoveryStats stats;
-      const serve::ServeStatus status = DurableBuilder::Recover(
+      const Status status = DurableBuilder::Recover(
           MakeDurableOptions(dir, spec.snapshot_threshold, nullptr), &builder,
           &stats);
       if (acked == 0) {
@@ -143,8 +143,8 @@ TEST(KillSweepTest, SigkillAtEveryDurableBoundaryRecoversByteIdentical) {
           EXPECT_EQ(StateFingerprint(*builder->current()),
                     oracle.expected.at(1));
         } else {
-          EXPECT_TRUE(status.code == serve::ServeCode::kNotFound ||
-                      status.code == serve::ServeCode::kDataLoss)
+          EXPECT_TRUE(status.code == ErrorCode::kNotFound ||
+                      status.code == ErrorCode::kDataLoss)
               << status.message;
         }
         RemoveRecoveryDir(dir);

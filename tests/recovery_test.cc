@@ -91,7 +91,7 @@ TEST(CrashSweepTest, EveryDurableBoundaryRecoversByteIdentical) {
 
       std::unique_ptr<DurableBuilder> builder;
       RecoveryStats stats;
-      const serve::ServeStatus status = DurableBuilder::Recover(
+      const Status status = DurableBuilder::Recover(
           MakeDurableOptions(dir, spec.snapshot_threshold, nullptr), &builder,
           &stats);
       if (last_completed == 0) {
@@ -104,8 +104,8 @@ TEST(CrashSweepTest, EveryDurableBoundaryRecoversByteIdentical) {
           EXPECT_EQ(StateFingerprint(*builder->current()),
                     oracle.expected.at(1));
         } else {
-          EXPECT_TRUE(status.code == serve::ServeCode::kNotFound ||
-                      status.code == serve::ServeCode::kDataLoss)
+          EXPECT_TRUE(status.code == ErrorCode::kNotFound ||
+                      status.code == ErrorCode::kDataLoss)
               << status.message;
         }
         RemoveRecoveryDir(dir);
@@ -130,7 +130,7 @@ TEST(CrashSweepTest, EveryDurableBoundaryRecoversByteIdentical) {
       // uncrashed run's final state.
       for (size_t i = static_cast<size_t>(recovered - 1);
            i < oracle.batches.size(); ++i) {
-        const serve::ServeStatus apply = builder->Apply(oracle.batches[i]);
+        const Status apply = builder->Apply(oracle.batches[i]);
         ASSERT_TRUE(apply.ok()) << apply.message;
       }
       EXPECT_EQ(builder->epoch(), oracle.final_epoch);
@@ -163,8 +163,8 @@ class DamageTest : public ::testing::Test {
     ASSERT_EQ(last_completed, oracle_.final_epoch);
   }
 
-  serve::ServeStatus Recover(std::unique_ptr<DurableBuilder>* builder,
-                             RecoveryStats* stats) {
+  Status Recover(std::unique_ptr<DurableBuilder>* builder,
+                 RecoveryStats* stats) {
     return DurableBuilder::Recover(MakeDurableOptions(dir_, 1 << 20, nullptr),
                                    builder, stats);
   }
@@ -234,14 +234,14 @@ TEST_F(DamageTest, InteriorWalCorruptionIsTypedDataLossNotATruncation) {
 
   std::vector<WalRecord> records;
   WalReadStats rstats;
-  const serve::ServeStatus read = ReadWal(WalPath(), &records, &rstats);
-  EXPECT_EQ(read.code, serve::ServeCode::kDataLoss) << read.message;
+  const Status read = ReadWal(WalPath(), &records, &rstats);
+  EXPECT_EQ(read.code, ErrorCode::kDataLoss) << read.message;
 
   // With the only slot's WAL unreadable, recovery is typed data loss.
   std::unique_ptr<DurableBuilder> builder;
   RecoveryStats stats;
-  const serve::ServeStatus status = Recover(&builder, &stats);
-  EXPECT_EQ(status.code, serve::ServeCode::kDataLoss);
+  const Status status = Recover(&builder, &stats);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
   EXPECT_NE(status.message.find("checksum"), std::string::npos)
       << status.message;
 }
@@ -285,8 +285,8 @@ TEST_F(DamageTest, SnapshotCorruptionOnTheOnlySlotIsTypedDataLoss) {
 
   std::unique_ptr<DurableBuilder> builder;
   RecoveryStats stats;
-  const serve::ServeStatus status = Recover(&builder, &stats);
-  EXPECT_EQ(status.code, serve::ServeCode::kDataLoss);
+  const Status status = Recover(&builder, &stats);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
   EXPECT_EQ(stats.snapshot_fallbacks, 1);
   EXPECT_NE(status.message.find("snapshot"), std::string::npos)
       << status.message;
@@ -333,7 +333,7 @@ TEST(ManifestFailoverTest, TornCommitFailsOverToSurvivingSlotAndReplays) {
 
   std::unique_ptr<DurableBuilder> builder;
   RecoveryStats stats;
-  const serve::ServeStatus status = DurableBuilder::Recover(
+  const Status status = DurableBuilder::Recover(
       MakeDurableOptions(dir, spec.snapshot_threshold, nullptr), &builder,
       &stats);
   ASSERT_TRUE(status.ok()) << status.message;
@@ -370,19 +370,19 @@ TEST(ManifestFailoverTest, AllSlotsCorruptIsTypedDataLossWithATrail) {
 
   std::vector<ManifestRecord> records;
   ManifestReadStats mstats;
-  const serve::ServeStatus read =
+  const Status read =
       ReadManifest(manifest_path, &records, &mstats);
-  EXPECT_EQ(read.code, serve::ServeCode::kDataLoss) << read.message;
+  EXPECT_EQ(read.code, ErrorCode::kDataLoss) << read.message;
   EXPECT_EQ(mstats.slots_corrupt, 1);
   EXPECT_EQ(mstats.slots_empty, 1);
   EXPECT_NE(mstats.detail.find("slot 1"), std::string::npos) << mstats.detail;
 
   std::unique_ptr<DurableBuilder> builder;
   RecoveryStats stats;
-  const serve::ServeStatus status = DurableBuilder::Recover(
+  const Status status = DurableBuilder::Recover(
       MakeDurableOptions(dir, spec.snapshot_threshold, nullptr), &builder,
       &stats);
-  EXPECT_EQ(status.code, serve::ServeCode::kDataLoss);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
   EXPECT_EQ(stats.manifest_slots_corrupt, 1);
   RemoveRecoveryDir(dir);
 }
@@ -391,9 +391,9 @@ TEST(ManifestFailoverTest, EmptyDirectoryIsNotFoundNotDataLoss) {
   const std::string dir = MakeRecoveryDir("recovery_empty");
   std::unique_ptr<DurableBuilder> builder;
   RecoveryStats stats;
-  const serve::ServeStatus status = DurableBuilder::Recover(
+  const Status status = DurableBuilder::Recover(
       MakeDurableOptions(dir, 4, nullptr), &builder, &stats);
-  EXPECT_EQ(status.code, serve::ServeCode::kNotFound);
+  EXPECT_EQ(status.code, ErrorCode::kNotFound);
   RemoveRecoveryDir(dir);
 }
 
@@ -414,8 +414,8 @@ TEST(ReplayTest, RejectedBatchesAreLoggedAndRereJectedIdentically) {
   update::UpdateBatch invalid;
   invalid.delete_objects.push_back(
       static_cast<ObjectId>(problem.objects.size()) + 100);
-  const serve::ServeStatus rejected = builder->Apply(invalid);
-  EXPECT_EQ(rejected.code, serve::ServeCode::kInvalidArgument);
+  const Status rejected = builder->Apply(invalid);
+  EXPECT_EQ(rejected.code, ErrorCode::kInvalidArgument);
   EXPECT_EQ(builder->epoch(), 1);
 
   update::UpdateBatch valid;
@@ -496,7 +496,7 @@ TEST(RecoverAndPublishTest, RegistryServesTheRecoveredEpoch) {
   serve::DatasetHandle handle;
   RecoveryStats stats;
   std::unique_ptr<DurableBuilder> builder;
-  const serve::ServeStatus status = RecoverAndPublish(
+  const Status status = RecoverAndPublish(
       MakeDurableOptions(dir, spec.snapshot_threshold, nullptr), &registry,
       &handle, &stats, &builder);
   ASSERT_TRUE(status.ok()) << status.message;

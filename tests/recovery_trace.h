@@ -228,7 +228,7 @@ inline TraceOracle BuildTraceOracle(const TraceSpec& spec) {
   serve::DatasetRegistry registry;
   serve::DatasetHandle base = registry.Open("trace", oracle.problem, {});
   std::unique_ptr<recover::DurableBuilder> builder;
-  const serve::ServeStatus boot = recover::DurableBuilder::Bootstrap(
+  const Status boot = recover::DurableBuilder::Bootstrap(
       base, MakeDurableOptions(dir, spec.snapshot_threshold, &counter),
       &builder);
   FAIRMATCH_CHECK(boot.ok());
@@ -239,7 +239,7 @@ inline TraceOracle BuildTraceOracle(const TraceSpec& spec) {
     const update::UpdateBatch batch =
         RecoveryBatch(&rng, builder->current()->problem(), step);
     oracle.batches.push_back(batch);
-    const serve::ServeStatus status = builder->Apply(batch);
+    const Status status = builder->Apply(batch);
     FAIRMATCH_CHECK(status.ok());
     oracle.expected[builder->epoch()] =
         StateFingerprint(*builder->current());
@@ -263,7 +263,7 @@ inline void RunCrashTrace(const std::string& dir, const TraceOracle& oracle,
   serve::DatasetRegistry registry;
   serve::DatasetHandle base = registry.Open("trace", oracle.problem, {});
   std::unique_ptr<recover::DurableBuilder> builder;
-  const serve::ServeStatus boot = recover::DurableBuilder::Bootstrap(
+  const Status boot = recover::DurableBuilder::Bootstrap(
       base, MakeDurableOptions(dir, snapshot_threshold, injector), &builder);
   FAIRMATCH_CHECK(boot.ok());
   *last_completed = builder->epoch();

@@ -10,19 +10,22 @@
 // matrix: the concurrency here is real lanes over real shared indexes.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "fairmatch/common/rng.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/data/synthetic.h"
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/serve/server.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/update/delta_builder.h"
 #include "test_util.h"
 
@@ -359,7 +362,7 @@ TEST(ServeAdmissionTest, FullQueueRejectsWithOverloaded) {
   // ...third must be rejected, immediately and without blocking.
   ResponseFuture rejected = server.Submit(request);
   EXPECT_TRUE(rejected.done());
-  EXPECT_EQ(rejected.Wait().status.code, ServeCode::kOverloaded);
+  EXPECT_EQ(rejected.Wait().status.code, ErrorCode::kOverloaded);
 
   gate->Release();
   EXPECT_TRUE(running.Wait().status.ok());
@@ -390,7 +393,7 @@ TEST(ServeAdmissionTest, InflightCapRejectsWithOverloaded) {
   gate->WaitForStarted(2);
   ResponseFuture c = server.Submit(request);
   EXPECT_TRUE(c.done());
-  EXPECT_EQ(c.Wait().status.code, ServeCode::kOverloaded);
+  EXPECT_EQ(c.Wait().status.code, ErrorCode::kOverloaded);
 
   gate->Release();
   EXPECT_TRUE(a.Wait().status.ok());
@@ -429,7 +432,7 @@ TEST(ServeAdmissionTest, DrainCompletesEveryAcceptedRequest) {
   late.dataset = "ds";
   late.matcher = "SB";
   const Response response = server.Execute(late);
-  EXPECT_EQ(response.status.code, ServeCode::kUnavailable);
+  EXPECT_EQ(response.status.code, ErrorCode::kUnavailable);
   EXPECT_EQ(server.counters().completed, 16);
 }
 
@@ -448,26 +451,51 @@ TEST(ServeErrorTest, BadRequestsGetTypedStatusesNotCrashes) {
   Request request;
   request.dataset = "plain";
   request.matcher = "NoSuchMatcher";
-  EXPECT_EQ(server.Execute(request).status.code, ServeCode::kNotFound);
+  EXPECT_EQ(server.Execute(request).status.code, ErrorCode::kNotFound);
 
   request.matcher = "SB";
   request.dataset = "no-such-dataset";
-  EXPECT_EQ(server.Execute(request).status.code, ServeCode::kNotFound);
+  EXPECT_EQ(server.Execute(request).status.code, ErrorCode::kNotFound);
 
   request.dataset = "plain";
   request.matcher = "SB-Packed";  // needs the packed image
   EXPECT_EQ(server.Execute(request).status.code,
-            ServeCode::kFailedPrecondition);
+            ErrorCode::kFailedPrecondition);
 
   request.matcher = "SB";
   request.buffer_fraction = -0.5;
   EXPECT_EQ(server.Execute(request).status.code,
-            ServeCode::kInvalidArgument);
+            ErrorCode::kInvalidArgument);
 
   // The service survived all of it.
   request.buffer_fraction = 0.02;
   EXPECT_TRUE(server.Execute(request).status.ok());
   EXPECT_EQ(server.counters().rejected, 4);
+}
+
+// A NaN buffer fraction fails every comparison, so a range check
+// written as "reject if below 0 or above 1" lets it through and the
+// buffer sizing turns it into an unbounded pool. It must be rejected
+// up front like any other out-of-range fraction.
+TEST(ServeErrorTest, NanBufferFractionIsInvalid) {
+  const AssignmentProblem problem = SmallProblem(48100);
+  DatasetRegistry registry;
+  registry.Open("ds", problem);
+  Server server(&registry);
+
+  Request request;
+  request.dataset = "ds";
+  for (const char* matcher : {"SB", "SB-alt"}) {
+    request.matcher = matcher;
+    request.buffer_fraction = std::numeric_limits<double>::quiet_NaN();
+    const Response response = server.Execute(request);
+    EXPECT_EQ(response.status.code, ErrorCode::kInvalidArgument) << matcher;
+    EXPECT_NE(response.status.message.find("buffer_fraction"),
+              std::string::npos)
+        << response.status.message;
+  }
+  EXPECT_EQ(server.counters().rejected, 2);
+  EXPECT_EQ(server.counters().accepted, 0);
 }
 
 // --- dataset lifecycle -----------------------------------------------
@@ -491,7 +519,7 @@ TEST(DatasetLifecycleTest, CloseWhileHandlesLiveIsSafe) {
   DatasetHandle handle = registry.Open("ds", problem);
   EXPECT_TRUE(registry.Close("ds").ok());
   EXPECT_EQ(registry.Find("ds"), nullptr);
-  EXPECT_EQ(registry.Close("ds").code, ServeCode::kNotFound);
+  EXPECT_EQ(registry.Close("ds").code, ErrorCode::kNotFound);
 
   // The outstanding handle still works: the structures live until the
   // last reference drops.
@@ -529,11 +557,11 @@ TEST(DatasetLifecycleTest, CloseUnderInflightTrafficIsSafe) {
   Request late;
   late.dataset = "ds";
   late.matcher = "SB";
-  EXPECT_EQ(server.Execute(late).status.code, ServeCode::kNotFound);
+  EXPECT_EQ(server.Execute(late).status.code, ErrorCode::kNotFound);
 }
 
 // OpenOrError attaches a pre-built packed image and reports attach
-// failures typed, with the PackedOpenError class in the detail — the
+// failures typed, with the failure class in the detail — the
 // difference between "deploy the file" (kNotFound), "rebuild the image"
 // (kDataLoss) and "wrong problem" (kFailedPrecondition).
 TEST(DatasetLifecycleTest, OpenOrErrorReportsTypedPackedImageFailures) {
@@ -558,17 +586,21 @@ TEST(DatasetLifecycleTest, OpenOrErrorReportsTypedPackedImageFailures) {
 
   // Missing file: kNotFound, classed IO_ERROR.
   options.packed_image_path = path + ".missing";
-  ServeStatus status = registry.OpenOrError("other", problem, options);
-  EXPECT_EQ(status.code, ServeCode::kNotFound);
+  Status status = registry.OpenOrError("other", problem, options);
+  EXPECT_EQ(status.code, ErrorCode::kNotFound);
   EXPECT_NE(status.message.find("IO_ERROR"), std::string::npos)
       << status.message;
+  // The full detail is pinned: clients and logs match on it.
+  EXPECT_EQ(status.message, "packed image '" + path +
+                                ".missing': IO_ERROR: open failed for " +
+                                path + ".missing: " + std::strerror(ENOENT));
 
   // Image for a different problem shape: kFailedPrecondition.
   options.packed_image_path = path;
   AssignmentProblem mismatched = problem;
   mismatched.functions.pop_back();
   status = registry.OpenOrError("other", mismatched, options);
-  EXPECT_EQ(status.code, ServeCode::kFailedPrecondition);
+  EXPECT_EQ(status.code, ErrorCode::kFailedPrecondition);
 
   // Damaged image: kDataLoss, with the corruption class named.
   {
@@ -579,9 +611,10 @@ TEST(DatasetLifecycleTest, OpenOrErrorReportsTypedPackedImageFailures) {
     std::fclose(f);
   }
   status = registry.OpenOrError("other", problem, options);
-  EXPECT_EQ(status.code, ServeCode::kDataLoss);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
   EXPECT_NE(status.message.find("BAD_MAGIC"), std::string::npos)
       << status.message;
+  EXPECT_EQ(status.message, "packed image '" + path + "': BAD_MAGIC: bad magic");
 
   // The already-resident dataset is untouched by the failures above.
   EXPECT_TRUE(registry.OpenOrError("ds", problem, options).ok());

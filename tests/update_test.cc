@@ -47,7 +47,6 @@ using serve::DatasetOptions;
 using serve::DatasetRegistry;
 using serve::Request;
 using serve::Response;
-using serve::ServeCode;
 using serve::Server;
 using serve::ServerOptions;
 using testing::MemTree;
@@ -266,7 +265,7 @@ void RunTrace(uint64_t seed, bool packed_mmap) {
     UpdateBatch batch =
         RandomBatch(&rng, builder.current()->problem(), step);
     UpdateStats stats;
-    serve::ServeStatus status = builder.Apply(batch, &stats);
+    Status status = builder.Apply(batch, &stats);
     ASSERT_TRUE(status.ok()) << status.message;
     ASSERT_EQ(stats.epoch, builder.current()->epoch());
     VerifyEpochAgainstRebuild(*builder.current());
@@ -348,8 +347,8 @@ TEST(UpdateValidation, MalformedBatchesAreTypedAndAtomic) {
   DeltaBuilder builder(base, {});
 
   const auto expect_rejected = [&](UpdateBatch batch) {
-    serve::ServeStatus status = builder.Apply(batch, nullptr);
-    EXPECT_EQ(status.code, ServeCode::kInvalidArgument) << status.message;
+    Status status = builder.Apply(batch, nullptr);
+    EXPECT_EQ(status.code, ErrorCode::kInvalidArgument) << status.message;
     EXPECT_EQ(builder.current().get(), base.get())
         << "rejected batch must leave the epoch untouched";
   };
@@ -520,7 +519,7 @@ TEST(UpdateEpochSwap, ConcurrentTrafficAcrossPublishes) {
       for (int e = 0; e < 4; ++e) {
         UpdateBatch batch =
             RandomBatch(&rng, builder.current()->problem(), e + 2);
-        serve::ServeStatus status = builder.Apply(batch, nullptr);
+        Status status = builder.Apply(batch, nullptr);
         ASSERT_TRUE(status.ok()) << status.message;
         {
           std::lock_guard<std::mutex> lock(expected_mu);
