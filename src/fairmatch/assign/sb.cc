@@ -38,8 +38,14 @@ class ReverseTop1Candidates final : public CandidateSource {
         // recycled buffers when the pool has one.
         it = states_.emplace(m.id, ObjectState{state_pool_.Acquire()})
                  .first;
+        state_bytes_ += StateBytes(it->second);
       }
-      if (NeedsSearch(it->second, assigned)) stale_.push_back(slots_.size());
+      if (NeedsSearch(it->second, assigned)) {
+        // A search may grow the state's buffers; its bytes are re-read
+        // once the searches are done.
+        state_bytes_ -= StateBytes(it->second);
+        stale_.push_back(slots_.size());
+      }
       slots_.push_back(MemberSlot{&m, &it->second, true});
     });
     // Fan out: a search reads only `assigned`, the immutable index and
@@ -54,6 +60,7 @@ class ReverseTop1Candidates final : public CandidateSource {
     } else {
       for (size_t i = 0; i < stale_.size(); ++i) search(i);
     }
+    for (size_t i : stale_) state_bytes_ += StateBytes(*slots_[i].state);
     // Emit, in skyline order.
     for (const MemberSlot& slot : slots_) {
       if (!slot.found) return false;
@@ -67,16 +74,13 @@ class ReverseTop1Candidates final : public CandidateSource {
   void OnObjectRemoved(ObjectId oid) override {
     auto it = states_.find(oid);
     if (it == states_.end()) return;
+    state_bytes_ -= StateBytes(it->second);
     state_pool_.Release(std::move(it->second.ta));
     states_.erase(it);
   }
 
   size_t memory_bytes() const override {
-    size_t bytes = state_pool_.memory_bytes();
-    for (const auto& [oid, state] : states_) {
-      bytes += 48 + state.ta.memory_bytes();
-    }
-    return bytes;
+    return state_pool_.memory_bytes() + state_bytes_;
   }
 
  private:
@@ -92,6 +96,11 @@ class ReverseTop1Candidates final : public CandidateSource {
     ObjectState* state;
     bool found;  // false: Search() found every function exhausted
   };
+
+  /// Bytes one member's state counts toward memory_bytes().
+  static size_t StateBytes(const ObjectState& state) {
+    return 48 + state.ta.memory_bytes();
+  }
 
   /// Whether `state`'s candidate must be (re)computed this loop.
   bool NeedsSearch(const ObjectState& state,
@@ -139,6 +148,9 @@ class ReverseTop1Candidates final : public CandidateSource {
   ReverseTop1* rt1_;
   ThreadPool* pool_;
   std::unordered_map<ObjectId, ObjectState> states_;
+  // StateBytes summed over states_, updated as states arrive, are
+  // searched and leave, so a loop's report costs no walk over them.
+  size_t state_bytes_ = 0;
   // Recycles retired objects' TA buffers into newly arriving skyline
   // members' states across loops (no re-growth through the allocator).
   ReverseTop1StatePool state_pool_;

@@ -1,7 +1,5 @@
 #include "fairmatch/assign/skyline_loop.h"
 
-#include <unordered_set>
-
 #include "fairmatch/common/check.h"
 #include "fairmatch/common/stats.h"
 #include "fairmatch/common/timer.h"
@@ -39,7 +37,7 @@ AssignResult RunSkylineLoop(const AssignmentProblem& problem,
   MemoryTracker& memory = ctx != nullptr ? ctx->memory() : local_memory;
   const auto aborted = [ctx] { return ctx != nullptr && ctx->ShouldAbort(); };
   std::vector<ObjectId> odel;
-  std::unordered_set<ObjectId> known_members;
+  std::vector<uint8_t> is_member(problem.objects.size(), 0);
   std::vector<MemberCandidate> members;
   std::vector<ObjectId> added;
   std::vector<MatchPair> pairs;
@@ -74,7 +72,10 @@ AssignResult RunSkylineLoop(const AssignmentProblem& problem,
     }
     added.clear();
     for (const MemberCandidate& m : members) {
-      if (known_members.insert(m.oid).second) added.push_back(m.oid);
+      if (!is_member[m.oid]) {
+        is_member[m.oid] = 1;
+        added.push_back(m.oid);
+      }
     }
 
     // --- stable pair extraction ------------------------------------------
@@ -111,7 +112,7 @@ AssignResult RunSkylineLoop(const AssignmentProblem& problem,
       if (--ocap[pair.oid] == 0) {
         odel.push_back(pair.oid);
         source->OnObjectRemoved(pair.oid);
-        known_members.erase(pair.oid);
+        is_member[pair.oid] = 0;
       }
     }
     engine.OnObjectsRemoved(odel);

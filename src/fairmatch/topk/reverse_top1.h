@@ -223,28 +223,28 @@ class ReverseTop1StatePool {
     if (free_.empty()) return ReverseTop1State();
     ReverseTop1State state = std::move(free_.back());
     free_.pop_back();
+    parked_bytes_ -= state.memory_bytes() - sizeof(ReverseTop1State);
     return state;
   }
 
   /// Parks a retired state's buffers for reuse.
   void Release(ReverseTop1State&& state) {
     state.Recycle();
+    parked_bytes_ += state.memory_bytes() - sizeof(ReverseTop1State);
     free_.push_back(std::move(state));
   }
 
   /// Bytes parked in the freelist (memory-usage metric).
   size_t memory_bytes() const {
-    size_t bytes = free_.capacity() * sizeof(ReverseTop1State);
-    for (const ReverseTop1State& s : free_) {
-      bytes += s.memory_bytes() - sizeof(ReverseTop1State);
-    }
-    return bytes;
+    return free_.capacity() * sizeof(ReverseTop1State) + parked_bytes_;
   }
 
   size_t size() const { return free_.size(); }
 
  private:
   std::vector<ReverseTop1State> free_;
+  // Buffer bytes of the parked states, kept as they come and go.
+  size_t parked_bytes_ = 0;
 };
 
 /// Reverse top-1 searcher over one function index.

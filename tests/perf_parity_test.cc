@@ -252,6 +252,50 @@ TEST(PerfParityTest, SbProbingStrategiesMatchSeed) {
   }
 }
 
+struct PagedSbGolden {
+  ProblemSpec spec;
+  int64_t io_accesses;
+  uint64_t pairs;
+  int64_t loops;
+  uint64_t matching_hash;
+};
+
+// SB over objects paged behind a 2% buffer, as the end-to-end
+// benchmark's assign_mem runs it, at skyline sizes that span many
+// scoring-kernel blocks: assign_mem's own shape (~1k members per loop),
+// and a capacitated one in the style of fig14_function_capacity, where
+// some function's cached best object is assigned, and that function's
+// best rescanned, on nearly every loop.
+const PagedSbGolden kPagedSbGoldens[] = {
+    {ProblemSpec{800, 16000, 4, Distribution::kAntiCorrelated, 9001}, 114,
+     800, 47, 0x8b16e8d7c12b2bbbull},
+    {ProblemSpec{400, 8000, 4, Distribution::kAntiCorrelated, 9002, 16}, 84,
+     6400, 475, 0xf118c4babd2552a4ull},
+};
+
+TEST(PerfParityTest, PagedSbAtBenchmarkShapesMatchesSeed) {
+  for (const PagedSbGolden& golden : kPagedSbGoldens) {
+    const AssignmentProblem problem = RandomProblem(golden.spec);
+    ExecContext ctx;
+    PagedNodeStore store(problem.dims, 4096, &ctx.counters());
+    RTree tree(&store);
+    BuildObjectTree(problem, &tree);
+    store.ResetCounters();
+    store.SetBufferFraction(0.02);
+    MatcherEnv env;
+    env.problem = &problem;
+    env.tree = &tree;
+    env.ctx = &ctx;
+    AssignResult got = MatcherRegistry::Global().Create("SB", env)->Run();
+    const uint64_t seed = golden.spec.seed;
+    EXPECT_EQ(got.stats.io_accesses, golden.io_accesses) << "seed " << seed;
+    EXPECT_EQ(got.stats.pairs, golden.pairs) << "seed " << seed;
+    EXPECT_EQ(got.stats.loops, golden.loops) << "seed " << seed;
+    EXPECT_EQ(MatchingHash(got.matching), golden.matching_hash)
+        << "seed " << seed;
+  }
+}
+
 struct TaChurnGolden {
   bool biased;
   double omega;
