@@ -1,6 +1,6 @@
 #include "fairmatch/assign/sb.h"
 
-#include <unordered_map>
+#include <cstdint>
 
 #include "fairmatch/common/thread_pool.h"
 #include "fairmatch/common/timer.h"
@@ -20,67 +20,81 @@ constexpr size_t kSearchChunk = 8;
 /// fanned out over `pool` when it is non-null (sb.h, Threading).
 class ReverseTop1Candidates final : public CandidateSource {
  public:
-  ReverseTop1Candidates(const FunctionSet* fns, BestPairMode mode,
-                        ReverseTop1* rt1, ThreadPool* pool)
-      : fns_(fns), mode_(mode), rt1_(rt1), pool_(pool) {}
+  ReverseTop1Candidates(const FunctionSet* fns, size_t num_objects,
+                        BestPairMode mode, ReverseTop1* rt1, ThreadPool* pool)
+      : fns_(fns),
+        mode_(mode),
+        rt1_(rt1),
+        pool_(pool),
+        slot_of_(num_objects, kNoSlot) {}
 
   bool Candidates(const SkylineSet& sky, const std::vector<uint8_t>& assigned,
                   int64_t remaining,
                   std::vector<MemberCandidate>* out) override {
     // Gather, in skyline order: each member's state, and which members
     // need a search because their candidate is missing or taken.
-    slots_.clear();
+    members_.clear();
     stale_.clear();
     sky.ForEach([&](int, const SkylineObject& m) {
-      auto it = states_.find(m.id);
-      if (it == states_.end()) {
+      int32_t& slot = slot_of_[m.id];
+      if (slot == kNoSlot) {
         // New skyline member: its search state reuses a retired object's
         // recycled buffers when the pool has one.
-        it = states_.emplace(m.id, ObjectState{state_pool_.Acquire()})
-                 .first;
-        state_bytes_ += StateBytes(it->second);
+        slot = NewSlot();
+        state_bytes_ += StateBytes(states_[slot]);
       }
-      if (NeedsSearch(it->second, assigned)) {
+      if (NeedsSearch(states_[slot], assigned)) {
         // A search may grow the state's buffers; its bytes are re-read
         // once the searches are done.
-        state_bytes_ -= StateBytes(it->second);
-        stale_.push_back(slots_.size());
+        state_bytes_ -= StateBytes(states_[slot]);
+        stale_.push_back(members_.size());
       }
-      slots_.push_back(MemberSlot{&m, &it->second, true});
+      members_.push_back(MemberSlot{&m, slot, true});
     });
     // Fan out: a search reads only `assigned`, the immutable index and
-    // its own state, so one loop's searches are independent.
+    // its own state, so one loop's searches are independent. states_
+    // does not grow while they run.
     const auto search = [&](size_t i) {
-      MemberSlot& slot = slots_[stale_[i]];
-      slot.found =
-          Search(slot.state, slot.member->point, assigned, remaining);
+      MemberSlot& member = members_[stale_[i]];
+      member.found = Search(&states_[member.slot], member.member->point,
+                            assigned, remaining);
     };
     if (pool_ != nullptr) {
       pool_->ParallelFor(stale_.size(), kSearchChunk, search);
     } else {
       for (size_t i = 0; i < stale_.size(); ++i) search(i);
     }
-    for (size_t i : stale_) state_bytes_ += StateBytes(*slots_[i].state);
+    for (size_t i : stale_) {
+      state_bytes_ += StateBytes(states_[members_[i].slot]);
+    }
     // Emit, in skyline order.
-    for (const MemberSlot& slot : slots_) {
-      if (!slot.found) return false;
-      const SkylineObject& m = *slot.member;
-      out->push_back(MemberCandidate{m.id, &m.point, slot.state->cand_fid,
-                                     slot.state->cand_score});
+    for (const MemberSlot& member : members_) {
+      if (!member.found) return false;
+      const SkylineObject& m = *member.member;
+      const ObjectState& state = states_[member.slot];
+      out->push_back(
+          MemberCandidate{m.id, &m.point, state.cand_fid, state.cand_score});
     }
     return true;
   }
 
+  void OnFunctionAssigned(FunctionId fid) override {
+    if (rt1_ != nullptr) rt1_->OnFunctionAssigned(fid);
+  }
+
   void OnObjectRemoved(ObjectId oid) override {
-    auto it = states_.find(oid);
-    if (it == states_.end()) return;
-    state_bytes_ -= StateBytes(it->second);
-    state_pool_.Release(std::move(it->second.ta));
-    states_.erase(it);
+    int32_t& slot = slot_of_[oid];
+    if (slot == kNoSlot) return;
+    state_bytes_ -= StateBytes(states_[slot]);
+    state_pool_.Release(std::move(states_[slot].ta));
+    free_slots_.push_back(slot);
+    slot = kNoSlot;
   }
 
   size_t memory_bytes() const override {
-    return state_pool_.memory_bytes() + state_bytes_;
+    return state_pool_.memory_bytes() + state_bytes_ +
+           slot_of_.capacity() * sizeof(int32_t) +
+           (rt1_ != nullptr ? rt1_->memory_bytes() : 0);
   }
 
  private:
@@ -93,9 +107,26 @@ class ReverseTop1Candidates final : public CandidateSource {
   /// One member of the current loop's skyline.
   struct MemberSlot {
     const SkylineObject* member;
-    ObjectState* state;
-    bool found;  // false: Search() found every function exhausted
+    int32_t slot;  // its state: states_[slot]
+    bool found;    // false: Search() found every function exhausted
   };
+
+  static constexpr int32_t kNoSlot = -1;
+
+  /// A slot holding a fresh state: a retired member's slot when one is
+  /// free, with recycled TA buffers when the pool has them.
+  int32_t NewSlot() {
+    int32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<int32_t>(states_.size());
+      states_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    states_[slot] = ObjectState{state_pool_.Acquire()};
+    return slot;
+  }
 
   /// Bytes one member's state counts toward memory_bytes().
   static size_t StateBytes(const ObjectState& state) {
@@ -147,15 +178,21 @@ class ReverseTop1Candidates final : public CandidateSource {
   BestPairMode mode_;
   ReverseTop1* rt1_;
   ThreadPool* pool_;
-  std::unordered_map<ObjectId, ObjectState> states_;
-  // StateBytes summed over states_, updated as states arrive, are
-  // searched and leave, so a loop's report costs no walk over them.
+  // Search states of the skyline members, reached through slot_of_ (per
+  // object id; kNoSlot for an object with no state). states_ grows to
+  // the peak skyline, not to |O|: a retired member's slot goes on
+  // free_slots_ for the next arrival.
+  std::vector<ObjectState> states_;
+  std::vector<int32_t> slot_of_;
+  std::vector<int32_t> free_slots_;
+  // StateBytes summed over the live states, updated as states arrive,
+  // are searched and leave, so a loop's report costs no walk over them.
   size_t state_bytes_ = 0;
   // Recycles retired objects' TA buffers into newly arriving skyline
   // members' states across loops (no re-growth through the allocator).
   ReverseTop1StatePool state_pool_;
-  std::vector<MemberSlot> slots_;
-  std::vector<size_t> stale_;  // indexes into slots_ needing a search
+  std::vector<MemberSlot> members_;
+  std::vector<size_t> stale_;  // indexes into members_ needing a search
 };
 
 }  // namespace
@@ -194,8 +231,9 @@ AssignResult SBAssignment::Run() {
               (ctx_ == nullptr || ctx_->parallel())
           ? ThreadPool::Shared()
           : nullptr;
-  ReverseTop1Candidates source(&problem_->functions, options_.best_pair_mode,
-                               rt1_.get(), pool);
+  ReverseTop1Candidates source(&problem_->functions,
+                               problem_->objects.size(),
+                               options_.best_pair_mode, rt1_.get(), pool);
   SkylineLoopOptions loop;
   loop.skyline_mode = options_.skyline_mode;
   loop.multi_pair = options_.multi_pair;

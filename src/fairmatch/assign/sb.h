@@ -11,8 +11,11 @@
 // Threading: Run() is single-threaded except for one step. Each loop
 // first gathers, in skyline order, the members whose candidate is
 // missing or assigned; then runs their reverse top-1 searches, which
-// read only the loop's fixed assigned set, the immutable function index
-// and each member's own state; then emits candidates in skyline order.
+// read only the loop's fixed assigned set, the immutable function index,
+// the searcher's live masks and each member's own state; then emits
+// candidates in skyline order. The masks change only between loops,
+// when the loop reports an assigned function
+// (ReverseTop1::OnFunctionAssigned).
 // The middle step fans out over ThreadPool::Shared() when the run's
 // ExecContext allows it (ExecContext::parallel, default on; no context
 // counts as on), the index supports concurrent searches

@@ -31,6 +31,25 @@ bool AnyUnassigned(const std::vector<uint8_t>& assigned,
   return std::any_of(assigned.begin(), assigned.end(),
                      [](uint8_t a) { return a == 0; });
 }
+
+// One thread's kernel buffers, block_entries() long each: the decoded
+// block, its unseen unassigned ids, and their scores. Per thread, so
+// concurrent Best() calls never share one.
+struct BlockBuffers {
+  std::vector<int32_t> ids;
+  std::vector<int32_t> fresh;
+  std::vector<double> scores;
+};
+
+BlockBuffers& ThreadBlockBuffers(size_t block_entries) {
+  thread_local BlockBuffers buffers;
+  if (buffers.ids.size() < block_entries) {
+    buffers.ids.resize(block_entries);
+    buffers.fresh.resize(block_entries);
+    buffers.scores.resize(block_entries);
+  }
+  return buffers;
+}
 }  // namespace
 
 ReverseTop1::ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options)
@@ -48,14 +67,48 @@ ReverseTop1::ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options)
   // in entries otherwise.
   scan_limit_ = use_impact_ ? packed_->num_blocks() : index_->size();
   use_seen_epoch_ = !options_.resume;
+  if (!use_impact_) return;
+  // Every entry starts live. One decode pass over the image records
+  // where each function sits in each list.
+  const int dims = index_->dims();
+  const int n = index_->size();
+  const int block_entries = packed_->block_entries();
+  mask_words_ = (block_entries + 63) / 64;
+  live_.assign(static_cast<size_t>(dims) * scan_limit_ * mask_words_, 0);
+  slot_.resize(static_cast<size_t>(dims) * n);
+  std::vector<int32_t> ids(block_entries);
+  for (int d = 0; d < dims; ++d) {
+    for (int b = 0; b < scan_limit_; ++b) {
+      const int count = packed_->DecodeBlock(d, b, ids.data());
+      uint64_t* const words = &live_[LiveIndex(d, b)];
+      for (int k = 0; k < count; ++k) {
+        words[k >> 6] |= uint64_t{1} << (k & 63);
+        slot_[static_cast<size_t>(d) * n + ids[k]] = b * block_entries + k;
+      }
+    }
+  }
 }
 
-int32_t* ReverseTop1::BlockScratch() const {
-  // Per thread, so concurrent Best() calls never share a decode buffer.
-  thread_local std::vector<int32_t> scratch;
-  const size_t need = static_cast<size_t>(packed_->block_entries());
-  if (scratch.size() < need) scratch.resize(need);
-  return scratch.data();
+void ReverseTop1::OnFunctionAssigned(FunctionId fid) {
+  if (live_.empty()) return;
+  const int n = index_->size();
+  const int block_entries = packed_->block_entries();
+  for (int d = 0; d < index_->dims(); ++d) {
+    const int entry = slot_[static_cast<size_t>(d) * n + fid];
+    const int block = entry / block_entries;
+    const int k = entry - block * block_entries;
+    live_[LiveIndex(d, block) + (k >> 6)] &= ~(uint64_t{1} << (k & 63));
+  }
+}
+
+int ReverseTop1::SkipDeadBlocks(int dim, int block) const {
+  for (; block < scan_limit_; ++block) {
+    const uint64_t* const words = &live_[LiveIndex(dim, block)];
+    for (int w = 0; w < mask_words_; ++w) {
+      if (words[w] != 0) return block;
+    }
+  }
+  return block;
 }
 
 void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
@@ -140,12 +193,19 @@ int ReverseTop1::PickList(const ReverseTop1State& state, const Point& o) {
 std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
     ReverseTop1State* state, const Point& o,
     const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
-  // Positions count blocks; a list's frontier is its next block's max
-  // impact (every entry of a consumed block is marked seen).
+  // Positions count blocks and always rest on a live block (or the end);
+  // a list's frontier is its next live block's max impact (every live
+  // entry of a consumed block is marked seen).
   const PackedFunctionStore* const store = packed_;
-  int32_t* const scratch = BlockScratch();
+  BlockBuffers& buffers =
+      ThreadBlockBuffers(static_cast<size_t>(store->block_entries()));
+  int32_t* const ids = buffers.ids.data();
+  int32_t* const fresh_ids = buffers.fresh.data();
+  double* const scores = buffers.scores.data();
   const int dims = index_->dims();
   const int limit = scan_limit_;
+  const int words = mask_words_;
+  const uint64_t* const live = live_.data();
   const double max_gamma = index_->max_gamma();
   const double* const eff = store->EffTable();
   const uint8_t* const taken = assigned.data();
@@ -184,10 +244,11 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
     uint8_t* const seen_gen = state->seen_gen_.data();
     const uint8_t gen = state->gen_;
 
-    // Derive the working set from the positions: frontier values, their
-    // gains and the probing argmax.
+    // Derive the working set from the positions, moved past blocks that
+    // died since they were stored: frontier values, their gains and the
+    // probing argmax.
     for (int d = 0; d < dims; ++d) {
-      pos[d] = state->positions_[d];
+      pos[d] = SkipDeadBlocks(d, state->positions_[d]);
       order[d] = state->dim_order_[d];
       gain[d] = -1.0;
       if (pos[d] < limit) {
@@ -196,8 +257,6 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
       }
     }
     int best_dim = BestGainDim(gain, dims);
-    bool have_top = !queue.empty();
-    ScoredCandidate top = have_top ? queue.best() : ScoredCandidate{};
     bool threshold_valid = false;
     double threshold = 0.0;
 
@@ -205,7 +264,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
       // Terminate once the best candidate beats the tight threshold for
       // every unseen function. The knapsack is re-solved only after a
       // frontier value changed.
-      if (have_top) {
+      if (!queue.empty()) {
         if (!threshold_valid) {
           double budget = max_gamma;
           threshold = 0.0;
@@ -221,6 +280,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
           }
           threshold_valid = true;
         }
+        const ScoredCandidate& top = queue.best();
         if (top.score > threshold + kBoundSlack) {
           leave();
           return std::make_pair(top.fid, top.score);
@@ -228,43 +288,63 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
       }
 
       const int d = best_dim;
-      const int count = store->DecodeBlock(d, pos[d]++, scratch);
-      probes += count;
-      for (int k = 0; k < count; ++k) {
-        const FunctionId fid = scratch[k];
-        // Most probes hit a seen or assigned function: one branch for
-        // both.
-        bool seen;
-        if (epoch) {
-          seen = seen_gen[fid] == gen;
-          seen_gen[fid] = gen;
-        } else {
-          uint64_t& word = seen_bits[static_cast<size_t>(fid) >> 6];
-          const uint64_t bit = uint64_t{1} << (fid & 63);
-          seen = (word & bit) != 0;
-          word |= bit;
+      const int block = pos[d];
+      probes += store->DecodeBlock(d, block, ids);
+      pos[d] = SkipDeadBlocks(d, block + 1);
+      // Visit the live entries and keep the unseen unassigned ones. The
+      // id is written always and kept by the count alone, so no branch
+      // per entry has to be predicted.
+      const uint64_t* const mask = live + LiveIndex(d, block);
+      int fresh = 0;
+      for (int w = 0; w < words; ++w) {
+        for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+          const FunctionId fid = ids[w * 64 + __builtin_ctzll(bits)];
+          bool seen;
+          if (epoch) {
+            seen = seen_gen[fid] == gen;
+            seen_gen[fid] = gen;
+          } else {
+            uint64_t& word = seen_bits[static_cast<size_t>(fid) >> 6];
+            const uint64_t bit = uint64_t{1} << (fid & 63);
+            seen = (word & bit) != 0;
+            word |= bit;
+          }
+          fresh_ids[fresh] = fid;
+          fresh += !(seen | (taken[fid] != 0));
         }
-        if (seen | (taken[fid] != 0)) continue;
-        // The TA "random accesses": the function's coefficient row,
-        // summed in PrefFunction::Score's order.
-        const double* row = eff + static_cast<size_t>(fid) * dims;
+      }
+      // The TA "random accesses": each kept function's coefficient row,
+      // summed in PrefFunction::Score's order.
+      for (int i = 0; i < fresh; ++i) {
+        const double* row = eff + static_cast<size_t>(fresh_ids[i]) * dims;
         double score = 0.0;
-        for (int i = 0; i < dims; ++i) score += row[i] * coord[i];
-        // Keep only the top-Omega candidates (Section 5.1 memory bound):
-        // push, then evict the queue's worst end on overflow. The queue
-        // never holds more than omega_left entries, so a full queue
-        // would evict a candidate ranked below its worst at once.
-        const ScoredCandidate candidate{score, fid};
+        for (int j = 0; j < dims; ++j) score += row[j] * coord[j];
+        scores[i] = score;
+      }
+      // Keep only the top-Omega candidates (Section 5.1 memory bound).
+      // The queue never holds more than omega_left entries, and it ends
+      // up with the best omega_left of itself and the block in any
+      // insertion order. So a full queue first drops the candidates
+      // that do not beat its worst, then pushes the rest one by one,
+      // evicting its worst end on overflow.
+      if (static_cast<int>(queue.size()) == omega_left) {
+        const ScoredCandidate worst = queue.worst();
+        int kept = 0;
+        for (int i = 0; i < fresh; ++i) {
+          fresh_ids[kept] = fresh_ids[i];
+          scores[kept] = scores[i];
+          kept += ScoredCandidate{scores[i], fresh_ids[i]} < worst;
+        }
+        fresh = kept;
+      }
+      for (int i = 0; i < fresh; ++i) {
+        const ScoredCandidate candidate{scores[i], fresh_ids[i]};
         if (static_cast<int>(queue.size()) == omega_left) {
           if (!(candidate < queue.worst())) continue;
           queue.Push(candidate);
           queue.PopWorst();
         } else {
           queue.Push(candidate);
-        }
-        if (!have_top || candidate < top) {
-          top = candidate;
-          have_top = true;
         }
       }
 
@@ -283,9 +363,10 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
       best_dim = BestGainDim(gain, dims);
     }
 
-    // All lists exhausted: every function has been seen. The queue holds
-    // the best unassigned candidates unless eviction lost them.
-    if (have_top) {
+    // All lists exhausted: every unassigned function has been seen. The
+    // queue holds the best of them unless eviction lost them.
+    if (!queue.empty()) {
+      const ScoredCandidate& top = queue.best();
       leave();
       return std::make_pair(top.fid, top.score);
     }

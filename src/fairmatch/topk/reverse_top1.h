@@ -18,8 +18,13 @@
 //    SB's in-memory search). Biased probing probes the list maximizing
 //    l_i * o_i next. Positions, frontiers, gains and the threshold live
 //    in kMaxDims locals; a probe consumes a whole packed block and the
-//    frontier is the next block's max impact. probes() counts list
-//    entries.
+//    frontier is the next block's max impact. The searcher keeps a live
+//    bit per (list, block, entry), cleared by OnFunctionAssigned: a
+//    probe visits only the live entries of its block, and a list's
+//    position moves past blocks with no live entry, so the frontier is
+//    the next live block's max impact (exact: a skipped block holds
+//    only assigned functions). probes() counts decoded entries, so
+//    skipped blocks add nothing.
 //  * the generic TA loop, one list entry per probe, for every other
 //    case: the counted-disk DiskFunctionStore, whose page access order
 //    is part of what Figure 17 measures; round-robin probing (the
@@ -33,10 +38,13 @@
 // image through the const, cache-free DecodeBlock and BlockMaxImpact,
 // each thread decoding into its own scratch buffer — Best() may run on
 // several threads at once provided each call has its own
-// ReverseTop1State and nobody writes `assigned` meanwhile. SB fans a
-// loop's searches out this way (assign/sb.h). The probe and restart
-// totals are atomic and sum to the same values in any interleaving.
-// The generic loop is single-threaded.
+// ReverseTop1State and nobody writes `assigned` meanwhile. The same
+// rule covers OnFunctionAssigned: it writes the live masks that every
+// Best() reads, so it runs only between fan-outs, never while a Best()
+// runs on any thread. SB fans a loop's searches out this way
+// (assign/sb.h). The probe and restart totals are atomic and sum to
+// the same values in any interleaving. The generic loop is
+// single-threaded.
 #ifndef FAIRMATCH_TOPK_REVERSE_TOP1_H_
 #define FAIRMATCH_TOPK_REVERSE_TOP1_H_
 
@@ -262,11 +270,29 @@ class ReverseTop1 {
       ReverseTop1State* state, const Point& o,
       const std::vector<uint8_t>& assigned, int64_t num_unassigned = -1);
 
+  /// Reports that `fid` is assigned for good: the caller has set
+  /// assigned[fid] and keeps it set. The kernel then skips the
+  /// function's entries and the blocks left with no unassigned
+  /// function. This only saves work: Best() still checks `assigned` and
+  /// returns the same winners either way, and a caller that never
+  /// reports gets the full probe sequence. Runs only between Best()
+  /// calls (threading contract at the top of this file); a no-op on the
+  /// generic loop.
+  void OnFunctionAssigned(FunctionId fid);
+
   /// Whether Best() may run concurrently on distinct states (see the
   /// threading contract at the top of this file).
   bool concurrent() const { return use_impact_; }
 
-  /// Work counter (diagnostics / ablation): list entries probed.
+  /// Bytes held: the kernel's live masks and slot map.
+  size_t memory_bytes() const {
+    return live_.capacity() * sizeof(uint64_t) +
+           slot_.capacity() * sizeof(int32_t);
+  }
+
+  /// Work counter (diagnostics / ablation): list entries probed. On the
+  /// kernel these are decoded entries: a block skipped as dead adds
+  /// nothing.
   int64_t probes() const { return probes_; }
   /// Number of from-scratch restarts triggered by Omega exhaustion.
   int64_t restarts() const { return restarts_; }
@@ -296,8 +322,15 @@ class ReverseTop1 {
   /// Picks the list to probe next; -1 when all lists are exhausted.
   int PickList(const ReverseTop1State& state, const Point& o);
 
-  /// This thread's one-block decode buffer (block_entries() ids).
-  int32_t* BlockScratch() const;
+  /// The first block at or after `block` of list `dim` that holds a
+  /// live entry; scan_limit_ when none does.
+  int SkipDeadBlocks(int dim, int block) const;
+
+  /// Index in live_ of the first of the mask_words_ words of block
+  /// `block` of list `dim`.
+  size_t LiveIndex(int dim, int block) const {
+    return (static_cast<size_t>(dim) * scan_limit_ + block) * mask_words_;
+  }
 
   /// Upper bound on the coefficient of any unseen function in list
   /// `dim` once the scan cursor is at `pos`: the next unread entry's
@@ -334,6 +367,13 @@ class ReverseTop1 {
   // Seen-set representation (see ReverseTop1State): epoch byte map for
   // no-resume (reset-per-call) searches, compact bitmap otherwise.
   bool use_seen_epoch_ = false;
+  // Kernel path only (empty otherwise). live_ holds mask_words_ words
+  // per (list, block); bit k is set while the block's entry k belongs to
+  // a function not yet passed to OnFunctionAssigned. slot_[d * |F| +
+  // fid] is the function's entry index in list d.
+  std::vector<uint64_t> live_;
+  std::vector<int32_t> slot_;
+  int mask_words_ = 0;
   int omega_cap_;
   std::atomic<int64_t> probes_{0};
   std::atomic<int64_t> restarts_{0};

@@ -506,16 +506,121 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1), ::testing::Values(true)));
 
 // ---------------------------------------------------------------------------
+// The kernel with assignments reported through OnFunctionAssigned
+// ---------------------------------------------------------------------------
+
+// dims, block entries, mmap placement.
+using HookParam = std::tuple<int, int, bool>;
+
+class HookedKernelTest : public ::testing::TestWithParam<HookParam> {};
+
+// Seeded churn over one packed image, searched by a kernel that is told
+// of every newly assigned function (hooked) and one that is not
+// (unhooked). Besides scattered functions and some winners, rounds
+// assign a whole block of one list and the first 64 entries of another
+// block, so blocks die and blocks keep live entries only past their
+// first mask word. After every call both kernels return the winner of
+// FunctionLists' generic loop and of the exhaustive oracle (id and
+// score bits), and in total the hooked kernel probes no more entries.
+TEST_P(HookedKernelTest, EveryCallMatchesOracleAndProbesNoMore) {
+  const auto [dims, block_entries, use_mmap] = GetParam();
+  Rng rng(1300 + 7 * dims + block_entries);
+  FunctionSet fns = GenerateFunctions(420, dims, &rng);
+  if (dims == 3) AssignPriorities(&fns, 4, &rng);
+  const std::vector<Point> points =
+      GeneratePoints(Distribution::kAntiCorrelated, 40, dims, &rng);
+  FunctionLists lists(&fns);
+  PackedStoreOptions packed_options;
+  packed_options.block_entries = block_entries;
+  packed_options.use_mmap = use_mmap;
+  PackedFunctionStore packed(fns, packed_options);
+  ASSERT_EQ(packed.mapped(), use_mmap);
+  std::vector<int32_t> ids(packed.block_entries());
+  for (const bool resume : {true, false}) {
+    ReverseTop1Options options;
+    options.omega = 0.01;
+    options.resume = resume;
+    ReverseTop1 hooked(&packed, options);
+    ReverseTop1 unhooked(&packed, options);
+    ReverseTop1 oracle(&lists, options);
+    std::vector<uint8_t> assigned(fns.size(), 0);
+    int64_t remaining = static_cast<int64_t>(fns.size());
+    const auto assign = [&](FunctionId fid) {
+      if (assigned[fid]) return;
+      assigned[fid] = 1;
+      remaining--;
+      hooked.OnFunctionAssigned(fid);
+    };
+    std::vector<ReverseTop1State> hooked_states(points.size());
+    std::vector<ReverseTop1State> unhooked_states(points.size());
+    std::vector<ReverseTop1State> oracle_states(points.size());
+    for (int round = 0; remaining > 0 && round < 60; ++round) {
+      for (size_t i = 0; i < points.size(); ++i) {
+        const auto want = ReferenceBestFn(fns, points[i], assigned);
+        const auto got_oracle =
+            oracle.Best(&oracle_states[i], points[i], assigned, remaining);
+        const auto got_hooked =
+            hooked.Best(&hooked_states[i], points[i], assigned, remaining);
+        const auto got_unhooked = unhooked.Best(&unhooked_states[i],
+                                                points[i], assigned, remaining);
+        if (want.first == kInvalidFunction) {
+          ASSERT_FALSE(got_oracle.has_value());
+          ASSERT_FALSE(got_hooked.has_value());
+          ASSERT_FALSE(got_unhooked.has_value());
+          continue;
+        }
+        ASSERT_TRUE(got_oracle.has_value());
+        ASSERT_TRUE(got_hooked.has_value())
+            << "resume " << resume << " round " << round << " point " << i;
+        ASSERT_TRUE(got_unhooked.has_value());
+        ASSERT_EQ(got_oracle->first, want.first);
+        ASSERT_EQ(got_hooked->first, want.first)
+            << "resume " << resume << " round " << round << " point " << i;
+        ASSERT_EQ(Bits(got_hooked->second), Bits(want.second));
+        ASSERT_EQ(got_unhooked->first, want.first)
+            << "resume " << resume << " round " << round << " point " << i;
+        ASSERT_EQ(Bits(got_unhooked->second), Bits(want.second));
+        if (i % 4 == 0) assign(got_hooked->first);
+      }
+      const int whole_dim = round % dims;
+      const int count = packed.DecodeBlock(
+          whole_dim, static_cast<int>(rng.UniformInt(0, packed.num_blocks() - 1)),
+          ids.data());
+      for (int k = 0; k < count; ++k) assign(ids[k]);
+      const int head_count = packed.DecodeBlock(
+          (round + 1) % dims,
+          static_cast<int>(rng.UniformInt(0, packed.num_blocks() - 1)),
+          ids.data());
+      for (int k = 0; k < std::min(head_count, 64); ++k) assign(ids[k]);
+      for (size_t f = round; f < fns.size(); f += 29) {
+        assign(static_cast<FunctionId>(f));
+      }
+    }
+    EXPECT_EQ(remaining, 0);
+    EXPECT_LE(hooked.probes(), unhooked.probes()) << "resume " << resume;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsBlocksPlacement, HookedKernelTest,
+    ::testing::Combine(::testing::Values(2, 3, 4, 6),
+                       ::testing::Values(1, 100, 128), ::testing::Bool()));
+
+// ---------------------------------------------------------------------------
 // Concurrent searches over one shared searcher
 // ---------------------------------------------------------------------------
 
 // Several threads call Best() at once on distinct states over one shared
 // ReverseTop1 (the SB fan-out contract): every result and the probe and
-// restart totals equal a one-thread run, round after round of churn.
-// The TA kernel over impact-ordered packed blocks is the one concurrent
-// search.
-TEST(ReverseTop1ParallelTest, DistinctStatesShareOneSearcher) {
+// restart totals equal a one-thread run, round after round of churn,
+// with and without the assignments reported through OnFunctionAssigned
+// between rounds (SB reports them between fan-outs). The TA kernel
+// over impact-ordered packed blocks is the one concurrent search.
+class ReverseTop1ParallelTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ReverseTop1ParallelTest, DistinctStatesShareOneSearcher) {
   constexpr int kThreads = 4;
+  const bool hooked = GetParam();
   Rng rng(77);
   const FunctionSet fns = GenerateFunctions(1500, 5, &rng);
   const auto points =
@@ -529,6 +634,13 @@ TEST(ReverseTop1ParallelTest, DistinctStatesShareOneSearcher) {
   std::vector<ReverseTop1State> shared_states(points.size());
   std::vector<ReverseTop1State> serial_states(points.size());
   std::vector<uint8_t> assigned(fns.size(), 0);
+  const auto assign = [&](FunctionId fid) {
+    if (assigned[fid]) return;
+    assigned[fid] = 1;
+    if (!hooked) return;
+    shared.OnFunctionAssigned(fid);
+    serial.OnFunctionAssigned(fid);
+  };
   for (int round = 0; round < 8; ++round) {
     std::vector<std::optional<std::pair<FunctionId, double>>> got(
         points.size());
@@ -552,11 +664,15 @@ TEST(ReverseTop1ParallelTest, DistinctStatesShareOneSearcher) {
     EXPECT_EQ(shared.probes(), serial.probes()) << "round " << round;
     EXPECT_EQ(shared.restarts(), serial.restarts()) << "round " << round;
     for (size_t i = 0; i < points.size(); i += 2) {
-      if (got[i].has_value()) assigned[got[i]->first] = 1;
+      if (got[i].has_value()) assign(got[i]->first);
     }
-    for (size_t f = round; f < fns.size(); f += 17) assigned[f] = 1;
+    for (size_t f = round; f < fns.size(); f += 17) {
+      assign(static_cast<FunctionId>(f));
+    }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Hook, ReverseTop1ParallelTest, ::testing::Bool());
 
 }  // namespace
 }  // namespace fairmatch
