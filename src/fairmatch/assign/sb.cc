@@ -9,10 +9,12 @@
 namespace fairmatch {
 
 namespace {
-// Reverse top-1 searches per ParallelFor chunk. One search costs a few
+// Reverse top-1 searches per fan-out chunk. One search costs a few
 // microseconds, so a chunk amortizes the claim on the shared cursor
-// while keeping the tail short; a loop with fewer searches than one
-// chunk per thread runs inline (ThreadPool::ParallelFor).
+// while keeping the tail short. In Candidates, a loop with fewer
+// searches than one chunk per thread runs inline
+// (ThreadPool::ParallelFor); the early job hands even one chunk to a
+// helper, since the caller is busy with the skyline meanwhile.
 constexpr size_t kSearchChunk = 8;
 
 /// SB's candidate source: one resumable reverse top-1 search per
@@ -31,8 +33,13 @@ class ReverseTop1Candidates final : public CandidateSource {
   bool Candidates(const SkylineSet& sky, const std::vector<uint8_t>& assigned,
                   int64_t remaining,
                   std::vector<MemberCandidate>* out) override {
+    // The loop has joined the early searches: their states hold this
+    // loop's candidates, and their bytes count again.
+    for (int32_t slot : early_) state_bytes_ += StateBytes(states_[slot]);
+    early_.clear();
     // Gather, in skyline order: each member's state, and which members
-    // need a search because their candidate is missing or taken.
+    // still need a search — new members, and every stale one when no
+    // early job ran.
     members_.clear();
     stale_.clear();
     sky.ForEach([&](int, const SkylineObject& m) {
@@ -40,42 +47,58 @@ class ReverseTop1Candidates final : public CandidateSource {
       if (slot == kNoSlot) {
         // New skyline member: its search state reuses a retired object's
         // recycled buffers when the pool has one.
-        slot = NewSlot();
+        slot = NewSlot(m);
         state_bytes_ += StateBytes(states_[slot]);
       }
       if (NeedsSearch(states_[slot], assigned)) {
         // A search may grow the state's buffers; its bytes are re-read
         // once the searches are done.
         state_bytes_ -= StateBytes(states_[slot]);
-        stale_.push_back(members_.size());
+        stale_.push_back(slot);
       }
-      members_.push_back(MemberSlot{&m, slot, true});
+      members_.push_back(MemberSlot{&m, slot});
     });
     // Fan out: a search reads only `assigned`, the immutable index and
     // its own state, so one loop's searches are independent. states_
     // does not grow while they run.
     const auto search = [&](size_t i) {
-      MemberSlot& member = members_[stale_[i]];
-      member.found = Search(&states_[member.slot], member.member->point,
-                            assigned, remaining);
+      Search(&states_[stale_[i]], assigned, remaining);
     };
     if (pool_ != nullptr) {
       pool_->ParallelFor(stale_.size(), kSearchChunk, search);
     } else {
       for (size_t i = 0; i < stale_.size(); ++i) search(i);
     }
-    for (size_t i : stale_) {
-      state_bytes_ += StateBytes(states_[members_[i].slot]);
-    }
+    for (int32_t slot : stale_) state_bytes_ += StateBytes(states_[slot]);
     // Emit, in skyline order.
     for (const MemberSlot& member : members_) {
-      if (!member.found) return false;
-      const SkylineObject& m = *member.member;
       const ObjectState& state = states_[member.slot];
-      out->push_back(
-          MemberCandidate{m.id, &m.point, state.cand_fid, state.cand_score});
+      if (!state.found) return false;
+      out->push_back(MemberCandidate{state.oid, &member.member->point,
+                                     state.cand_fid, state.cand_score});
     }
     return true;
+  }
+
+  ThreadPool::Job StartEarly(const std::vector<uint8_t>& assigned,
+                             int64_t remaining) override {
+    // The survivors of this loop stay on the skyline, and a stale
+    // candidate's re-search depends only on `assigned`, which holds until
+    // the next Candidates call: start those searches now, so they
+    // overlap the skyline maintenance. Only with helpers to run them.
+    if (pool_ == nullptr || remaining == 0) return {};
+    for (const MemberSlot& member : members_) {
+      const ObjectState& state = states_[member.slot];
+      if (slot_of_[state.oid] != member.slot) continue;  // removed
+      if (!NeedsSearch(state, assigned)) continue;
+      state_bytes_ -= StateBytes(state);
+      early_.push_back(member.slot);
+    }
+    if (early_.empty()) return {};
+    return pool_->StartParallelFor(
+        early_.size(), kSearchChunk, [this, &assigned, remaining](size_t i) {
+          Search(&states_[early_[i]], assigned, remaining);
+        });
   }
 
   void OnFunctionAssigned(FunctionId fid) override {
@@ -100,22 +123,27 @@ class ReverseTop1Candidates final : public CandidateSource {
  private:
   struct ObjectState {
     ReverseTop1State ta;
+    // The member's own copy of its id and point: an early search reads
+    // them while the skyline that holds the member changes.
+    ObjectId oid = kInvalidObject;
+    Point point;
     FunctionId cand_fid = kInvalidFunction;
     double cand_score = 0.0;
+    bool found = true;  // false: the last search found every function
+                        // exhausted
   };
 
   /// One member of the current loop's skyline.
   struct MemberSlot {
     const SkylineObject* member;
     int32_t slot;  // its state: states_[slot]
-    bool found;    // false: Search() found every function exhausted
   };
 
   static constexpr int32_t kNoSlot = -1;
 
   /// A slot holding a fresh state: a retired member's slot when one is
   /// free, with recycled TA buffers when the pool has them.
-  int32_t NewSlot() {
+  int32_t NewSlot(const SkylineObject& m) {
     int32_t slot;
     if (free_slots_.empty()) {
       slot = static_cast<int32_t>(states_.size());
@@ -124,7 +152,7 @@ class ReverseTop1Candidates final : public CandidateSource {
       slot = free_slots_.back();
       free_slots_.pop_back();
     }
-    states_[slot] = ObjectState{state_pool_.Acquire()};
+    states_[slot] = ObjectState{state_pool_.Acquire(), m.id, m.point};
     return slot;
   }
 
@@ -137,16 +165,18 @@ class ReverseTop1Candidates final : public CandidateSource {
   bool NeedsSearch(const ObjectState& state,
                    const std::vector<uint8_t>& assigned) const {
     // The exhaustive ablation re-scans every loop; a resumable candidate
-    // stays valid until its function is assigned (Section 5.1).
-    return mode_ == BestPairMode::kExhaustive ||
-           state.cand_fid == kInvalidFunction || assigned[state.cand_fid];
+    // stays valid until its function is assigned (Section 5.1). A search
+    // that found nothing ends the run and is not repeated.
+    return state.found &&
+           (mode_ == BestPairMode::kExhaustive ||
+            state.cand_fid == kInvalidFunction || assigned[state.cand_fid]);
   }
 
-  /// Finds `point`'s best unassigned function into `state`. Returns
-  /// false when every function is exhausted. Safe to run concurrently
-  /// on distinct states when rt1_->concurrent().
-  bool Search(ObjectState* state, const Point& point,
-              const std::vector<uint8_t>& assigned, int64_t remaining) {
+  /// Finds the member's best unassigned function into `state`, or sets
+  /// state->found to false when every function is exhausted. Safe to
+  /// run concurrently on distinct states when rt1_->concurrent().
+  void Search(ObjectState* state, const std::vector<uint8_t>& assigned,
+              int64_t remaining) {
     if (mode_ == BestPairMode::kExhaustive) {
       // Ablation mode (Algorithm 1 without Section 5.1): no resuming of
       // any kind — every loop re-scans the remaining functions for every
@@ -155,23 +185,23 @@ class ReverseTop1Candidates final : public CandidateSource {
       double best_s = 0.0;
       for (const PrefFunction& f : *fns_) {
         if (assigned[f.id]) continue;
-        double s = f.Score(point);
+        double s = f.Score(state->point);
         if (best == kInvalidFunction || s > best_s ||
             (s == best_s && f.id < best)) {
           best = f.id;
           best_s = s;
         }
       }
-      if (best == kInvalidFunction) return false;
+      state->found = best != kInvalidFunction;
       state->cand_fid = best;
       state->cand_score = best_s;
-      return true;
+      return;
     }
-    auto result = rt1_->Best(&state->ta, point, assigned, remaining);
-    if (!result.has_value()) return false;
+    auto result = rt1_->Best(&state->ta, state->point, assigned, remaining);
+    state->found = result.has_value();
+    if (!state->found) return;
     state->cand_fid = result->first;
     state->cand_score = result->second;
-    return true;
   }
 
   const FunctionSet* fns_;
@@ -192,7 +222,8 @@ class ReverseTop1Candidates final : public CandidateSource {
   // members' states across loops (no re-growth through the allocator).
   ReverseTop1StatePool state_pool_;
   std::vector<MemberSlot> members_;
-  std::vector<size_t> stale_;  // indexes into members_ needing a search
+  std::vector<int32_t> stale_;  // slots that Candidates searches
+  std::vector<int32_t> early_;  // slots that the early job searches
 };
 
 }  // namespace

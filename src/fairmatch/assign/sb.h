@@ -8,20 +8,30 @@
 // two_skyline.h for the prioritized two-skyline variant and sb_alt.h
 // for disk-resident function batches.
 //
-// Threading: Run() is single-threaded except for one step. Each loop
-// first gathers, in skyline order, the members whose candidate is
-// missing or assigned; then runs their reverse top-1 searches, which
-// read only the loop's fixed assigned set, the immutable function index,
-// the searcher's live masks and each member's own state; then emits
-// candidates in skyline order. The masks change only between loops,
-// when the loop reports an assigned function
-// (ReverseTop1::OnFunctionAssigned).
-// The middle step fans out over ThreadPool::Shared() when the run's
-// ExecContext allows it (ExecContext::parallel, default on; no context
-// counts as on), the index supports concurrent searches
-// (ReverseTop1::concurrent), and the loop has at least one chunk of
-// searches per thread. Helpers touch no ExecContext member. Matchings,
-// loop counts and probe/restart totals are identical either way.
+// Threading: Run() is single-threaded except for the reverse top-1
+// searches. A search reads only the assigned set, the immutable function
+// index, the searcher's live masks and its member's own state (which
+// keeps a copy of the member's id and point); one loop's searches are
+// therefore independent. The assigned set and the masks change only in
+// the loop's capacity step (ReverseTop1::OnFunctionAssigned), never
+// while a search runs. The searches run in two fork-joins per loop:
+//  * early: once a loop's capacities are settled, the surviving members
+//    whose candidate was just assigned are re-searched on the helpers
+//    (CandidateSource::StartEarly), while the calling thread runs the
+//    next cancellation check and skyline maintenance. Those searches
+//    read no skyline object, and no state is added or released until
+//    the loop joins them, right before the next Candidates call;
+//  * in Candidates: the new members' first searches (and every stale
+//    one when no early job ran), gathered and later emitted in skyline
+//    order.
+// Both fan out over ThreadPool::Shared() when the run's ExecContext
+// allows it (ExecContext::parallel, default on; no context counts as
+// on) and the index supports concurrent searches
+// (ReverseTop1::concurrent); Candidates' fan-out also needs at least one
+// chunk of searches per thread. Otherwise every search runs inline in
+// Candidates. Helpers touch no ExecContext member. Matchings, loop
+// counts, probe/restart totals and the reported memory are identical
+// either way.
 #ifndef FAIRMATCH_ASSIGN_SB_H_
 #define FAIRMATCH_ASSIGN_SB_H_
 

@@ -41,6 +41,9 @@ AssignResult RunSkylineLoop(const AssignmentProblem& problem,
   std::vector<MemberCandidate> members;
   std::vector<ObjectId> added;
   std::vector<MatchPair> pairs;
+  // The source's job from step 7, joined before the next step 3 and on
+  // every way out of the loop.
+  ThreadPool::Job early;
   bool first = true;
 
   while (remaining > 0) {
@@ -66,6 +69,7 @@ AssignResult RunSkylineLoop(const AssignmentProblem& problem,
     if (sky.size() == 0) break;  // objects exhausted
 
     // --- per-member candidates (o.fbest) --------------------------------
+    early.Finish();
     members.clear();
     if (!source->Candidates(sky, assigned, remaining, &members)) {
       break;  // functions exhausted
@@ -120,7 +124,9 @@ AssignResult RunSkylineLoop(const AssignmentProblem& problem,
     const size_t sky_bytes =
         use_update ? update_sky.memory_bytes() : delta_sky.memory_bytes();
     memory.Set(sky_bytes + source->memory_bytes() + engine.memory_bytes());
+    early = source->StartEarly(assigned, remaining);
   }
+  early.Finish();
 
   result.stats.cpu_ms = timer.ElapsedMs();
   result.stats.peak_memory_bytes = memory.peak();

@@ -32,9 +32,16 @@
 //      removed (OnObjectRemoved) and leaves the skyline next iteration.
 //   6. Search-structure memory — skyline, source and pairing engine —
 //      is reported to the run's MemoryTracker.
+//   7. CandidateSource::StartEarly may start work for the next step 3
+//      on helper threads: `assigned` and `remaining` hold until then.
+//      The loop joins that job (ThreadPool::Job::Finish) right before
+//      it calls Candidates again, and before it returns, whatever
+//      ends the run, so the job overlaps the next cancellation check
+//      and skyline maintenance.
 //
 // The loop runs on the calling thread; only SB's candidate source
-// borrows helper threads, inside step 3 (sb.h, Threading).
+// borrows helper threads, inside step 3 and from step 7 to the next
+// step 3 (sb.h, Threading).
 #ifndef FAIRMATCH_ASSIGN_SKYLINE_LOOP_H_
 #define FAIRMATCH_ASSIGN_SKYLINE_LOOP_H_
 
@@ -43,6 +50,7 @@
 
 #include "fairmatch/assign/best_pair.h"
 #include "fairmatch/assign/problem.h"
+#include "fairmatch/common/thread_pool.h"
 #include "fairmatch/skyline/skyline_set.h"
 
 namespace fairmatch {
@@ -75,6 +83,16 @@ class CandidateSource {
 
   /// `oid`'s capacity ran out; it leaves the skyline next loop.
   virtual void OnObjectRemoved(ObjectId /*oid*/) {}
+
+  /// Called once per loop after the memory report (step 7). The
+  /// returned job may read `assigned`, which stays unchanged with
+  /// `remaining` functions unassigned until the loop joins the job,
+  /// and the source's own state, but no skyline object: the skyline
+  /// changes while it runs. The default starts nothing.
+  virtual ThreadPool::Job StartEarly(const std::vector<uint8_t>& /*assigned*/,
+                                     int64_t /*remaining*/) {
+    return {};
+  }
 
   /// Bytes of the source's search structures.
   virtual size_t memory_bytes() const = 0;

@@ -1,18 +1,21 @@
 // A small fixed-size worker pool for fork-join loops.
 //
 // N long-lived threads drain one FIFO task queue. It is deliberately
-// minimal — no futures, no priorities, no work stealing. Its one
-// consumer is ParallelFor, which splits one index range into chunks
-// that the calling thread and any idle workers claim from a shared
-// cursor (SB's per-loop reverse top-1 searches run this way over the
-// process-wide Shared() pool). Concurrent execution of whole requests
-// is the serving core's job (serve/server.h), on its own lane threads.
+// minimal — no futures, no priorities, no work stealing. Its consumers
+// are fork-joins over one index range, cut into chunks that the calling
+// thread and any idle workers claim from a shared cursor. ParallelFor
+// forks and joins in one call; StartParallelFor forks and returns a Job
+// whose Finish() joins, so the caller can do other work while the
+// helpers run. SB runs its per-loop reverse top-1 searches both ways
+// over the process-wide Shared() pool. Concurrent execution of whole
+// requests is the serving core's job (serve/server.h), on its own lane
+// threads.
 //
-// Thread safety: Submit() and ParallelFor() may be called from any
-// thread, including concurrently. ParallelFor() waits only for its own
-// chunks, so concurrent callers do not block on each other; a
-// ParallelFor() from inside any pool's worker runs inline. The
-// destructor drains the queue before joining the workers.
+// Thread safety: Submit(), ParallelFor() and StartParallelFor() may be
+// called from any thread, including concurrently. A join waits only for
+// its own chunks, so concurrent callers do not block on each other; a
+// fork from inside any pool's worker starts no helper and runs inline.
+// The destructor drains the queue before joining the workers.
 #ifndef FAIRMATCH_COMMON_THREAD_POOL_H_
 #define FAIRMATCH_COMMON_THREAD_POOL_H_
 
@@ -34,6 +37,8 @@ namespace fairmatch {
 
 /// Fixed pool of worker threads over a FIFO task queue.
 class ThreadPool {
+  struct ForJob;  // one fork-join's shared state
+
  public:
   /// Starts `threads` workers (at least 1).
   explicit ThreadPool(int threads) {
@@ -99,36 +104,83 @@ class ThreadPool {
   void ParallelFor(size_t n, size_t grain,
                    const std::function<void(size_t)>& fn) {
     FAIRMATCH_CHECK(grain >= 1);
-    const size_t threads = workers_.size() + 1;
-    if (n < grain * threads || in_worker_) {
+    if (n < grain * (workers_.size() + 1) || in_worker_) {
       for (size_t i = 0; i < n; ++i) fn(i);
       return;
     }
-    // Shared-owned: a helper task that starts after this call returned
-    // finds every chunk claimed and touches nothing but this object.
+    StartParallelFor(n, grain, fn).Finish();
+  }
+
+  /// A fork-join started by StartParallelFor. Finish() runs the chunks
+  /// no helper has claimed on the calling thread, then waits for the
+  /// helpers' chunks. An empty (default, moved-from or finished) Job
+  /// finishes at once; destroying or assigning over an unfinished Job
+  /// finishes it first.
+  class Job {
+   public:
+    Job() = default;
+    Job(Job&&) noexcept = default;
+    Job& operator=(Job&& other) noexcept {
+      Finish();
+      job_ = std::move(other.job_);
+      return *this;
+    }
+    ~Job() { Finish(); }
+
+    void Finish() {
+      if (job_ == nullptr) return;
+      ForJob* const job = job_.get();
+      RunChunks(job);
+      {
+        std::unique_lock<std::mutex> lock(job->mu);
+        job->done_cv.wait(lock, [job] { return job->done == job->chunks; });
+      }
+      // Every chunk is claimed, so no helper calls the body again: it
+      // and its captures die here, on the joining thread.
+      job->fn = nullptr;
+      job_.reset();
+    }
+
+   private:
+    friend class ThreadPool;
+    explicit Job(std::shared_ptr<ForJob> job) : job_(std::move(job)) {}
+
+    std::shared_ptr<ForJob> job_;
+  };
+
+  /// The fork half of ParallelFor: hands fn(i) for every i in [0, n)
+  /// to up to size() helpers (one per chunk of `grain` indexes) and
+  /// returns at once; the Job's Finish() is the join. The body runs
+  /// concurrently with whatever the caller does until then. Started
+  /// from inside a pool worker, it submits no helper, and Finish() runs
+  /// every index inline, in index order.
+  Job StartParallelFor(size_t n, size_t grain,
+                       std::function<void(size_t)> fn) {
+    FAIRMATCH_CHECK(grain >= 1);
+    // Shared-owned: a helper task that starts after the join finds every
+    // chunk claimed and touches nothing but this object.
     auto job = std::make_shared<ForJob>();
     job->n = n;
     job->grain = grain;
     job->chunks = (n + grain - 1) / grain;
-    job->fn = &fn;
-    const size_t helpers = std::min(workers_.size(), job->chunks - 1);
+    job->fn = std::move(fn);
+    const size_t helpers =
+        in_worker_ ? 0 : std::min(workers_.size(), job->chunks);
     for (size_t h = 0; h < helpers; ++h) {
       Submit([job] { RunChunks(job.get()); });
     }
-    RunChunks(job.get());
-    std::unique_lock<std::mutex> lock(job->mu);
-    job->done_cv.wait(lock, [&] { return job->done == job->chunks; });
+    return Job(std::move(job));
   }
 
  private:
-  /// One ParallelFor call's shared state.
+  /// One fork-join's shared state.
   struct ForJob {
     size_t n = 0;
     size_t grain = 0;
     size_t chunks = 0;
-    // The caller's body; dereferenced only after claiming a chunk,
-    // which is possible only while the caller is still waiting.
-    const std::function<void(size_t)>* fn = nullptr;
+    // The body; called only after claiming a chunk, which is possible
+    // only until the join has claimed the rest.
+    std::function<void(size_t)> fn;
     std::atomic<size_t> next{0};  // next unclaimed chunk
     std::mutex mu;
     std::condition_variable done_cv;
@@ -139,7 +191,7 @@ class ThreadPool {
     size_t finished = 0;
     for (size_t c = job->next++; c < job->chunks; c = job->next++) {
       const size_t end = std::min(job->n, (c + 1) * job->grain);
-      for (size_t i = c * job->grain; i < end; ++i) (*job->fn)(i);
+      for (size_t i = c * job->grain; i < end; ++i) job->fn(i);
       ++finished;
     }
     if (finished == 0) return;
@@ -163,7 +215,7 @@ class ThreadPool {
     }
   }
 
-  // Set on every pool's worker threads: nested ParallelFor runs inline.
+  // Set on every pool's worker threads: a nested fork runs inline.
   static inline thread_local bool in_worker_ = false;
 
   std::mutex mu_;

@@ -218,6 +218,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
   double frontier[kMaxDims];
   double gain[kMaxDims];
   int64_t probes = 0;
+  bool starved_restart = false;  // this call restarted a starved pass
   // Hands the scan positions and the probe count back to the state.
   const auto leave = [&] {
     std::copy(pos, pos + dims, state->positions_.begin());
@@ -375,6 +376,14 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
       leave();
       return std::nullopt;
     }
+    // A pass from a reset visits every live entry with a fresh queue,
+    // so it keeps an unassigned function whenever one is live. Starving
+    // again means an unassigned function has no live entry (reported
+    // through OnFunctionAssigned but not set in `assigned`), or a
+    // miscounted `num_unassigned`: restarting again would loop forever.
+    const bool unassigned_function_stays_live = !starved_restart;
+    FAIRMATCH_CHECK(unassigned_function_stays_live);
+    starved_restart = true;
     restarts_++;
     Reset(state, o);
   }

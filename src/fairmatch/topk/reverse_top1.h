@@ -41,10 +41,10 @@
 // ReverseTop1State and nobody writes `assigned` meanwhile. The same
 // rule covers OnFunctionAssigned: it writes the live masks that every
 // Best() reads, so it runs only between fan-outs, never while a Best()
-// runs on any thread. SB fans a loop's searches out this way
-// (assign/sb.h). The probe and restart totals are atomic and sum to
-// the same values in any interleaving. The generic loop is
-// single-threaded.
+// runs on any thread. SB fans a loop's searches out this way, some of
+// them while its calling thread updates the skyline (assign/sb.h).
+// The probe and restart totals are atomic and sum to the same values
+// in any interleaving. The generic loop is single-threaded.
 #ifndef FAIRMATCH_TOPK_REVERSE_TOP1_H_
 #define FAIRMATCH_TOPK_REVERSE_TOP1_H_
 

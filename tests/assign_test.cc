@@ -5,9 +5,17 @@
 // variants).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "fairmatch/assign/naive_matcher.h"
 #include "fairmatch/assign/sb.h"
+#include "fairmatch/assign/skyline_loop.h"
 #include "fairmatch/assign/verifier.h"
+#include "fairmatch/common/thread_pool.h"
+#include "fairmatch/engine/exec_context.h"
 #include "fairmatch/engine/registry.h"
 #include "test_util.h"
 
@@ -239,6 +247,172 @@ TEST(AssignTest, ProgressiveOutputOrderIsDescendingScore) {
   EXPECT_EQ(got[0].fid, naive[0].fid);
   EXPECT_EQ(got[0].oid, naive[0].oid);
 }
+
+// --- the skyline loop's early-job contract ------------------------------
+
+/// A candidate source that starts a job at every step 7 and records, on
+/// each Candidates call, whether every index of every job started so
+/// far has run. Candidates come from a plain scan of the unassigned
+/// functions. Each job reads all of `assigned`, so a write to it during
+/// a job is a race for TSan.
+class RecordingSource final : public CandidateSource {
+ public:
+  static constexpr size_t kJobSize = 24;
+
+  RecordingSource(const FunctionSet* fns, ThreadPool* pool,
+                  ExecContext* expire_after_first_loop)
+      : fns_(fns), pool_(pool), expire_(expire_after_first_loop) {}
+
+  bool Candidates(const SkylineSet& sky, const std::vector<uint8_t>& assigned,
+                  int64_t /*remaining*/,
+                  std::vector<MemberCandidate>* out) override {
+    ++candidates_calls;
+    if (ran_.load() != started) ++unjoined_at_candidates;
+    bool found_all = true;
+    sky.ForEach([&](int, const SkylineObject& m) {
+      FunctionId best = kInvalidFunction;
+      double best_score = 0.0;
+      for (const PrefFunction& f : *fns_) {
+        if (assigned[f.id]) continue;
+        const double score = f.Score(m.point);
+        if (best == kInvalidFunction || score > best_score) {
+          best = f.id;
+          best_score = score;
+        }
+      }
+      found_all &= best != kInvalidFunction;
+      out->push_back(MemberCandidate{m.id, &m.point, best, best_score});
+    });
+    return found_all;
+  }
+
+  ThreadPool::Job StartEarly(const std::vector<uint8_t>& assigned,
+                             int64_t remaining) override {
+    ++jobs;
+    started += kJobSize;
+    last_remaining = remaining;
+    if (expire_ != nullptr && jobs == 1) {
+      expire_->set_deadline(std::chrono::steady_clock::time_point{});
+    }
+    return pool_->StartParallelFor(kJobSize, 1, [this, &assigned](size_t) {
+      int unassigned = 0;
+      for (const uint8_t a : assigned) unassigned += a == 0;
+      ran_ += unassigned >= 0;
+    });
+  }
+
+  size_t memory_bytes() const override { return 0; }
+
+  size_t ran() const { return ran_.load(); }
+
+  int candidates_calls = 0;
+  int unjoined_at_candidates = 0;
+  int jobs = 0;
+  size_t started = 0;
+  int64_t last_remaining = -1;
+
+ private:
+  const FunctionSet* fns_;
+  ThreadPool* pool_;
+  ExecContext* expire_;
+  std::atomic<size_t> ran_{0};
+};
+
+enum class LoopEnd { kObjectsRunOut, kDeadline, kFunctionsRunOut };
+
+struct LoopContractParam {
+  LoopEnd end;
+  // Park the pool's one worker for the whole run: a job's indexes then
+  // run only when the loop joins it, so a missing join shows up as
+  // unrun indexes. Unparked, the helper races the loop.
+  bool park_helper;
+};
+
+class SkylineLoopContractTest
+    : public ::testing::TestWithParam<LoopContractParam> {};
+
+// Every job the source starts at step 7 is joined before the next
+// Candidates call and before RunSkylineLoop returns, whichever way the
+// run ends: the skyline empties, an expired deadline cuts it after the
+// first loop, or every function is assigned.
+TEST_P(SkylineLoopContractTest, EveryStartedJobIsJoined) {
+  const LoopContractParam param = GetParam();
+  ProblemSpec spec;
+  spec.num_objects = param.end == LoopEnd::kFunctionsRunOut ? 120 : 30;
+  spec.num_functions = param.end == LoopEnd::kFunctionsRunOut ? 20 : 60;
+  spec.seed = 7007;
+  const AssignmentProblem problem = RandomProblem(spec);
+  MemTree mem(problem);
+  ThreadPool pool(1);
+  std::promise<void> release;
+  if (param.park_helper) {
+    std::promise<void> parked;
+    std::shared_future<void> released = release.get_future().share();
+    pool.Submit([&parked, released] {
+      parked.set_value();
+      released.wait();
+    });
+    parked.get_future().wait();
+  }
+  ExecContext ctx;
+  RecordingSource source(&problem.functions, &pool,
+                         param.end == LoopEnd::kDeadline ? &ctx : nullptr);
+  const AssignResult result = RunSkylineLoop(
+      problem, mem.tree, SkylineLoopOptions{}, &source, &ctx);
+  const size_t ran_at_return = source.ran();
+  if (param.park_helper) release.set_value();
+
+  EXPECT_EQ(ran_at_return, source.started);
+  EXPECT_EQ(source.unjoined_at_candidates, 0);
+  EXPECT_GE(source.jobs, 1);
+  switch (param.end) {
+    case LoopEnd::kObjectsRunOut:
+      // The last loop finds the skyline empty and calls nothing.
+      EXPECT_TRUE(ctx.status().ok());
+      EXPECT_EQ(result.matching.size(), problem.objects.size());
+      EXPECT_GT(source.last_remaining, 0);
+      EXPECT_EQ(source.jobs, result.stats.loops - 1);
+      EXPECT_EQ(source.candidates_calls, source.jobs);
+      break;
+    case LoopEnd::kDeadline:
+      // The second loop's cancellation point ends the run before it
+      // counts.
+      EXPECT_EQ(ctx.status().code, ErrorCode::kDeadlineExceeded);
+      EXPECT_EQ(result.stats.loops, 1);
+      EXPECT_EQ(source.jobs, 1);
+      EXPECT_EQ(source.candidates_calls, 1);
+      break;
+    case LoopEnd::kFunctionsRunOut:
+      EXPECT_TRUE(ctx.status().ok());
+      EXPECT_EQ(result.matching.size(), problem.functions.size());
+      EXPECT_EQ(source.last_remaining, 0);
+      EXPECT_EQ(source.jobs, result.stats.loops);
+      EXPECT_EQ(source.candidates_calls, source.jobs);
+      break;
+  }
+  if (param.end != LoopEnd::kDeadline) {
+    const VerifyResult verdict = VerifyStableMatching(problem, result.matching);
+    EXPECT_TRUE(verdict.ok) << verdict.message;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ends, SkylineLoopContractTest,
+    ::testing::Values(LoopContractParam{LoopEnd::kObjectsRunOut, true},
+                      LoopContractParam{LoopEnd::kObjectsRunOut, false},
+                      LoopContractParam{LoopEnd::kDeadline, true},
+                      LoopContractParam{LoopEnd::kDeadline, false},
+                      LoopContractParam{LoopEnd::kFunctionsRunOut, true},
+                      LoopContractParam{LoopEnd::kFunctionsRunOut, false}),
+    [](const ::testing::TestParamInfo<LoopContractParam>& info) {
+      const char* end = info.param.end == LoopEnd::kObjectsRunOut
+                            ? "ObjectsRunOut"
+                        : info.param.end == LoopEnd::kDeadline
+                            ? "Deadline"
+                            : "FunctionsRunOut";
+      return std::string(end) +
+             (info.param.park_helper ? "ParkedHelper" : "RacingHelper");
+    });
 
 TEST(VerifierTest, DetectsBlockingPair) {
   ProblemSpec spec;

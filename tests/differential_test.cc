@@ -120,9 +120,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 12));
 
 /// Instances whose skylines hold many members per loop, so searches
 /// fan out: three anti-correlated shapes (one with priorities and
-/// function capacities) and one tie-heavy shape — anti-correlated
-/// points snapped to a coarse grid (duplicates, equal coordinates)
-/// against grid-weight functions (equal scores across functions).
+/// function capacities), one tie-heavy shape — anti-correlated points
+/// snapped to a coarse grid (duplicates, equal coordinates) against
+/// grid-weight functions (equal scores across functions) — and one with
+/// function capacity 8, where cached candidates keep being assigned over
+/// ~100 loops and more than half of them start early re-searches
+/// (CandidateSource::StartEarly).
 AssignmentProblem ParallelCase(int index) {
   if (index == 3) {
     constexpr int kLevels = 10;
@@ -147,6 +150,7 @@ AssignmentProblem ParallelCase(int index) {
     spec.function_capacity = 2;
     spec.max_gamma = 3;
   }
+  if (index == 4) spec.function_capacity = 8;
   return RandomProblem(spec);
 }
 
@@ -213,7 +217,7 @@ TEST_P(ParallelVsInlineTest, SearchesFanOutWithoutChangingAnything) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Instances, ParallelVsInlineTest,
-                         ::testing::Range(0, 4));
+                         ::testing::Range(0, 5));
 
 // --- SB's matching does not depend on its function index -------------
 

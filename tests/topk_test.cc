@@ -606,6 +606,40 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 4, 6),
                        ::testing::Values(1, 100, 128), ::testing::Bool()));
 
+// A function reported through OnFunctionAssigned but left unset in
+// `assigned` has no live entry, so no pass can find it. As the last
+// unassigned function it starves every pass: the first starved pass
+// restarts, and the second, straight after it, fails the invariant check
+// instead of restarting forever. Both the caller's count and the
+// fallback scan see the function as unassigned.
+TEST(ReverseTop1DeathTest, StarvedPassAfterStarvedRestartFailsCheck) {
+  Rng rng(1500);
+  const FunctionSet fns = GenerateFunctions(300, 3, &rng);
+  const Point o = GeneratePoints(Distribution::kIndependent, 1, 3, &rng)[0];
+  PackedFunctionStore packed(fns);
+  constexpr FunctionId kLast = 123;
+  std::vector<uint8_t> assigned(fns.size(), 1);
+  assigned[kLast] = 0;
+  for (const int64_t count : {int64_t{1}, int64_t{-1}}) {
+    ReverseTop1 searcher(&packed, ReverseTop1Options{});
+    ASSERT_TRUE(searcher.concurrent());  // the impact-ordered kernel
+    for (const PrefFunction& f : fns) searcher.OnFunctionAssigned(f.id);
+    ReverseTop1State state;
+    EXPECT_DEATH(searcher.Best(&state, o, assigned, count),
+                 "unassigned_function_stays_live")
+        << "count " << count;
+  }
+  // Reported correctly, the same search finds the function.
+  ReverseTop1 searcher(&packed, ReverseTop1Options{});
+  for (const PrefFunction& f : fns) {
+    if (f.id != kLast) searcher.OnFunctionAssigned(f.id);
+  }
+  ReverseTop1State state;
+  const auto best = searcher.Best(&state, o, assigned, 1);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->first, kLast);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent searches over one shared searcher
 // ---------------------------------------------------------------------------
