@@ -23,8 +23,8 @@
 //
 // The figure's declared invariants check the deterministic columns:
 // every row carries the replayed record count in `io_accesses` and the
-// recovered (resp. uncrashed) epoch's digest — skyline + SB matching,
-// 48 bits — in `loops` with the matching size in `pairs`.
+// recovered (resp. uncrashed) epoch's digest — skyline ids + SB
+// matching, 48 bits — in `loops` with the matching size in `pairs`.
 // state:recovered must equal state:uncrashed on both digest columns in
 // every cell — the restart-equals-no-crash differential on the report
 // surface — and in the replay section the replayed count must equal
@@ -49,6 +49,7 @@
 #include "fairmatch/common/timer.h"
 #include "fairmatch/recover/durable_builder.h"
 #include "fairmatch/serve/dataset_registry.h"
+#include "fairmatch/skyline/delta_sky.h"
 #include "fairmatch/update/delta_builder.h"
 
 namespace fairmatch::bench {
@@ -65,9 +66,10 @@ uint64_t Fnv1a(uint64_t h, uint64_t v) {
   return h;
 }
 
-/// Digest of what an epoch serves: epoch number, maintained skyline,
-/// SB matching. 48 bits so the JSON report's double-typed `loops`
-/// column holds it exactly.
+/// Digest of what an epoch serves: epoch number, the ids of the skyline
+/// of its tree (ascending; BBS on demand, since epochs carry none), SB
+/// matching. 48 bits so the JSON report's double-typed `loops` column
+/// holds it exactly.
 struct EpochDigest {
   int64_t digest = 0;
   size_t pairs = 0;
@@ -76,9 +78,13 @@ struct EpochDigest {
 EpochDigest DigestEpoch(const serve::ResidentDataset& dataset) {
   uint64_t h = 1469598103934665603ull;
   h = Fnv1a(h, static_cast<uint64_t>(dataset.epoch()));
-  for (const ObjectRecord& m : dataset.skyline()) {
-    h = Fnv1a(h, static_cast<uint64_t>(m.id));
-  }
+  DeltaSkyManager sky(dataset.tree());
+  sky.ComputeInitial();
+  std::vector<ObjectId> skyline;
+  sky.skyline().ForEach(
+      [&skyline](int, const SkylineObject& m) { skyline.push_back(m.id); });
+  std::sort(skyline.begin(), skyline.end());
+  for (ObjectId id : skyline) h = Fnv1a(h, static_cast<uint64_t>(id));
   const AssignResult sb = update::RunOnDataset(dataset, "SB");
   FAIRMATCH_CHECK(sb.status.ok());
   for (const MatchPair& p : sb.matching) {

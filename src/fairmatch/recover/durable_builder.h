@@ -125,9 +125,6 @@ class DurableBuilder {
 
   const serve::DatasetHandle& current() const { return delta_->current(); }
   int64_t epoch() const { return delta_->epoch(); }
-  const std::vector<ObjectRecord>& skyline() const {
-    return delta_->skyline();
-  }
 
   /// WAL records since the last checkpoint (the replay debt a crash
   /// right now would incur).

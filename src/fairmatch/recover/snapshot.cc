@@ -16,7 +16,9 @@ namespace fairmatch::recover {
 namespace {
 
 constexpr char kSnapMagic[8] = {'F', 'M', 'S', 'N', 'A', 'P', '0', '1'};
-constexpr uint32_t kSnapVersion = 1;
+// Version 2 dropped the skyline section version 1 ended with; a
+// version-1 file is rejected, never misparsed.
+constexpr uint32_t kSnapVersion = 2;
 
 bool FileExists(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -74,12 +76,6 @@ Status WriteSnapshot(const std::string& path,
   PutU32(&buffer, static_cast<uint32_t>(store.free_list().size()));
   for (PageId pid : store.free_list()) PutI64(&buffer, pid);
 
-  PutU32(&buffer, static_cast<uint32_t>(dataset.skyline().size()));
-  for (const ObjectRecord& m : dataset.skyline()) {
-    PutI32(&buffer, m.id);
-    for (int d = 0; d < dims; ++d) PutF32(&buffer, m.point[d]);
-  }
-
   PutU32(&buffer, Crc32Of(buffer.data(), buffer.size()));
 
   std::string error;
@@ -123,9 +119,19 @@ Status LoadSnapshot(const std::string& path,
     return Status::DataLoss("snapshot header malformed: " + path);
   }
 
+  // Every count is checked against the bytes left before it sizes
+  // anything, so a CRC-valid file with an absurd count is malformed
+  // input, never an allocation failure.
+  const auto fits = [&r](uint64_t count, size_t record_bytes) {
+    return r.ok() && count <= r.remaining() / record_bytes;
+  };
+
   AssignmentProblem problem;
   problem.dims = dims;
   const uint32_t n_objects = r.GetU32();
+  if (!fits(n_objects, dims * sizeof(float) + sizeof(int32_t))) {
+    return Status::DataLoss("snapshot object count malformed: " + path);
+  }
   problem.objects.reserve(n_objects);
   for (uint32_t i = 0; r.ok() && i < n_objects; ++i) {
     ObjectItem o;
@@ -136,6 +142,9 @@ Status LoadSnapshot(const std::string& path,
     problem.objects.push_back(o);
   }
   const uint32_t n_functions = r.GetU32();
+  if (!fits(n_functions, (dims + 1) * sizeof(double) + sizeof(int32_t))) {
+    return Status::DataLoss("snapshot function count malformed: " + path);
+  }
   problem.functions.reserve(n_functions);
   for (uint32_t i = 0; r.ok() && i < n_functions; ++i) {
     PrefFunction f;
@@ -147,20 +156,24 @@ Status LoadSnapshot(const std::string& path,
     problem.functions.push_back(f);
   }
 
+  // Every page slot is written either as a live page (id + bytes) or
+  // as a free-list entry (id), so the slot count is exactly the sum of
+  // the two and each slot costs at least one id. The live count sizes
+  // nothing: the page loop stops at the first page that is not there.
   const PageId root = r.GetI64();
   const int root_level = r.GetI32();
   const int64_t tree_size = r.GetI64();
   const int64_t num_slots = r.GetI64();
   const uint32_t live = r.GetU32();
-  if (!r.ok() || num_slots < 0 ||
-      static_cast<int64_t>(live) > num_slots) {
+  if (!r.ok() || num_slots < 0 || static_cast<int64_t>(live) > num_slots ||
+      !fits(static_cast<uint64_t>(num_slots), sizeof(int64_t))) {
     return Status::DataLoss("snapshot tree header malformed: " + path);
   }
   MemNodeStore store(dims);
   store.RestoreInit(num_slots);
   for (uint32_t i = 0; i < live; ++i) {
     const PageId pid = r.GetI64();
-    if (!r.ok() || pid < 0 || pid >= num_slots ||
+    if (!r.ok() || pid < 0 || pid >= num_slots || store.has_page(pid) ||
         r.remaining() < kPageSize) {
       return Status::DataLoss("snapshot page table malformed: " + path);
     }
@@ -168,23 +181,25 @@ Status LoadSnapshot(const std::string& path,
     std::memcpy(store.RestorePage(pid), page.data(), kPageSize);
   }
   const uint32_t n_free = r.GetU32();
+  if (!fits(n_free, sizeof(int64_t)) ||
+      static_cast<int64_t>(live) + n_free != num_slots) {
+    return Status::DataLoss("snapshot free list malformed: " + path);
+  }
   std::vector<PageId> free_list;
   free_list.reserve(n_free);
-  for (uint32_t i = 0; r.ok() && i < n_free; ++i) {
-    free_list.push_back(r.GetI64());
+  std::vector<bool> listed(static_cast<size_t>(num_slots), false);
+  for (uint32_t i = 0; i < n_free; ++i) {
+    const PageId pid = r.GetI64();
+    // Allocate() hands these slots out again: each must be an empty
+    // slot, listed once.
+    if (!r.ok() || pid < 0 || pid >= num_slots || store.has_page(pid) ||
+        listed[pid]) {
+      return Status::DataLoss("snapshot free list malformed: " + path);
+    }
+    listed[pid] = true;
+    free_list.push_back(pid);
   }
   store.RestoreFreeList(std::move(free_list));
-
-  const uint32_t n_sky = r.GetU32();
-  std::vector<ObjectRecord> skyline;
-  skyline.reserve(n_sky);
-  for (uint32_t i = 0; r.ok() && i < n_sky; ++i) {
-    ObjectRecord m;
-    m.id = r.GetI32();
-    m.point = Point(dims);
-    for (int d = 0; d < dims; ++d) m.point[d] = r.GetF32();
-    skyline.push_back(m);
-  }
   if (!r.ok() || r.remaining() != 0) {
     return Status::DataLoss("snapshot payload malformed: " + path);
   }
@@ -195,7 +210,7 @@ Status LoadSnapshot(const std::string& path,
       serve::BuildPackedImage(problem.functions, options);
   *out = std::make_shared<const serve::ResidentDataset>(
       name, std::move(problem), &store, root, root_level, tree_size,
-      std::move(packed), std::move(skyline), epoch);
+      std::move(packed), epoch);
   return Status::Ok();
 }
 

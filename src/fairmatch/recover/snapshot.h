@@ -8,12 +8,14 @@
 //    table verbatim: every live page's 4 KB bytes AND the free-list
 //    order. The free list matters because Allocate() reuses it LIFO;
 //    WAL replay on the restored store only reproduces the uncrashed
-//    run's pages bit-for-bit if page-id assignment replays too;
-//  * the maintained skyline (id + point per member).
+//    run's pages bit-for-bit if page-id assignment replays too.
 //
 // The packed function image is NOT serialized: it is a pure function
 // of the function set, rebuilt on load per the dataset options
-// (serve::BuildPackedImage, the same build every epoch runs).
+// (serve::BuildPackedImage, the same build every epoch runs). Nor is a
+// skyline: epochs carry none. Format version 2 dropped the skyline
+// section version 1 ended with, and a version-1 file loads as
+// kDataLoss "version unsupported".
 //
 // One trailing CRC32 covers the whole snapshot; a mismatch is typed
 // kDataLoss and recovery fails over to an older manifest slot. Files
@@ -40,8 +42,11 @@ Status WriteSnapshot(const std::string& path,
 
 /// Loads a snapshot into a fresh ResidentDataset (name and epoch from
 /// the file, packed image rebuilt per `options`). Corruption — bad
-/// magic, failed CRC, malformed payload — comes back kDataLoss with
-/// the failing check in the detail; a missing file is kNotFound.
+/// magic, failed CRC, unsupported version, malformed payload — comes
+/// back kDataLoss with the failing check in the detail; a missing file
+/// is kNotFound. Every count in the file is checked against the bytes
+/// that follow it before it sizes anything, so even a CRC-valid file
+/// with a forged count is kDataLoss, never a crash.
 Status LoadSnapshot(const std::string& path,
                     const serve::DatasetOptions& options,
                     serve::DatasetHandle* out);

@@ -45,7 +45,6 @@ ResidentDataset::ResidentDataset(std::string name, AssignmentProblem problem,
                                  MemNodeStore* store, PageId root,
                                  int root_level, int64_t tree_size,
                                  std::unique_ptr<PackedFunctionStore> packed,
-                                 std::vector<ObjectRecord> skyline,
                                  int64_t epoch)
     : name_(std::move(name)),
       problem_(std::move(problem)),
@@ -54,7 +53,6 @@ ResidentDataset::ResidentDataset(std::string name, AssignmentProblem problem,
       // before Adopt() moves the pages in is safe.
       tree_(&store_, root, root_level, tree_size),
       packed_(std::move(packed)),
-      skyline_(std::move(skyline)),
       epoch_(epoch) {
   store_.Adopt(store);
 }

@@ -87,16 +87,17 @@ class ResidentDataset {
                   std::unique_ptr<PackedFunctionStore> packed);
 
   /// Adopts pre-built structures wholesale — the incremental-update
-  /// path (update/delta_builder.h). `store`'s pages are consumed
-  /// (swapped in, no copy): they must already contain the tree described
-  /// by `root`/`root_level`/`tree_size` over `problem`'s objects.
-  /// `packed` (may be null) becomes the resident function index, `skyline` the maintained skyline of the
-  /// live objects, and `epoch` the republish generation.
+  /// path (update/delta_builder.h) and snapshot recovery
+  /// (recover/snapshot.h). `store`'s pages are consumed (swapped in, no
+  /// copy): they must already contain the tree described by
+  /// `root`/`root_level`/`tree_size` over `problem`'s objects. `packed`
+  /// (may be null) becomes the resident function index and `epoch` the
+  /// republish generation.
   ResidentDataset(std::string name, AssignmentProblem problem,
                   MemNodeStore* store, PageId root, int root_level,
                   int64_t tree_size,
                   std::unique_ptr<PackedFunctionStore> packed,
-                  std::vector<ObjectRecord> skyline, int64_t epoch);
+                  int64_t epoch);
 
   ResidentDataset(const ResidentDataset&) = delete;
   ResidentDataset& operator=(const ResidentDataset&) = delete;
@@ -125,12 +126,6 @@ class ResidentDataset {
   /// by every DeltaBuilder::Apply epoch.
   int64_t epoch() const { return epoch_; }
 
-  /// Maintained skyline of the live objects, ascending id — filled by
-  /// the incremental-update path, empty for registry-built datasets
-  /// (queries compute skylines on demand either way; this is the
-  /// delta-maintained copy the update differential suite audits).
-  const std::vector<ObjectRecord>& skyline() const { return skyline_; }
-
   /// The backing node store (page-level access for epoch cloning).
   const MemNodeStore& node_store() const { return store_; }
 
@@ -140,7 +135,6 @@ class ResidentDataset {
   mutable MemNodeStore store_;
   mutable RTree tree_;
   std::unique_ptr<PackedFunctionStore> packed_;
-  std::vector<ObjectRecord> skyline_;
   double build_ms_ = 0.0;
   int64_t epoch_ = 1;
 };

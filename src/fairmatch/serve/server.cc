@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <utility>
 
 #include "fairmatch/common/check.h"
 #include "fairmatch/common/timer.h"
 #include "fairmatch/engine/registry.h"
-#include "fairmatch/topk/disk_function_lists.h"
 
 namespace fairmatch::serve {
 
@@ -23,6 +21,33 @@ bool IsTransient(ErrorCode code) {
 }
 
 }  // namespace
+
+DatasetRunEnv::DatasetRunEnv(const ResidentDataset& dataset,
+                             const MatcherInfo& info, double buffer_fraction,
+                             ExecContext* ctx, bool disk_resident_functions,
+                             DiskManager* disk) {
+  env_.problem = &dataset.problem();
+  env_.tree = dataset.tree();
+  env_.buffer_fraction = buffer_fraction;
+  env_.ctx = ctx;
+  if (info.mutates_tree) {
+    private_store_.emplace(dataset.problem().dims);
+    private_tree_.emplace(&*private_store_);
+    BuildObjectTree(dataset.problem(), &*private_tree_);
+    env_.tree = &*private_tree_;
+  }
+  if (info.needs_disk_functions || disk_resident_functions) {
+    functions_.emplace(dataset.problem().functions, buffer_fraction,
+                       ctx != nullptr ? &ctx->counters() : nullptr, disk);
+    env_.fn_store = &*functions_;
+  }
+  if (info.needs_packed_functions) {
+    FAIRMATCH_CHECK(dataset.packed() != nullptr &&
+                    "matcher needs a packed image");
+    packed_view_ = PackedFunctionStore::NewSharedView(*dataset.packed());
+    env_.packed_fns = packed_view_.get();
+  }
+}
 
 /// Shared completion state behind a ResponseFuture.
 struct ResponseFuture::State {
@@ -355,37 +380,11 @@ Status Server::RunAttempt(Pending* pending, DiskManager* disk,
                              pending->since_submit.ElapsedMs())));
   }
 
-  MatcherEnv env;
-  env.problem = &dataset.problem();
-  env.tree = dataset.tree();
-  env.buffer_fraction = request.buffer_fraction;
-  env.ctx = &ctx;
-
-  std::optional<MemNodeStore> private_store;
-  std::optional<RTree> private_tree;
-  if (info->mutates_tree) {
-    private_store.emplace(dataset.problem().dims);
-    private_tree.emplace(&*private_store);
-    BuildObjectTree(dataset.problem(), &*private_tree);
-    env.tree = &*private_tree;
-  }
-
-  std::optional<DiskFunctionStore> fstore;
-  if (info->needs_disk_functions || request.disk_resident_functions) {
-    fstore.emplace(dataset.problem().functions, request.buffer_fraction,
-                   &ctx.counters(), disk);
-    env.fn_store = &*fstore;
-  }
-
-  std::unique_ptr<PackedFunctionStore> packed_view;
-  if (info->needs_packed_functions) {
-    packed_view = PackedFunctionStore::NewSharedView(*dataset.packed());
-    env.packed_fns = packed_view.get();
-  }
-
+  const DatasetRunEnv run_env(dataset, *info, request.buffer_fraction, &ctx,
+                              request.disk_resident_functions, disk);
   Status status;
   std::unique_ptr<Matcher> matcher =
-      MatcherRegistry::Global().Create(request.matcher, env);
+      MatcherRegistry::Global().Create(request.matcher, run_env.env());
   if (matcher == nullptr) {
     // Validate() checks every Create precondition, so this is
     // unreachable today; kept as a typed error so a future

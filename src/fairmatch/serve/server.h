@@ -10,14 +10,14 @@
 //
 // Execution model: `lanes` worker threads drain one bounded FIFO
 // admission queue. Each request runs with its own ExecContext and
-// whatever per-request structures its matcher needs (a packed-image
-// view, a disk-resident function store on the lane's recycled
-// DiskManager, a private tree for tree-mutating matchers); everything
-// else — problem, object tree, packed image — is shared const-clean
-// across lanes. The result contract follows from that isolation: a
-// response is byte-identical (matching, io_accesses, pairs, loops) to
-// a direct Matcher::Run() on the same inputs, at any lane count and
-// under any interleaving (tests/serve_test.cc).
+// whatever per-request structures its matcher needs (DatasetRunEnv: a
+// packed-image view, a disk-resident function store on the lane's
+// recycled DiskManager, a private tree for tree-mutating matchers);
+// everything else — problem, object tree, packed image — is shared
+// const-clean across lanes. The result contract follows from that
+// isolation: a response is byte-identical (matching, io_accesses,
+// pairs, loops) to a direct Matcher::Run() on the same inputs, at any
+// lane count and under any interleaving (tests/serve_test.cc).
 //
 // Concurrency contract: the layers underneath are NOT internally
 // synchronized (the LRU buffer pools mutate on every read — see
@@ -74,15 +74,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fairmatch/assign/problem.h"
 #include "fairmatch/common/status.h"
+#include "fairmatch/engine/matcher.h"
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/storage/disk_manager.h"
 #include "fairmatch/storage/fault_injector.h"
+#include "fairmatch/topk/disk_function_lists.h"
 
 namespace fairmatch {
 struct MatcherInfo;
@@ -210,6 +213,37 @@ struct ServerCounters {
   int64_t data_loss = 0;
   /// Submits rejected because the dataset was shedding load.
   int64_t shed = 0;
+};
+
+/// The environment of one matcher run over a resident dataset, built
+/// the one way Server lanes and direct runs (update::RunOnDataset)
+/// share. The problem and the tree are the dataset's own, except that
+/// a `mutates_tree` matcher gets a private rebuilt tree, so the
+/// resident one stays immutable. A matcher that needs disk-resident
+/// functions (or a caller that asks for them) gets a DiskFunctionStore
+/// over the function set: its traffic is counted on `ctx`'s counters
+/// and its pages live on `disk` when those are non-null. A matcher
+/// that needs the packed image gets a private view of it, so the
+/// dataset must have one. `ctx` and `disk` must outlive this object,
+/// and this object the matcher created from env().
+class DatasetRunEnv {
+ public:
+  DatasetRunEnv(const ResidentDataset& dataset, const MatcherInfo& info,
+                double buffer_fraction, ExecContext* ctx = nullptr,
+                bool disk_resident_functions = false,
+                DiskManager* disk = nullptr);
+
+  DatasetRunEnv(const DatasetRunEnv&) = delete;
+  DatasetRunEnv& operator=(const DatasetRunEnv&) = delete;
+
+  const MatcherEnv& env() const { return env_; }
+
+ private:
+  MatcherEnv env_;
+  std::optional<MemNodeStore> private_store_;
+  std::optional<RTree> private_tree_;
+  std::optional<DiskFunctionStore> functions_;
+  std::unique_ptr<PackedFunctionStore> packed_view_;
 };
 
 /// The serving core. Thread-safe: any number of threads may Submit()

@@ -124,18 +124,6 @@ void DeltaSkyManager::Remove(ObjectId id) {
   }
 }
 
-bool DeltaSkyManager::Insert(const Point& p, ObjectId id) {
-  if (sky_.Contains(id)) return false;
-  if (sky_.FindDominator(p, p.Sum()) >= 0) return false;
-  std::vector<ObjectId> evict;
-  sky_.ForEach([&](int, const SkylineObject& m) {
-    if (p.Dominates(m.point)) evict.push_back(m.id);
-  });
-  for (ObjectId e : evict) sky_.Remove(e);
-  sky_.Add(p, id);
-  return true;
-}
-
 size_t DeltaSkyManager::memory_bytes() const {
   return sky_.memory_bytes() + peak_heap_bytes_ + removed_.size() * 16;
 }

@@ -34,20 +34,6 @@ class DeltaSkyManager {
   /// constrained traversal of the member's EDR.
   void Remove(ObjectId id);
 
-  /// Seeds one member without any traversal. This is the epoch-handoff
-  /// primitive for incremental updates (update/delta_builder.h): the
-  /// caller re-seeds the previous epoch's skyline — a valid, mutually
-  /// non-dominated set by construction — over the updated tree, then
-  /// replays the epoch's deletions (Remove) and arrivals (Insert).
-  void Seed(const Point& p, ObjectId id) { sky_.Add(p, id); }
-
-  /// Incremental arrival: adds `p` unless a current member dominates
-  /// it, and evicts members `p` dominates. Eviction needs no EDR
-  /// traversal — dominance is transitive, so every object an evicted
-  /// member kept out of the skyline is also dominated by `p`. No-op
-  /// (returns false) when `p` is dominated or `id` is already a member.
-  bool Insert(const Point& p, ObjectId id);
-
   SkylineSet& skyline() { return sky_; }
   const SkylineSet& skyline() const { return sky_; }
 

@@ -66,7 +66,6 @@ ReverseTop1::ReverseTop1(FunctionIndexBase* index, ReverseTop1Options options)
   // Scan cursors advance in blocks under the impact-ordered traversal,
   // in entries otherwise.
   scan_limit_ = use_impact_ ? packed_->num_blocks() : index_->size();
-  use_seen_epoch_ = !options_.resume;
   if (!use_impact_) return;
   // Every entry starts live. One decode pass over the image records
   // where each function sits in each list.
@@ -118,20 +117,7 @@ void ReverseTop1::Reset(ReverseTop1State* state, const Point& o) const {
   state->omega_left_ = omega_cap_;
   state->initialized = true;
   state->positions_.assign(dims, 0);
-  if (use_seen_epoch_) {
-    // Generation bump instead of clearing: the byte map is wiped only
-    // on first use, size change, or 8-bit generation wrap-around.
-    if (state->seen_gen_.size() != static_cast<size_t>(n)) {
-      state->seen_gen_.assign(n, 0);
-      state->gen_ = 0;
-    }
-    if (++state->gen_ == 0) {
-      std::fill(state->seen_gen_.begin(), state->seen_gen_.end(), 0);
-      state->gen_ = 1;
-    }
-  } else {
-    state->seen_bits_.assign((n + 63) / 64, 0);
-  }
+  state->seen_bits_.assign((n + 63) / 64, 0);
   state->round_robin_next_ = 0;
   state->dim_order_.resize(dims);
   for (int d = 0; d < dims; ++d) state->dim_order_[d] = d;
@@ -209,7 +195,6 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
   const double max_gamma = index_->max_gamma();
   const double* const eff = store->EffTable();
   const uint8_t* const taken = assigned.data();
-  const bool epoch = use_seen_epoch_;
   CandidateQueue& queue = state->queue_;
   double coord[kMaxDims];
   for (int d = 0; d < dims; ++d) coord[d] = o[d];
@@ -242,8 +227,6 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
     }
     const int omega_left = state->omega_left_;
     uint64_t* const seen_bits = state->seen_bits_.data();
-    uint8_t* const seen_gen = state->seen_gen_.data();
-    const uint8_t gen = state->gen_;
 
     // Derive the working set from the positions, moved past blocks that
     // died since they were stored: frontier values, their gains and the
@@ -300,16 +283,10 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::ProbeBlocks(
       for (int w = 0; w < words; ++w) {
         for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
           const FunctionId fid = ids[w * 64 + __builtin_ctzll(bits)];
-          bool seen;
-          if (epoch) {
-            seen = seen_gen[fid] == gen;
-            seen_gen[fid] = gen;
-          } else {
-            uint64_t& word = seen_bits[static_cast<size_t>(fid) >> 6];
-            const uint64_t bit = uint64_t{1} << (fid & 63);
-            seen = (word & bit) != 0;
-            word |= bit;
-          }
+          uint64_t& word = seen_bits[static_cast<size_t>(fid) >> 6];
+          const uint64_t bit = uint64_t{1} << (fid & 63);
+          const bool seen = (word & bit) != 0;
+          word |= bit;
           fresh_ids[fresh] = fid;
           fresh += !(seen | (taken[fid] != 0));
         }

@@ -181,17 +181,13 @@ class ReverseTop1State {
   size_t memory_bytes() const {
     return sizeof(*this) + positions_.capacity() * sizeof(int) +
            dim_order_.capacity() * sizeof(int) + queue_.memory_bytes() +
-           seen_bits_.capacity() * sizeof(uint64_t) +
-           seen_gen_.capacity() * sizeof(uint8_t);
+           seen_bits_.capacity() * sizeof(uint64_t);
   }
 
   /// Returns the state to "never searched" while keeping every buffer's
   /// capacity, so a recycled state behaves exactly like a fresh one (the
   /// next Best() call Reset()s and reassigns all contents) without
-  /// re-growing its vectors. The epoch seen-map generation deliberately
-  /// survives: stale marks from a previous owner all carry generations
-  /// <= gen_, so the bump in Reset() invalidates them, and the wipe on
-  /// 8-bit wrap-around is preserved.
+  /// re-growing its vectors.
   void Recycle() { initialized = false; }
 
  private:
@@ -202,16 +198,8 @@ class ReverseTop1State {
   std::vector<int> dim_order_;  // dims sorted by o[d] descending
   // Top candidates, capacity-bounded by Omega.
   CandidateQueue queue_;
-  // TA seen set, representation picked by ReverseTop1::use_seen_epoch_:
-  // resumable searches reset rarely, so they keep the compact bitmap
-  // (1 bit per function — per-probe cache footprint matters more than
-  // the occasional |F|/64-word clear); no-resume searches reset every
-  // call, so they use a generation-stamped byte map (fid seen iff
-  // seen_gen_[fid] == gen_) that resets by bumping gen_ and is wiped
-  // only when the 8-bit generation wraps.
+  // TA seen set, 1 bit per function; Reset() clears it.
   std::vector<uint64_t> seen_bits_;
-  std::vector<uint8_t> seen_gen_;
-  uint8_t gen_ = 0;
   int omega_left_ = 0;
   int round_robin_next_ = 0;
 };
@@ -340,18 +328,13 @@ class ReverseTop1 {
   }
 
   bool Seen(const ReverseTop1State& state, FunctionId fid) const {
-    if (use_seen_epoch_) return state.seen_gen_[fid] == state.gen_;
     return (state.seen_bits_[static_cast<size_t>(fid) >> 6] >>
             (fid & 63)) &
            1;
   }
   void MarkSeen(ReverseTop1State* state, FunctionId fid) const {
-    if (use_seen_epoch_) {
-      state->seen_gen_[fid] = state->gen_;
-    } else {
-      state->seen_bits_[static_cast<size_t>(fid) >> 6] |= uint64_t{1}
-                                                          << (fid & 63);
-    }
+    state->seen_bits_[static_cast<size_t>(fid) >> 6] |= uint64_t{1}
+                                                        << (fid & 63);
   }
 
   FunctionIndexBase* index_;
@@ -364,9 +347,6 @@ class ReverseTop1 {
   PackedFunctionStore* packed_ = nullptr;
   bool use_impact_ = false;
   int scan_limit_ = 0;
-  // Seen-set representation (see ReverseTop1State): epoch byte map for
-  // no-resume (reset-per-call) searches, compact bitmap otherwise.
-  bool use_seen_epoch_ = false;
   // Kernel path only (empty otherwise). live_ holds mask_words_ words
   // per (list, block); bit k is set while the block's entry k belongs to
   // a function not yet passed to OnFunctionAssigned. slot_[d * |F| +

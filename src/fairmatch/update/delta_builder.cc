@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,28 +14,12 @@
 #include "fairmatch/engine/registry.h"
 #include "fairmatch/rtree/node.h"
 #include "fairmatch/rtree/node_store.h"
-#include "fairmatch/skyline/delta_sky.h"
-#include "fairmatch/topk/disk_function_lists.h"
+#include "fairmatch/serve/server.h"
 #include "fairmatch/topk/packed_function_lists.h"
 
 namespace fairmatch::update {
 
 namespace {
-
-/// Extracts the skyline as an id-sorted record list (the canonical form
-/// stored on a ResidentDataset and compared by the differential suite).
-std::vector<ObjectRecord> SortedSkyline(const SkylineSet& sky) {
-  std::vector<ObjectRecord> out;
-  out.reserve(sky.size());
-  sky.ForEach([&out](int, const SkylineObject& m) {
-    out.push_back(ObjectRecord{m.point, m.id});
-  });
-  std::sort(out.begin(), out.end(),
-            [](const ObjectRecord& a, const ObjectRecord& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
 
 /// Validates a delete-id list: in range, no duplicates. Returns the ids
 /// sorted DESCENDING — the order both swap-with-last phases process, so
@@ -67,18 +50,6 @@ Status SortedDeletes(const std::vector<int32_t>& ids, int limit,
 DeltaBuilder::DeltaBuilder(serve::DatasetHandle base, DeltaOptions options)
     : options_(std::move(options)), current_(std::move(base)) {
   FAIRMATCH_CHECK(current_ != nullptr);
-  if (!current_->problem().objects.empty()) {
-    if (!current_->skyline().empty()) {
-      skyline_ = current_->skyline();
-    } else {
-      // Registry-built base: compute the initial skyline once, here
-      // (read-only BBS over the shared tree), so every later epoch can
-      // maintain it incrementally.
-      DeltaSkyManager sky(current_->tree());
-      sky.ComputeInitial();
-      skyline_ = SortedSkyline(sky.skyline());
-    }
-  }
 }
 
 Status DeltaBuilder::Apply(const UpdateBatch& batch,
@@ -255,27 +226,6 @@ Status DeltaBuilder::Apply(const UpdateBatch& batch,
     if (oowner[slot] >= 0) object_final[oowner[slot]] = slot;
   }
 
-  // ---- skyline phase --------------------------------------------------
-  // Re-seed the previous skyline (a valid mutually non-dominated set —
-  // renames change no point) over the now-final tree, then repair it:
-  // deleted members replay DeltaSky's constrained EDR traversal under
-  // collision-free negative temp ids, arrivals take the traversal-free
-  // insert. Deleted NON-members cannot change the skyline and need no
-  // action. Convergence: dominance is transitive and every batch op is
-  // replayed, so the repaired set equals the skyline of the live set.
-  DeltaSkyManager sky(&tree);
-  for (const ObjectRecord& m : skyline_) {
-    const ObjectId nid = object_final[m.id];
-    sky.Seed(m.point, nid >= 0 ? nid : -m.id - 1);
-  }
-  for (const ObjectRecord& m : skyline_) {  // ascending old id
-    if (object_final[m.id] < 0) sky.Remove(-m.id - 1);
-  }
-  for (ObjectId nid : inserted_oids) {
-    sky.Insert(objects[nid].point, nid);
-  }
-  std::vector<ObjectRecord> new_skyline = SortedSkyline(sky.skyline());
-
   // ---- packed phase ---------------------------------------------------
   // The image is a pure function of the new function set: build it
   // flat, exactly as Open() and snapshot recovery do. Only the file
@@ -306,9 +256,8 @@ Status DeltaBuilder::Apply(const UpdateBatch& batch,
   const int64_t new_epoch = current_->epoch() + 1;
   auto handle = std::make_shared<const serve::ResidentDataset>(
       current_->name(), std::move(new_problem), &work_store, root, root_level,
-      tree_size, std::move(packed), new_skyline, new_epoch);
+      tree_size, std::move(packed), new_epoch);
 
-  skyline_ = std::move(new_skyline);
   current_ = std::move(handle);
 
   if (stats_out != nullptr) {
@@ -333,33 +282,9 @@ AssignResult RunOnDataset(const serve::ResidentDataset& dataset,
                           double buffer_fraction) {
   const MatcherInfo* info = MatcherRegistry::Global().Find(matcher);
   FAIRMATCH_CHECK(info != nullptr && "unknown matcher");
-  MatcherEnv env;
-  env.problem = &dataset.problem();
-  env.tree = dataset.tree();
-  env.buffer_fraction = buffer_fraction;
-
-  std::optional<MemNodeStore> private_store;
-  std::optional<RTree> private_tree;
-  if (info->mutates_tree) {
-    private_store.emplace(dataset.problem().dims);
-    private_tree.emplace(&*private_store);
-    BuildObjectTree(dataset.problem(), &*private_tree);
-    env.tree = &*private_tree;
-  }
-  std::unique_ptr<DiskFunctionStore> fstore;
-  if (info->needs_disk_functions) {
-    fstore = std::make_unique<DiskFunctionStore>(dataset.problem().functions,
-                                                 buffer_fraction);
-    env.fn_store = fstore.get();
-  }
-  std::unique_ptr<PackedFunctionStore> packed_view;
-  if (info->needs_packed_functions) {
-    FAIRMATCH_CHECK(dataset.packed() != nullptr &&
-                    "matcher needs a packed image");
-    packed_view = PackedFunctionStore::NewSharedView(*dataset.packed());
-    env.packed_fns = packed_view.get();
-  }
-  std::unique_ptr<Matcher> m = MatcherRegistry::Global().Create(matcher, env);
+  const serve::DatasetRunEnv run_env(dataset, *info, buffer_fraction);
+  std::unique_ptr<Matcher> m =
+      MatcherRegistry::Global().Create(matcher, run_env.env());
   FAIRMATCH_CHECK(m != nullptr);
   return m->Run();
 }

@@ -1,11 +1,11 @@
 // Incremental index updates with epoch-based republish.
 //
-// The paper's structures — the object R-tree, the skylines, the packed
-// function lists — are built once and then serve many queries. This
-// module makes them *updatable* without the full rebuild: a
-// DeltaBuilder applies a batch of object/function inserts and deletes
-// to a ResidentDataset (serve/dataset_registry.h) by editing clones of
-// the resident structures node-by-node, and produces a NEW immutable
+// The paper's structures — the object R-tree and the packed function
+// lists — are built once and then serve many queries. This module
+// makes them *updatable* without the full rebuild: a DeltaBuilder
+// applies a batch of object/function inserts and deletes to a
+// ResidentDataset (serve/dataset_registry.h) by editing clones of the
+// resident structures node-by-node, and produces a NEW immutable
 // ResidentDataset — the next *epoch* — that the registry then publishes
 // atomically (DatasetRegistry::Publish). In-flight requests finish on
 // the epoch they opened; everything that starts later sees the new one.
@@ -15,16 +15,15 @@
 //    CopyFrom) and edited in place with Guttman insert / physical
 //    delete + condensation (rtree/rtree.h), i.e. node-level edits with
 //    overflow splits and underflow merges instead of an STR re-load.
-//  * skyline — the previous epoch's skyline is re-seeded over the
-//    updated tree and repaired incrementally: deletions replay
-//    DeltaSky's constrained EDR traversal (DeltaSkyManager::Remove),
-//    arrivals go through the traversal-free DeltaSkyManager::Insert.
 //  * packed function image — the sorted per-dimension lists are a
 //    pure function of the new function set, so every epoch builds its
 //    image flat (serve::BuildPackedImage, in memory or mmap-backed per
 //    the dataset options), exactly as Open() and snapshot recovery do.
 //    An epoch shares nothing with its predecessor, which is freed as
 //    soon as the last handle to it drops.
+//
+// An epoch carries no skyline: every SB-family run computes its own
+// over the epoch's tree when it starts (assign/skyline_loop.h).
 //
 // Id discipline: every matcher indexes problem.objects[oid] /
 // problem.functions[fid] directly, so ids must stay equal to vector
@@ -120,8 +119,7 @@ struct DeltaOptions {
 /// ResidentDataset.
 class DeltaBuilder {
  public:
-  /// `base` must be non-null. Epoch 1's skyline is computed here when
-  /// the base dataset does not carry one (registry-built datasets).
+  /// `base` must be non-null.
   DeltaBuilder(serve::DatasetHandle base, DeltaOptions options = {});
 
   DeltaBuilder(const DeltaBuilder&) = delete;
@@ -141,25 +139,15 @@ class DeltaBuilder {
 
   int64_t epoch() const { return current_->epoch(); }
 
-  /// The maintained skyline of current(), ascending id (same contents
-  /// as current()->skyline()).
-  const std::vector<ObjectRecord>& skyline() const { return skyline_; }
-
  private:
   DeltaOptions options_;
   serve::DatasetHandle current_;
-
-  // Maintained skyline of current(), ascending id.
-  std::vector<ObjectRecord> skyline_;
 };
 
 /// Runs registered matcher `matcher` directly against a resident
-/// dataset (no server queue): the environment is assembled exactly like
-/// the serve path — the shared tree (a private rebuilt tree for
-/// mutates_tree matchers), a disk-resident function store where the
-/// variant needs one, a private shared view of the packed image where
-/// it needs that. The *-Packed variants require dataset.packed() to be
-/// non-null.
+/// dataset (no server queue), in the environment a server lane builds
+/// (serve::DatasetRunEnv) minus the lane's counters and disk. The
+/// *-Packed variants require dataset.packed() to be non-null.
 AssignResult RunOnDataset(const serve::ResidentDataset& dataset,
                           const std::string& matcher,
                           double buffer_fraction = 0.02);

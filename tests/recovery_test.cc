@@ -3,8 +3,8 @@
 // boundary — every WAL/snapshot/manifest write, fsync and rename —
 // recovers to a servable epoch E in {last acknowledged, +1} whose
 // state is byte-identical to the uncrashed run's epoch E: problem
-// arrays, R-tree page bytes, maintained skyline and served SB matching
-// all fingerprint-equal. Torn WAL tails truncate silently, half-
+// arrays, R-tree page bytes and served SB matching all
+// fingerprint-equal. Torn WAL tails truncate silently, half-
 // applied (logged-but-unacknowledged) batches replay, a torn manifest
 // slot fails over to the surviving slot, and unrecoverable damage
 // surfaces as typed kDataLoss — never a crash, never a wrong answer.
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "fairmatch/common/crc32.h"
 #include "fairmatch/recover/batch_codec.h"
 #include "fairmatch/recover/durable_builder.h"
 #include "fairmatch/recover/manifest.h"
@@ -42,6 +43,8 @@ namespace {
 using fairmatch::testing::BuildTraceOracle;
 using fairmatch::testing::MakeDurableOptions;
 using fairmatch::testing::MakeRecoveryDir;
+using fairmatch::testing::ProblemSpec;
+using fairmatch::testing::RandomProblem;
 using fairmatch::testing::RecoveryProblem;
 using fairmatch::testing::RemoveRecoveryDir;
 using fairmatch::testing::RunCrashTrace;
@@ -290,6 +293,150 @@ TEST_F(DamageTest, SnapshotCorruptionOnTheOnlySlotIsTypedDataLoss) {
   EXPECT_EQ(stats.snapshot_fallbacks, 1);
   EXPECT_NE(status.message.find("snapshot"), std::string::npos)
       << status.message;
+}
+
+// --- snapshot decoding ------------------------------------------------
+
+/// A snapshot whose tree has free pages, and the byte offsets of the
+/// fields the decoder trusts least. Each case patches one field, makes
+/// the trailing CRC valid again and expects typed data loss: the
+/// checksum only proves the bytes are what was written, not that a
+/// writer of this format wrote them.
+class SnapshotDecodeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = MakeRecoveryDir("snapshot_decode");
+    path_ = dir_ + "/snap.fms";
+    // Enough objects for a tree of many leaves; deleting most of them
+    // condenses it, which frees pages.
+    ProblemSpec spec;
+    spec.num_functions = 16;
+    spec.num_objects = 3000;
+    spec.dims = 3;
+    spec.seed = 11;
+    serve::DatasetRegistry registry;
+    update::DeltaBuilder builder(
+        registry.Open("decode", RandomProblem(spec), {}));
+    while (builder.current()->node_store().free_list().size() < 2) {
+      const int n =
+          static_cast<int>(builder.current()->problem().objects.size());
+      ASSERT_GT(n, 8);
+      update::UpdateBatch batch;
+      for (int id = 0; id < n / 4; ++id) batch.delete_objects.push_back(id);
+      ASSERT_TRUE(builder.Apply(batch).ok());
+    }
+    dataset_ = builder.current();
+    ASSERT_TRUE(WriteSnapshot(path_, *dataset_, nullptr).ok());
+    std::string error;
+    ASSERT_TRUE(ReadFileBytes(path_, &bytes_, &error)) << error;
+
+    // magic(8) version(4) dims(4) epoch(8) name_len(4) name ...
+    const int dims = dataset_->problem().dims;
+    const size_t name_len = dataset_->name().size();
+    n_objects_ = 28 + name_len;
+    n_functions_ = n_objects_ + 4 +
+                   dataset_->problem().objects.size() * (dims * 4 + 4);
+    // ... functions, root(8) root_level(4) size(8) num_slots(8) live(4)
+    const size_t tree =
+        n_functions_ + 4 +
+        dataset_->problem().functions.size() * ((dims + 1) * 8 + 4);
+    num_slots_ = tree + 20;
+    live_ = num_slots_ + 8;
+    size_t live_pages = 0;
+    for (PageId pid = 0; pid < dataset_->node_store().num_pages(); ++pid) {
+      if (dataset_->node_store().has_page(pid)) ++live_pages;
+    }
+    n_free_ = live_ + 4 + live_pages * (8 + kPageSize);
+    ASSERT_EQ(n_free_ + 4 +
+                  dataset_->node_store().free_list().size() * 8 + 4,
+              bytes_.size());
+    ASSERT_EQ(Field<int64_t>(num_slots_), dataset_->node_store().num_pages());
+    ASSERT_EQ(Field<uint32_t>(n_free_),
+              dataset_->node_store().free_list().size());
+  }
+  void TearDown() override { RemoveRecoveryDir(dir_); }
+
+  template <typename T>
+  T Field(size_t offset) const {
+    T value;
+    std::memcpy(&value, bytes_.data() + offset, sizeof(T));
+    return value;
+  }
+
+  /// Loads the snapshot with `value` written at `offset` and the CRC
+  /// recomputed.
+  template <typename T>
+  Status LoadPatched(size_t offset, T value) {
+    std::string patched = bytes_;
+    std::memcpy(&patched[offset], &value, sizeof(T));
+    const uint32_t crc = Crc32Of(patched.data(), patched.size() - 4);
+    std::memcpy(&patched[patched.size() - 4], &crc, 4);
+    EXPECT_TRUE(RewriteFile(path_, patched));
+    serve::DatasetHandle out;
+    return LoadSnapshot(path_, {}, &out);
+  }
+
+  std::string dir_, path_, bytes_;
+  serve::DatasetHandle dataset_;
+  size_t n_objects_ = 0, n_functions_ = 0, num_slots_ = 0, live_ = 0,
+         n_free_ = 0;
+};
+
+TEST_F(SnapshotDecodeTest, UnpatchedSnapshotLoadsTheSameEpoch) {
+  serve::DatasetHandle out;
+  ASSERT_TRUE(LoadSnapshot(path_, {}, &out).ok());
+  EXPECT_EQ(out->epoch(), dataset_->epoch());
+  EXPECT_EQ(StateFingerprint(*out), StateFingerprint(*dataset_));
+  EXPECT_EQ(out->node_store().free_list(), dataset_->node_store().free_list());
+}
+
+TEST_F(SnapshotDecodeTest, VersionOneSnapshotIsTypedDataLoss) {
+  const Status status = LoadPatched<uint32_t>(8, 1);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
+  EXPECT_NE(status.message.find("version unsupported"), std::string::npos)
+      << status.message;
+}
+
+TEST_F(SnapshotDecodeTest, ForgedCountsAreTypedDataLossNotACrash) {
+  const struct {
+    const char* field;
+    Status status;
+  } cases[] = {
+      {"num_slots", LoadPatched<int64_t>(num_slots_, int64_t{1} << 62)},
+      {"n_objects", LoadPatched<uint32_t>(n_objects_, 0xffffffffu)},
+      {"n_functions", LoadPatched<uint32_t>(n_functions_, 0xffffffffu)},
+      {"live", LoadPatched<uint32_t>(live_, 0xffffffffu)},
+      {"n_free", LoadPatched<uint32_t>(n_free_, 0xffffffffu)},
+      // One slot more than the page table and the free list describe.
+      {"num_slots+1", LoadPatched<int64_t>(num_slots_,
+                                           Field<int64_t>(num_slots_) + 1)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.status.code, ErrorCode::kDataLoss)
+        << c.field << ": " << c.status.message;
+  }
+}
+
+TEST_F(SnapshotDecodeTest, ForgedFreeListIsTypedDataLoss) {
+  const size_t first_free = n_free_ + 4;
+  const int64_t slots = Field<int64_t>(num_slots_);
+  const int64_t live_pid = dataset_->tree()->root();
+  const struct {
+    const char* field;
+    Status status;
+  } cases[] = {
+      {"out of range", LoadPatched<int64_t>(first_free, slots)},
+      {"negative", LoadPatched<int64_t>(first_free, -1)},
+      {"live page", LoadPatched<int64_t>(first_free, live_pid)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.status.code, ErrorCode::kDataLoss)
+        << c.field << ": " << c.status.message;
+  }
+  // Listed twice, Allocate() would hand one page out to two nodes.
+  const Status twice =
+      LoadPatched<int64_t>(first_free + 8, Field<int64_t>(first_free));
+  EXPECT_EQ(twice.code, ErrorCode::kDataLoss) << twice.message;
 }
 
 // --- manifest A/B failover -------------------------------------------

@@ -5,8 +5,7 @@
 // DurableBuilder and records, per epoch, a state fingerprint covering
 // everything the durability layer promises to bring back byte-identical:
 // the problem arrays (raw float/double bits), the R-tree shape AND its
-// page bytes, the maintained skyline, and the SB matching served off
-// the epoch. The sweep side replays the identical trace with a crash
+// page bytes, and the SB matching served off the epoch. The sweep side replays the identical trace with a crash
 // scheduled at one durable-op boundary, recovers, and compares the
 // recovered epoch's fingerprint against the oracle's.
 #ifndef FAIRMATCH_TESTS_RECOVERY_TRACE_H_
@@ -67,8 +66,8 @@ inline uint64_t RecF64Bits(double v) {
   return bits;
 }
 
-/// Byte-level fingerprint of one epoch: problem + tree pages + skyline
-/// + the SB matching it serves. Two datasets with equal fingerprints
+/// Byte-level fingerprint of one epoch: problem + tree pages + the SB
+/// matching it serves. Two datasets with equal fingerprints
 /// are indistinguishable to every consumer the repo has.
 inline uint64_t StateFingerprint(const serve::ResidentDataset& dataset) {
   uint64_t h = 1469598103934665603ull;
@@ -93,10 +92,6 @@ inline uint64_t StateFingerprint(const serve::ResidentDataset& dataset) {
     if (!store.has_page(pid)) continue;
     h = RecFnv1a(h, static_cast<uint64_t>(pid));
     h = RecFnvBytes(h, store.page_bytes(pid), kPageSize);
-  }
-  for (const ObjectRecord& m : dataset.skyline()) {
-    h = RecFnv1a(h, static_cast<uint64_t>(m.id));
-    for (int d = 0; d < problem.dims; ++d) h = RecFnv1a(h, RecF32Bits(m.point[d]));
   }
   const AssignResult sb = update::RunOnDataset(dataset, "SB");
   for (const MatchPair& p : sb.matching) {

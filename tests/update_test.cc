@@ -7,8 +7,7 @@
 // seeded update traces (insert-only, delete-only, mixed; in-memory and
 // mmap-backed packed images) drive a DeltaBuilder and after every epoch
 // compare against a from-scratch rebuild: matchings byte-identical per
-// matcher, maintained skylines equal to both a brute-force skyline and
-// a fresh BBS, serving responses identical between the updated and the
+// matcher, serving responses identical between the updated and the
 // rebuilt dataset at 1/2/8 lanes, and R-tree structural invariants
 // (MBR containment, level/size bookkeeping) after adversarial update
 // orders. Epoch publishes are exercised under concurrent traffic (the
@@ -34,7 +33,6 @@
 #include "fairmatch/rtree/rtree.h"
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/serve/server.h"
-#include "fairmatch/skyline/delta_sky.h"
 #include "fairmatch/topk/packed_function_lists.h"
 #include "fairmatch/update/delta_builder.h"
 #include "test_util.h"
@@ -49,8 +47,6 @@ using serve::Request;
 using serve::Response;
 using serve::Server;
 using serve::ServerOptions;
-using testing::MemTree;
-using testing::NaiveSkyline;
 using testing::ProblemSpec;
 using testing::RandomProblem;
 using testing::RunRegisteredMatcher;
@@ -133,33 +129,8 @@ void CheckTreeInvariants(const RTree& tree,
   }
 }
 
-void CheckSkyline(const serve::ResidentDataset& dataset) {
-  const AssignmentProblem& problem = dataset.problem();
-  std::vector<Point> points;
-  points.reserve(problem.objects.size());
-  for (const ObjectItem& o : problem.objects) points.push_back(o.point);
-
-  std::vector<int> naive = NaiveSkyline(points);
-  std::vector<int> maintained;
-  for (const ObjectRecord& m : dataset.skyline()) {
-    maintained.push_back(m.id);
-  }
-  EXPECT_EQ(maintained, naive) << "maintained skyline != brute force";
-
-  // And against a fresh BBS over a from-scratch tree.
-  MemTree rebuilt(problem);
-  DeltaSkyManager fresh(&rebuilt.tree);
-  fresh.ComputeInitial();
-  std::vector<int> recomputed;
-  fresh.skyline().ForEach([&recomputed](int, const SkylineObject& m) {
-    recomputed.push_back(m.id);
-  });
-  std::sort(recomputed.begin(), recomputed.end());
-  EXPECT_EQ(maintained, recomputed) << "maintained skyline != fresh BBS";
-}
-
 /// The full per-epoch differential: dense ids, tree structure and
-/// contents, maintained skyline, and byte-identical matchings between
+/// contents, and byte-identical matchings between
 /// the updated dataset and a from-scratch rebuild of its problem.
 void VerifyEpochAgainstRebuild(const serve::ResidentDataset& dataset) {
   const AssignmentProblem& problem = dataset.problem();
@@ -170,7 +141,6 @@ void VerifyEpochAgainstRebuild(const serve::ResidentDataset& dataset) {
     ASSERT_EQ(problem.functions[i].id, static_cast<FunctionId>(i));
   }
   CheckTreeInvariants(*dataset.tree(), problem.objects);
-  CheckSkyline(dataset);
 
   for (const char* name : kMatchers) {
     AssignResult updated = RunOnDataset(dataset, name);
@@ -317,7 +287,6 @@ TEST(UpdateDifferential, AdversarialDeleteRefill) {
     if (builder.current()->problem().objects.size() % 16 == 0) {
       CheckTreeInvariants(*builder.current()->tree(),
                           builder.current()->problem().objects);
-      CheckSkyline(*builder.current());
     }
   }
   VerifyEpochAgainstRebuild(*builder.current());
